@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -36,6 +37,13 @@ EXIT_BUDGET = 3
 
 SIM_FIELDS = ("hurst_H", "horizon_T", "drift_a", "sigma_vol", "grid_n",
               "outer_paths", "centering_paths", "seed")
+TABLE_FIELDS = ("hurst_H", "horizon_T", "grid_n")
+NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
+
+# Part of every cache key, with the code version. Bump it when the contents
+# of a cache change meaning, so files written by older code are not read.
+# 2: nested estimates share one inner draw set per block of paths.
+CACHE_SCHEMA = 2
 
 
 @dataclass
@@ -61,6 +69,31 @@ class ExperimentConfig:
     suites: tuple = ("tail", "mgf", "envelopes", "derivatives", "w", "dphi",
                      "clark_ocone")
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or (
+                    f.type == "int" and not isinstance(value, int)) or (
+                    f.type == "float" and not (isinstance(value, (int, float))
+                                               and math.isfinite(value))):
+                raise ValueError(f"{f.name} must be a finite {f.type}, got {value!r}")
+        rules = {
+            "hurst_H": (0.5 < self.hurst_H < 1.0, "in (1/2, 1)"),
+            "horizon_T": (self.horizon_T > 0, "> 0"),
+            "sigma_vol": (self.sigma_vol >= 0, ">= 0"),
+            "grid_n": (self.grid_n >= 8, ">= 8"),
+            "inner_paths": (self.inner_paths >= 50 and self.inner_paths % 2 == 0,
+                            "even (antithetic pairs) and >= 50"),
+            "subgrid_stride": (self.subgrid_stride >= 1, ">= 1"),
+            "suites": (set(self.suites) <= set(SUITES), f"among {sorted(SUITES)}"),
+        }
+        for name in ("outer_paths", "centering_paths", "nested_paths", "kde_bootstrap",
+                     "seed"):
+            rules[name] = (getattr(self, name) >= 0, ">= 0")
+        for name, (ok, rule) in rules.items():
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
@@ -85,6 +118,14 @@ class ExperimentConfig:
     def sim_hash(self):
         d = self.effective()
         blob = json.dumps({k: d[k] for k in SIM_FIELDS}, sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    def cache_key(self, fields):
+        """Hash of the given fields, the code version and the cache schema."""
+        d = self.effective()
+        blob = json.dumps({"fields": {k: d[k] for k in fields},
+                           "code_version": __version__,
+                           "cache_schema": CACHE_SCHEMA}, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def model_params(self):
@@ -124,17 +165,35 @@ def _cache_dir(cfg):
     return d
 
 
+def _write_atomic(path, write):
+    """Call write(tmp) on a temp file beside path, then move it into place, so
+    a reader never sees a partly written cache."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _savez(tmp, **arrays):
+    # through a handle: given a path without .npz, numpy would append it
+    with open(tmp, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
+
+
 def _table_for(cfg) -> kn.KernelTable:
-    path = _cache_dir(cfg) / f"table-{cfg.sim_hash()}.npz"
+    # the table depends on (H, T, n) only, so every seed shares one file
+    path = _cache_dir(cfg) / f"table-{cfg.cache_key(TABLE_FIELDS)}.npz"
     if path.exists():
         return kn.load_table(path)
     table = kn.build_kernel_table(cfg.hurst_H, cfg.horizon_T, cfg.grid_n)
-    kn.save_table(table, path)
+    _write_atomic(path, lambda tmp: kn.save_table(table, tmp))
     return table
 
 
 def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
-    path = _cache_dir(cfg) / f"sim-{cfg.sim_hash()}.npz"
+    path = _cache_dir(cfg) / f"sim-{cfg.cache_key(SIM_FIELDS)}.npz"
     params = cfg.model_params()
     if path.exists():
         with np.load(path, allow_pickle=False) as data:
@@ -155,17 +214,15 @@ def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
     meta = dict(batch.meta)
     meta.update({"centering_value": centering.value, "centering_se": centering.se,
                  "centering_paths": centering.n_paths})
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, F=batch.F, X=batch.X,
-                            meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
-                                               dtype=np.uint8))
+    meta_bytes = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    _write_atomic(path, lambda tmp: _savez(tmp, F=batch.F, X=batch.X, meta=meta_bytes))
     batch.meta = meta
     return batch
 
 
 def _nested_run(cfg, table, allow_simulate=True):
     """Joint (X, Phi_X) samples plus derivative-bound ingredients (cached)."""
-    path = _cache_dir(cfg) / f"mal-{cfg.sim_hash()}-{cfg.nested_paths}-{cfg.inner_paths}-{cfg.subgrid_stride}.npz"
+    path = _cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz"
     params = cfg.model_params()
     if path.exists():
         with np.load(path) as data:
@@ -181,8 +238,8 @@ def _nested_run(cfg, table, allow_simulate=True):
     out = {"lnF": lnF, "phi": prof.phi, "phi_se": prof.phi_se,
            "dX": prof.dX, "cond": prof.cond_dX, "cond_se": prof.cond_se,
            "indices": prof.meta["indices"]}
-    np.savez_compressed(path, lower=lower, **out)
     out["lower"] = lower
+    _write_atomic(path, lambda tmp: _savez(tmp, **out))
     return out
 
 
@@ -670,7 +727,7 @@ def main(argv=None):
     try:
         cfg = (ExperimentConfig.from_file(args.config) if args.config
                else ExperimentConfig())
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(cfg, args)      # replace() re-runs the checks
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -250,7 +250,9 @@ def verify_mgf(X, params: ModelParams, lambdas=(0.5, 1.0, 2.0)) -> BoundReport:
 
 def _thirds_rule(y, c, se, resolved):
     """Non-explosion test on one tail: outer-third max <= 1.5 * inner-third max
-    beyond 3 SE. y must be ordered from the center outward."""
+    beyond 3 SE. y must be ordered from the center outward. An empty info
+    dict means too few resolved points for a verdict: every point of the
+    report is then inconclusive."""
     ok = resolved & np.isfinite(c)
     if ok.sum() < 6:
         return 0, True, {}
@@ -309,7 +311,7 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
             points=y[mask], lhs=c, rhs=np.full(mask.sum(), info.get("max_inner", np.nan)),
             se=c_se, tolerance=np.full(mask.sum(), info.get("slack_3se", np.nan)),
             violations=viol, n_samples=dens.n_samples,
-            implied_constant=c, inconclusive=~resolved[mask], meta=info))
+            implied_constant=c, inconclusive=~resolved[mask] | (not info), meta=info))
 
     # right-tail slope: -d/dy ln rho >= y / s2 - 3 SE on the resolved range
     with np.errstate(divide="ignore"):
@@ -352,7 +354,7 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
             rhs=np.full(int(mask.sum()), info.get("max_inner", np.nan)),
             se=c_se, tolerance=np.full(int(mask.sum()), info.get("slack_3se", np.nan)),
             violations=viol, n_samples=dens.n_samples,
-            implied_constant=c, inconclusive=~resolved[mask], meta=info))
+            implied_constant=c, inconclusive=~resolved[mask] | (not info), meta=info))
 
     return reports
 

@@ -12,6 +12,14 @@ estimated by nested Monte Carlo: the future driving increments are resampled
 through the shared kernel table (antithetic pairs), so the inner law is
 exactly the conditional law of the outer discrete model.
 
+The nested estimates are factorised. An inner path is the outer path's
+conditional mean N_p plus a fluctuation Z_q that does not depend on the
+past, so exp(a t_i + sigma (N_{p,i} + Z_{q,i})) = A_{p,i} B_{q,i}. One inner
+set Z is drawn per block of CHUNK_OUTER paths, and every inner sum becomes a
+GEMM of A with B^T. Per-path estimates and their inner SEs keep their law,
+but the paths of one block share inner noise: the SE of a mean over paths
+must come from block means (block_mean_se).
+
 Grid conventions: the pointwise derivative diverges like theta^(1/2-H) as
 theta -> 0, so index 0 of derivative arrays stores the first-cell average
 (the derivative with respect to the first Brownian increment, normalized by
@@ -28,7 +36,7 @@ import numpy as np
 
 from . import rng
 from .kernel import KernelTable
-from .paths import FbmPaths, conditional_law, trapezoid_weights
+from .paths import FbmPaths, conditional_law, inner_fluctuations, trapezoid_weights
 from .reports import BoundReport
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
@@ -173,63 +181,106 @@ def _inner_blocks(n_paths):
     return rng.batch_ranges(n_paths, CHUNK_OUTER)
 
 
-def conditional_dx_at(paths: FbmPaths, table: KernelTable, params, k, n_inner,
-                      seed, antithetic=True, stage=0):
-    """Nested estimate of E[D_{t_k} X | F_{t_k}] for every path.
+def _pair_stats(x):
+    """Mean and standard error over the last (inner) axis, from the means of
+    the antithetic pairs (q, q + Q/2)."""
+    half = x.shape[-1] // 2
+    pair = 0.5 * (x[..., :half] + x[..., half:])
+    return pair.mean(axis=-1), pair.std(axis=-1, ddof=1) / np.sqrt(half)
 
-    Freezes the driving increments up to node k, draws n_inner future
-    trajectories through the table (antithetic pairs), and averages the
-    derivative. Returns (estimate, inner standard error), both (P,).
-    `stage` separates the inner streams of independent nested runs sharing a
-    root seed.
+
+def _nested_at(paths: FbmPaths, table: KernelTable, params, k, n_inner, seed,
+               stage, Kcols=None):
+    """Factorised nested estimates at node k for every path.
+
+    Returns (est, se) of E[D_{t_k} X | F_{t_k}], each (P,), and (est2, se2)
+    of E[D_s D_{t_k} X | F_{t_k}] for s over the columns of Kcols (kernel
+    columns on the full grid), each (P, ms); ms = 0 without Kcols.
+
+    Inner path q of outer path p is N_p + Z_q (conditional mean plus a
+    fluctuation shared by the block), so its integrand factors as
+    exp(a t_i + sigma N_{p,i}) exp(sigma Z_{q,i}) = A_{p,i} B_{q,i}. Every
+    inner sum over i is then sum_i A_{p,i} c_i B_{q,i}: one GEMM per block
+    over the columns c = [1, K(., t_k), K(., s), K(., t_k) K(., s)]. A is
+    scaled by the largest exponent of its path and B by that of its draw,
+    which cancels in every ratio and keeps both factors <= 1.
     """
     paths.require_increments()
+    P = paths.n_paths
+    ms = 0 if Kcols is None else Kcols.shape[1]
+    est, se = np.zeros(P), np.zeros(P)
+    est2, se2 = np.zeros((P, ms)), np.zeros((P, ms))
     if k == table.n:
-        z = np.zeros(paths.n_paths)
-        return z, z.copy()
+        return est, se, est2, se2
     if n_inner < 50:
         raise ValueError("n_inner must be >= 50")
-    if antithetic and n_inner % 2:
-        raise ValueError("antithetic inner sampling needs an even n_inner")
 
     grid = table.grid
     tau = trapezoid_weights(grid)
-    a, sigma = params.a, params.sigma
-    drift = a * grid
-    kcol = _kernel_column(table, k)
-    Vfut = table.volterra_matrix[k:, k:]
-    n = table.n
-    m = n - k
-    sq_dt = np.sqrt(table.dt)
+    sigma = params.sigma
+    kcol = _kernel_column(table, k)[:, None]
+    cols = [np.ones_like(kcol), kcol]
+    if ms:
+        cols += [Kcols, kcol * Kcols]
+    tauK = tau[:, None] * np.hstack(cols)           # (n+1, 2 + 2 ms)
+    log_mean = params.a * grid[None, :] + sigma * conditional_law(
+        paths, table, grid[k]).means
 
-    past_F = (np.exp(drift[None, :k] + sigma * paths.values[:, :k]) @ tau[:k]
-              if k else np.zeros(paths.n_paths))
-    past_mean = conditional_law(paths, table, grid[k]).means[:, k:]
-
-    est = np.empty(paths.n_paths)
-    se = np.empty(paths.n_paths)
-    for blk, start, stop in _inner_blocks(paths.n_paths):
+    for blk, start, stop in _inner_blocks(P):
         gen = rng.stream(seed, rng.INNER, stage, k, blk)
+        logB = sigma * inner_fluctuations(table, k, n_inner, gen)    # (Q, m)
+        logB_max = logB.max(axis=1)
+        B = np.exp(logB - logB_max[:, None])
+        logA = log_mean[start:stop]
+        A = np.exp(logA - logA.max(axis=1, keepdims=True))           # (C, n+1)
         C = stop - start
-        if antithetic:
-            z = gen.standard_normal((C, n_inner // 2, m)) * sq_dt
-            z = np.concatenate([z, -z], axis=1)
-        else:
-            z = gen.standard_normal((C, n_inner, m)) * sq_dt
-        fut = past_mean[start:stop, None, :] + z @ Vfut.T
-        Ef = np.exp(drift[None, None, k:] + sigma * fut)
-        F_in = past_F[start:stop, None] + Ef @ tau[k:]
-        num = Ef @ (tau[k:] * kcol[k:])
-        D = sigma * num / F_in
-        if antithetic:
-            half = n_inner // 2
-            pair = 0.5 * (D[:, :half] + D[:, half:])
-            est[start:stop] = pair.mean(axis=1)
-            se[start:stop] = pair.std(axis=1, ddof=1) / np.sqrt(half)
-        else:
-            est[start:stop] = D.mean(axis=1)
-            se[start:stop] = D.std(axis=1, ddof=1) / np.sqrt(n_inner)
+        G = A[:, None, k:] * tauK[k:].T[None]                       # (C, c, m)
+        S = (G.reshape(-1, G.shape[2]) @ B.T).reshape(C, -1, n_inner)
+        # rows i < k are the frozen past (fluctuation 0, so B = exp(-logB_max));
+        # there K(t_i, t_k) = 0, so only the F and K(., s) columns get a term
+        S += (A[:, :k] @ tauK[:k])[:, :, None] * np.exp(-logB_max)
+        r = 1.0 / S[:, 0]                                            # (C, Q)
+        Dth = S[:, 1] * r
+        est[start:stop], se[start:stop] = _pair_stats(sigma * Dth)
+        if ms:
+            A_all = S[:, 2:2 + ms] * r[:, None]
+            T1 = S[:, 2 + ms:] * r[:, None]
+            d2 = sigma ** 2 * (T1 - A_all * Dth[:, None])            # (C, ms, Q)
+            est2[start:stop], se2[start:stop] = _pair_stats(d2)
+    return est, se, est2, se2
+
+
+def conditional_dx_at(paths: FbmPaths, table: KernelTable, params, k, n_inner,
+                      seed, stage=0):
+    """Nested estimate of E[D_{t_k} X | F_{t_k}] for every path.
+
+    Freezes the driving increments up to node k, draws n_inner future
+    fluctuations through the table (antithetic pairs, one set per block of
+    CHUNK_OUTER paths), and averages the derivative. Returns (estimate,
+    inner standard error), both (P,). `stage` separates the inner streams of
+    independent nested runs sharing a root seed.
+    """
+    est, se, _, _ = _nested_at(paths, table, params, k, n_inner, seed, stage)
     return est, se
+
+
+def block_mean_se(values):
+    """Standard error of the mean over paths (axis 0) of a nested estimate.
+
+    Paths in one CHUNK_OUTER block share their inner draws, so their inner
+    errors are correlated and the per-path spread understates the error of a
+    mean. The block sums are the independent units: this is the
+    cluster-robust SE with one cluster per block. Needs two blocks or more.
+    """
+    values = np.asarray(values, dtype=float)
+    blocks = list(_inner_blocks(values.shape[0]))
+    if len(blocks) < 2:
+        raise ValueError(f"block-mean SE needs more than {CHUNK_OUTER} paths")
+    mean = values.mean(axis=0)
+    dev = np.array([values[start:stop].sum(axis=0) - (stop - start) * mean
+                    for _, start, stop in blocks])
+    B = len(blocks)
+    return np.sqrt(B / (B - 1) * (dev ** 2).sum(axis=0)) / values.shape[0]
 
 
 def conditional_dx(path: FbmPaths, table: KernelTable, params, theta, n_inner,
@@ -402,10 +453,7 @@ def dphi_bound_check(paths: FbmPaths, table: KernelTable, params, n_inner,
     idx = phi_subgrid(table.n, stride=stride)
     m = len(idx)
     omega = singular_quad_weights(table.grid, table.H, idx)
-    grid = table.grid
-    tau = trapezoid_weights(grid)
-    a, sigma = params.a, params.sigma
-    drift = a * grid
+    sigma = params.sigma
     Kcols = np.column_stack([_kernel_column(table, j) for j in idx])
 
     D = dx(paths, table, params, indices=idx)
@@ -415,46 +463,9 @@ def dphi_bound_check(paths: FbmPaths, table: KernelTable, params, n_inner,
     cond_se = np.empty((P, m))
     cond2 = np.empty((P, m, m))       # [p, s, theta]
     cond2_se = np.empty((P, m, m))
-    sq_dt = np.sqrt(table.dt)
-    E_out = np.exp(drift[None, :] + sigma * paths.values)
-
     for col, k in enumerate(idx):
-        k = int(k)
-        if k == table.n:
-            cond[:, col] = 0.0
-            cond_se[:, col] = 0.0
-            cond2[:, :, col] = 0.0
-            cond2_se[:, :, col] = 0.0
-            continue
-        Vfut = table.volterra_matrix[k:, k:]
-        mm = table.n - k
-        past_mean = conditional_law(paths, table, grid[k]).means[:, k:]
-        past_F = E_out[:, :k] @ tau[:k] if k else np.zeros(P)
-        # frozen part of the s-column sums (rows i < k contribute for s < theta)
-        past_A = (tau[None, :k] * E_out[:, :k]) @ Kcols[:k] if k else np.zeros((P, m))
-        kcol = _kernel_column(table, k)
-        for blk, start, stop in rng.batch_ranges(P, CHUNK_OUTER):
-            gen = rng.stream(seed, rng.INNER, 1, k, blk)
-            C = stop - start
-            z = gen.standard_normal((C, n_inner // 2, mm)) * sq_dt
-            z = np.concatenate([z, -z], axis=1)
-            fut = past_mean[start:stop, None, :] + z @ Vfut.T
-            Ef = np.exp(drift[None, None, k:] + sigma * fut)
-            F_in = past_F[start:stop, None] + Ef @ tau[k:]
-            TE = tau[None, None, k:] * Ef
-            A_theta = TE @ kcol[k:]
-            A_all = past_A[start:stop, None, :] + TE @ Kcols[k:]   # (C, Q, m)
-            T1 = (TE * kcol[None, None, k:]) @ Kcols[k:]           # (C, Q, m)
-            Dth = sigma * A_theta / F_in
-            d2in = sigma ** 2 * (T1 / F_in[:, :, None]
-                                 - A_all * A_theta[:, :, None] / (F_in ** 2)[:, :, None])
-            half = n_inner // 2
-            pair = 0.5 * (Dth[:, :half] + Dth[:, half:])
-            cond[start:stop, col] = pair.mean(axis=1)
-            cond_se[start:stop, col] = pair.std(axis=1, ddof=1) / np.sqrt(half)
-            pair2 = 0.5 * (d2in[:, :half] + d2in[:, half:])
-            cond2[start:stop, :, col] = pair2.mean(axis=1)
-            cond2_se[start:stop, :, col] = pair2.std(axis=1, ddof=1) / np.sqrt(half)
+        cond[:, col], cond_se[:, col], cond2[:, :, col], cond2_se[:, :, col] = \
+            _nested_at(paths, table, params, int(k), n_inner, seed, 1, Kcols)
 
     term_a = np.einsum("t,pst,pt->ps", omega, D2, cond)
     term_b = np.einsum("t,pt,pst->ps", omega, D, cond2)
@@ -501,4 +512,5 @@ def dphi_bound_check(paths: FbmPaths, table: KernelTable, params, n_inner,
         meta={"coverage": coverage},
     )
     return {"dphi": dphi, "dphi_se": dphi_se, "integral": integral,
+            "cond": cond, "cond_se": cond_se, "cond2": cond2, "cond2_se": cond2_se,
             "reports": [report_s, report_i], "indices": idx}

@@ -147,33 +147,20 @@ def conditional_law(paths: FbmPaths, table: KernelTable, theta) -> ConditionalLa
                           variances=table.conditional_variances(k))
 
 
-def resample_future(table: KernelTable, paths: FbmPaths, theta_index, n_inner,
-                    gen, antithetic=True):
-    """Inner path values given history up to grid node theta_index.
+def inner_fluctuations(table: KernelTable, k, n_inner, gen):
+    """Antithetic draws of B_{t_i} - E[B_{t_i} | F_{t_k}] at the nodes i = k..n.
 
-    Resamples the future driving increments through the shared table, so the
-    inner law is exactly the conditional law of the outer discrete model.
-    Returns (n_paths, n_inner, n+1) values; past columns repeat the outer path.
+    The future driving increments are resampled through the shared table, so
+    conditional mean plus fluctuation has exactly the conditional law of the
+    outer discrete model. The fluctuation does not depend on the past, so one
+    draw set serves every outer path. Returns (n_inner, n - k + 1); row q and
+    row q + n_inner/2 are an antithetic pair, and column 0 (node k) is zero.
     """
-    paths.require_increments()
-    k = theta_index
-    n = table.n
-    P = paths.n_paths
-    m = n - k
-    if antithetic:
-        if n_inner % 2:
-            raise ValueError("antithetic inner sampling needs an even n_inner")
-        z = gen.standard_normal((P, n_inner // 2, m))
-        z = np.concatenate([z, -z], axis=1)
-    else:
-        z = gen.standard_normal((P, n_inner, m))
-    z *= np.sqrt(table.dt)
-    Vfut = table.volterra_matrix[k:, k:]          # rows t_k..T, future cells
-    out = np.empty((P, n_inner, n + 1))
-    past = conditional_law(paths, table, table.grid[k]).means
-    out[...] = past[:, None, :]
-    out[:, :, k:] += z @ Vfut.T
-    return out
+    if n_inner % 2:
+        raise ValueError("antithetic inner sampling needs an even n_inner")
+    z = gen.standard_normal((n_inner // 2, table.n - k)) * np.sqrt(table.dt)
+    z = np.concatenate([z, -z])
+    return z @ table.volterra_matrix[k:, k:].T     # rows t_k..T, future cells
 
 
 def martingale_M(paths: FbmPaths, table: KernelTable, params, r) -> np.ndarray:

@@ -18,9 +18,11 @@ def _tolist(x):
 class BoundReport:
     """Verification record for one inequality on a grid of evaluation points.
 
-    A point is a violation only when the margin exceeds tolerance (which
-    already folds in 3 standard errors). Points without enough samples are
-    flagged inconclusive rather than failed.
+    A point is a violation when the margin exceeds tolerance (which already
+    folds in 3 standard errors), or when its lhs, rhs or tolerance is not
+    finite: a nan comparison is never true, so it would otherwise pass.
+    Points without enough samples are flagged inconclusive rather than
+    failed, and are exempt from the finiteness rule.
     """
 
     bound_id: str
@@ -35,6 +37,18 @@ class BoundReport:
     implied_constant: np.ndarray | None = None
     inconclusive: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        finite = (np.isfinite(np.asarray(self.lhs, dtype=float))
+                  & np.isfinite(np.asarray(self.rhs, dtype=float))
+                  & np.isfinite(np.asarray(self.tolerance, dtype=float)))
+        bad = ~finite
+        if self.inconclusive is not None:
+            bad &= ~np.asarray(self.inconclusive, dtype=bool)
+        n_bad = int(bad.sum())
+        if n_bad:
+            self.violations += n_bad
+            self.meta["non_finite"] = n_bad
 
     @property
     def margins(self):

@@ -206,7 +206,7 @@ def test_criterion_6_variance_identity(nested):
     c = X - X.mean()
     se_var = np.sqrt((np.mean(c ** 4) - varX ** 2) / len(X))
     mphi = phi.mean()
-    se_phi = phi.std(ddof=1) / np.sqrt(len(phi))
+    se_phi = ml.block_mean_se(phi)     # paths of one block share inner draws
     comb = np.sqrt(se_var ** 2 + se_phi ** 2)
     z = abs(varX - mphi) / comb
     ok = z < 3.0

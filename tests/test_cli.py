@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import expfbm.cli as cli
 from expfbm.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, ExperimentConfig, main
 
 
@@ -38,6 +40,65 @@ class TestConfig:
         bad.write_text(json.dumps({"grid_m": 64}))
         rc = main(["--config", str(bad), "kernel-verify"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("field, value", [
+        ("hurst_H", 0.5), ("hurst_H", 1.0), ("horizon_T", 0.0),
+        ("drift_a", float("nan")), ("sigma_vol", -1.0), ("grid_n", 4),
+        ("grid_n", 64.0), ("outer_paths", -1), ("inner_paths", 51),
+        ("inner_paths", 48), ("subgrid_stride", 0), ("centering_paths", -1),
+        ("nested_paths", -1), ("kde_bootstrap", -1), ("seed", -1),
+        ("seed", "1"), ("tol_identity", float("inf")), ("suites", ["tail", "nope"]),
+    ])
+    def test_invalid_field_is_config_error(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({field: value, "out_dir": str(tmp_path / "o")}))
+        assert main(["--config", str(bad), "kernel-verify"]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [["--grid", "4"], ["--inner", "51"],
+                                       ["--paths", "-5"]])
+    def test_invalid_override_is_config_error(self, tmp_path, capsys, flags):
+        rc = main(["--out", str(tmp_path / "o")] + flags + ["malliavin"])
+        assert rc == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+
+class TestCaches:
+    def test_key_holds_schema_and_version(self, monkeypatch):
+        cfg = ExperimentConfig()
+        fields = (cli.TABLE_FIELDS, cli.SIM_FIELDS, cli.NESTED_FIELDS)
+        keys = [cfg.cache_key(f) for f in fields]
+        assert len(set(keys)) == 3
+        monkeypatch.setattr(cli, "CACHE_SCHEMA", cli.CACHE_SCHEMA + 1)
+        assert all(cfg.cache_key(f) != k for f, k in zip(fields, keys))
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "__version__", "0.0.0")
+        assert all(cfg.cache_key(f) != k for f, k in zip(fields, keys))
+
+    def test_other_schema_cache_not_read(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(grid_n=16, outer_paths=500, centering_paths=1000,
+                               out_dir=str(tmp_path))
+        table = cli._table_for(cfg)
+        monkeypatch.setattr(cli, "CACHE_SCHEMA", cli.CACHE_SCHEMA + 1)
+        cli._sim_batch(cfg, table)
+        (stale,) = (tmp_path / "cache").glob("sim-*.npz")
+        with np.load(stale) as data:
+            poisoned = dict(data)
+        poisoned["F"] = np.ones_like(poisoned["F"])
+        with open(stale, "wb") as fh:
+            np.savez_compressed(fh, **poisoned)
+        assert np.all(cli._sim_batch(cfg, table).F == 1.0)   # that schema reads it
+        monkeypatch.undo()
+        assert not np.all(cli._sim_batch(cfg, table).F == 1.0)
+        assert len(list((tmp_path / "cache").glob("sim-*.npz"))) == 2
+        assert not list((tmp_path / "cache").glob("*.tmp"))
+
+    def test_two_seeds_share_one_table(self, tmp_path, capsys):
+        for seed in ("1", "2"):
+            assert main(["--out", str(tmp_path), "--grid", "16", "--seed", seed,
+                         "kernel-verify"]) == EXIT_OK
+        assert len(list((tmp_path / "cache").glob("table-*.npz"))) == 1
 
 
 class TestKernelVerify:
@@ -123,6 +184,19 @@ class TestBounds:
     def test_unknown_only_is_config_error(self, small_config, capsys):
         path, _ = small_config
         assert main(["--config", str(path), "bounds", "--only", "nope"]) == EXIT_CONFIG
+
+    def test_non_finite_results_fail(self, tmp_path, capsys):
+        # sigma = 400 overflows F: the MGF lhs is nan, which must not PASS
+        cfg = tmp_path / "huge-sigma.json"
+        cfg.write_text(json.dumps({
+            "sigma_vol": 400.0, "grid_n": 32, "outer_paths": 20_000,
+            "centering_paths": 10_000, "suites": ["tail", "mgf"],
+            "out_dir": str(tmp_path / "run")}))
+        with np.errstate(all="ignore"):
+            assert main(["--config", str(cfg), "bounds"]) == EXIT_VIOLATION
+        payload = json.loads((tmp_path / "run" / "bounds.json").read_text())
+        mgf = [r for r in payload["reports"] if r["bound_id"] == "mgf_domination"]
+        assert mgf[0]["meta"]["non_finite"] > 0
 
     def test_missing_cache_with_no_simulate(self, small_config, tmp_path, capsys):
         path, _ = small_config

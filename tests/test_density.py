@@ -8,6 +8,7 @@ from expfbm import malliavin as ml
 from expfbm import paths as pth
 from expfbm.functional import CenteringEstimate, ModelParams
 from expfbm.kernel import HurstParams
+from expfbm.reports import BoundReport
 
 
 def make_params(a=0.0, sigma=1.0, H=0.7, T=1.0):
@@ -118,6 +119,24 @@ class TestGaussianTail:
     def test_rejects_positive_points(self, batch, params):
         with pytest.raises(ValueError):
             dn.verify_gaussian_tail(batch.X, params, points=(0.5,))
+
+
+class TestBoundReport:
+    def make(self, lhs, inconclusive=None):
+        n = len(lhs)
+        return BoundReport(bound_id="b", description="", points=np.arange(n),
+                           lhs=np.asarray(lhs), rhs=np.ones(n), se=np.zeros(n),
+                           tolerance=np.zeros(n), violations=0, n_samples=n,
+                           inconclusive=inconclusive)
+
+    def test_non_finite_is_a_violation(self):
+        assert self.make([0.5, 0.5]).passed
+        rep = self.make([0.5, np.nan, np.inf])
+        assert rep.violations == 2 and not rep.passed
+        assert rep.meta["non_finite"] == 2
+
+    def test_inconclusive_point_exempt(self):
+        assert self.make([0.5, np.nan], inconclusive=np.array([False, True])).passed
 
 
 class TestMgf:

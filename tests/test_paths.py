@@ -107,25 +107,28 @@ class TestConditionalLaw:
             pth.conditional_law(chol, table64, 0.5)
 
 
-class TestResampleFuture:
-    def test_shapes_and_frozen_past(self, table64):
-        paths = pth.sample_fbm_volterra(table64, 3, seed=4)
+class TestInnerFluctuations:
+    def test_shapes_antithetic_and_zero_at_node(self, table64):
         gen = np.random.Generator(np.random.Philox(1))
         k = 32
-        inner = pth.resample_future(table64, paths, k, 8, gen)
-        assert inner.shape == (3, 8, table64.n + 1)
-        assert np.allclose(inner[:, :, :k], paths.values[:, None, :k], atol=1e-12)
+        Z = pth.inner_fluctuations(table64, k, 8, gen)
+        assert Z.shape == (8, table64.n - k + 1)
+        assert np.all(Z[:, 0] == 0.0)
+        assert np.array_equal(Z[:4], -Z[4:])
+        with pytest.raises(ValueError):
+            pth.inner_fluctuations(table64, k, 7, gen)
 
     def test_conditional_moments(self, table64):
         paths = pth.sample_fbm_volterra(table64, 1, seed=4)
         gen = np.random.Generator(np.random.Philox(2))
         k = 32
-        inner = pth.resample_future(table64, paths, k, 4000, gen)
+        Z = pth.inner_fluctuations(table64, k, 4000, gen)
         law = pth.conditional_law(paths, table64, table64.grid[k])
-        term = inner[0, :, -1]
-        # mean matches the conditional mean, variance the discrete map variance
+        term = law.means[0, -1] + Z[:, -1]
+        # mean matches the conditional mean, variance the discrete map
+        # variance of the future cells k..n-1
         assert abs(term.mean() - law.means[0, -1]) < 4.0 * term.std() / np.sqrt(4000)
-        disc_var = table64.map_variances[-1] - table64.partial_map_variances[-1, k]
+        disc_var = table64.map_variances[-1] - table64.partial_map_variances[-1, k - 1]
         assert abs(term.var(ddof=1) / disc_var - 1.0) < 0.1
 
 
