@@ -87,9 +87,13 @@ class ExperimentConfig:
             "subgrid_stride": (self.subgrid_stride >= 1, ">= 1"),
             "suites": (set(self.suites) <= set(SUITES), f"among {sorted(SUITES)}"),
         }
-        for name in ("outer_paths", "centering_paths", "nested_paths", "kde_bootstrap",
-                     "seed"):
+        for name in ("outer_paths", "nested_paths", "kde_bootstrap", "seed"):
             rules[name] = (getattr(self, name) >= 0, ">= 0")
+        # the centering estimate needs 1000 paths unless X is deterministic
+        rules["centering_paths"] = (
+            self.centering_paths >= 0 and (self.sigma_vol == 0
+                                           or self.centering_paths >= 1000),
+            ">= 0, and >= 1000 when sigma_vol > 0")
         for name, (ok, rule) in rules.items():
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -220,7 +224,14 @@ def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
     return batch
 
 
-def _nested_run(cfg, table, allow_simulate=True):
+def _nested_paths(cfg, table, ctx):
+    """The command's nested paths, drawn once into ctx and shared by its suites."""
+    if "paths" not in ctx:
+        ctx["paths"] = pth.sample_fbm_volterra(table, cfg.nested_paths, cfg.seed)
+    return ctx["paths"]
+
+
+def _nested_run(cfg, table, ctx, allow_simulate=True):
     """Joint (X, Phi_X) samples plus derivative-bound ingredients (cached)."""
     path = _cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz"
     params = cfg.model_params()
@@ -230,7 +241,7 @@ def _nested_run(cfg, table, allow_simulate=True):
     if not allow_simulate:
         raise FileNotFoundError(
             f"nested cache {path} missing and simulation disabled (--no-simulate)")
-    paths = pth.sample_fbm_volterra(table, cfg.nested_paths, cfg.seed)
+    paths = _nested_paths(cfg, table, ctx)
     prof = ml.phi_x_batch(paths, table, params, cfg.inner_paths, cfg.seed,
                           stride=cfg.subgrid_stride)
     lnF = np.log(fn.functional_F(paths, params))
@@ -440,7 +451,7 @@ def _suite_derivatives(cfg, table, ctx):
     d2_max = -np.inf
     d2_min = np.inf
     chunk = max(64, 2 ** 22 // max(1, len(idx) ** 2))
-    paths = pth.sample_fbm_volterra(table, cfg.nested_paths, cfg.seed)
+    paths = _nested_paths(cfg, table, ctx)
     for start in range(0, cfg.nested_paths, chunk):
         sub = paths.subset(slice(start, min(start + chunk, cfg.nested_paths)))
         d2 = ml.d2x(sub, table, params, indices=idx)
@@ -472,7 +483,11 @@ def _suite_dphi(cfg, table, ctx):
     # doubly nested and expensive: runs on a capped path budget
     params = cfg.model_params()
     budget = min(cfg.nested_paths, 2_000)
-    paths = pth.sample_fbm_volterra(table, budget, cfg.seed)
+    # the increments of path p do not depend on the path count, so the prefix
+    # is the budget's own draw; mapping it again keeps the values bit-identical
+    # too (a GEMM over fewer rows may round differently)
+    incr = _nested_paths(cfg, table, ctx).increments[:budget]
+    paths = pth.fbm_from_bm(table, incr, seed=cfg.seed)
     out = ml.dphi_bound_check(paths, table, params, cfg.inner_paths, cfg.seed,
                               stride=cfg.subgrid_stride)
     return out["reports"]
@@ -481,7 +496,7 @@ def _suite_dphi(cfg, table, ctx):
 def _suite_clark_ocone(cfg, table, ctx):
     from .reports import BoundReport
     params = cfg.model_params()
-    paths = pth.sample_fbm_volterra(table, cfg.nested_paths, cfg.seed)
+    paths = _nested_paths(cfg, table, ctx)
     res = ml.clark_ocone_residual(paths, table, params)
     se = res.std(ddof=1) / np.sqrt(len(res))
     viol = int(abs(res.mean()) > 3.0 * se)
@@ -542,7 +557,7 @@ def cmd_bounds(cfg, args):
         if needs_batch:
             ctx["batch"] = _sim_batch(cfg, table, allow_simulate=allow)
         if any(s in ("derivatives", "w") for s in names):
-            ctx["nested"] = _nested_run(cfg, table, allow_simulate=allow)
+            ctx["nested"] = _nested_run(cfg, table, ctx, allow_simulate=allow)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -576,7 +591,8 @@ def cmd_bounds(cfg, args):
 
 def cmd_malliavin(cfg, args):
     table = _table_for(cfg)
-    ctx = {"nested": _nested_run(cfg, table, allow_simulate=not args.no_simulate)}
+    ctx = {}
+    ctx["nested"] = _nested_run(cfg, table, ctx, allow_simulate=not args.no_simulate)
     reports = _suite_derivatives(cfg, table, ctx)
     out_dir = Path(cfg.out_dir)
     payload = dict(_provenance(cfg), reports=[r.to_dict() for r in reports])

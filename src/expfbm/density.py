@@ -214,6 +214,9 @@ def verify_gaussian_tail(X, params: ModelParams,
     if np.any(pts > 0):
         raise ValueError("the left-tail bound applies to x <= 0 only")
     emp = np.array([(X <= x).mean() for x in pts])
+    if not np.isfinite(X).all():
+        # nan <= x is False, so the count alone would pass; a nan lhs is a violation
+        emp[:] = np.nan
     bound = np.exp(-pts ** 2 / (2.0 * s2))
     se = np.sqrt(np.maximum(emp * (1.0 - emp), 1.0 / n) / n)
     tol = 3.0 * se

@@ -20,6 +20,12 @@ GEMM of A with B^T. Per-path estimates and their inner SEs keep their law,
 but the paths of one block share inner noise: the SE of a mean over paths
 must come from block means (block_mean_se).
 
+The Clark-Ocone residual and the pathwise lower bound on Phi_X walk the whole
+triangle of conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}]. Both run on
+paths.conditional_mean_sweep, which carries N for a block of paths from node
+to node by a rank-1 update: O(P n) per node, O(P n^2) per pass, and no
+(P, n+1, n) temporary.
+
 Grid conventions: the pointwise derivative diverges like theta^(1/2-H) as
 theta -> 0, so index 0 of derivative arrays stores the first-cell average
 (the derivative with respect to the first Brownian increment, normalized by
@@ -36,7 +42,8 @@ import numpy as np
 
 from . import rng
 from .kernel import KernelTable
-from .paths import FbmPaths, conditional_law, inner_fluctuations, trapezoid_weights
+from .paths import (FbmPaths, conditional_law, conditional_mean_sweep, inner_fluctuations,
+                    martingale_log_weights, martingale_value, trapezoid_weights)
 from .reports import BoundReport
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
@@ -325,6 +332,12 @@ def phi_x(path: FbmPaths, table: KernelTable, params, n_inner, seed, stride=4):
     return prof.phi, prof.phi_se
 
 
+def _sweep_paths(n):
+    """Paths per conditional-mean sweep: about 2^16 entries of N, so a block
+    stays in cache. A speed setting only; each path is swept on its own."""
+    return max(CHUNK_OUTER, 2 ** 16 // (n + 1))
+
+
 def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
     """Pathwise ingredients of the a.s. lower bound on Phi_X.
 
@@ -334,41 +347,24 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
             * (T^(2H+2)/(2H+2)) / max_r M_r
 
     with min over the conditional-mean field N_{s,theta} on theta <= s grid
-    pairs and max over the grid martingale values M_r.
+    pairs and max over the grid martingale values M_r. One conditional-mean
+    sweep per block keeps both as running extremes.
     """
     paths.require_increments()
     a, sigma, H, T = params.a, params.sigma, params.H, params.T
-    n = table.n
     minB = paths.values.min(axis=1)
     maxB = paths.values.max(axis=1)
-
-    V = table.volterra_matrix
     tau = trapezoid_weights(table.grid)
-    drift = a * table.grid
-    marg = np.power(table.grid, 2.0 * H)
-    # v[k, i] = conditional variance of B_i given F_k (continuous form)
-    v_ki = np.maximum(marg[None, :] - table.partial_energies.T, 0.0)
-    lower_ki = np.tril(np.ones((n + 1, n + 1))) > 0      # pairs k <= i as [i, k]
-    upper_ki = np.triu(np.ones((n + 1, n + 1)), 1) > 0   # pairs i > k as [k, i]
+    log_w = [martingale_log_weights(table, params, k) for k in range(table.n + 1)]
 
-    minN = np.empty(paths.n_paths)
-    maxM = np.empty(paths.n_paths)
-    chunk = max(8, 2 ** 22 // (n + 1) ** 2)
-    for _, start, stop in rng.batch_ranges(paths.n_paths, chunk):
-        dB = paths.increments[start:stop]
-        cum = np.cumsum(V[None, :, :] * dB[:, None, :], axis=2)
-        # N[p, i, k] = E[B_i | F_k]; column k = 0 is identically 0
-        Nfield = np.concatenate(
-            [np.zeros((stop - start, n + 1, 1)), cum], axis=2)
-        minN[start:stop] = np.where(lower_ki[None], Nfield, np.inf).min(axis=(1, 2))
-
-        # M[p, k] = sum_{i<=k} tau_i E_i + sum_{i>k} tau_i e^{a t_i + s N + s^2 v / 2}
-        E_out = np.exp(drift[None, :] + sigma * paths.values[start:stop])
-        past = np.cumsum(tau[None, :] * E_out, axis=1)
-        expo = (drift[None, None, :] + sigma * Nfield.swapaxes(1, 2)
-                + 0.5 * sigma ** 2 * v_ki[None, :, :])
-        future = np.where(upper_ki[None], tau[None, None, :] * np.exp(expo), 0.0).sum(axis=2)
-        maxM[start:stop] = (past + future).max(axis=1)
+    minN = np.full(paths.n_paths, np.inf)
+    maxM = np.full(paths.n_paths, -np.inf)
+    for _, start, stop in rng.batch_ranges(paths.n_paths, _sweep_paths(table.n)):
+        E = np.exp(a * table.grid + sigma * paths.values[start:stop])
+        lo, hi = minN[start:stop], maxM[start:stop]
+        for k, N in conditional_mean_sweep(table, paths.increments[start:stop]):
+            np.minimum(lo, N[:, k:].min(axis=1), out=lo)
+            np.maximum(hi, martingale_value(E, N, k, log_w[k], sigma, tau), out=hi)
 
     const = T ** (2.0 * H + 2.0) / (2.0 * H + 2.0)
     bound = (sigma ** 2 / T) * np.exp(-3.0 * abs(a) * T + sigma * minB
@@ -397,31 +393,40 @@ def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
     each term is exactly adapted and the residual has exact zero mean under
     the discrete model; its variance measures the within-cell chaos left out
     by the first-order representation and must shrink with grid refinement.
+
+    One conditional-mean sweep per block: at node j the integrand is
+    G_j = sigma sum_{i>j} exp(log_w[j, i] + sigma N_i), where log_w folds the
+    cell weight tau_i V[i, j], the drift and half the future map variance;
+    cell j reaches only the rows i > j (V[i, j] = 0 for i <= j).
     """
     paths.require_increments()
     n = table.n
-    grid = table.grid
-    tau = trapezoid_weights(grid)
-    a, sigma = params.a, params.sigma
-    drift = a * grid
+    tau = trapezoid_weights(table.grid)
+    sigma = params.sigma
     V = table.volterra_matrix
     # future map variance seen from cell j: fv[i, j] = sum_{l >= j} V[i,l]^2 dt
-    V2 = V ** 2 * table.dt
-    fv = np.cumsum(V2[:, ::-1], axis=1)[:, ::-1]
+    fv = np.cumsum((V ** 2 * table.dt)[:, ::-1], axis=1)[:, ::-1]
+    with np.errstate(divide="ignore"):                 # log 0 off the rows i > j
+        log_w = (np.log(tau[:, None] * V) + params.a * table.grid[:, None]
+                 + 0.5 * sigma ** 2 * fv).T            # (n, n+1), row j = cell j
     EF = discrete_mean_F(table, params)
-    tauV = tau[:, None] * V
 
     res = np.empty(paths.n_paths)
-    for blk, start, stop in rng.batch_ranges(paths.n_paths, CHUNK_OUTER):
+    for _, start, stop in rng.batch_ranges(paths.n_paths, _sweep_paths(n)):
         dB = paths.increments[start:stop]
-        cum = np.cumsum(V[None, :, :] * dB[:, None, :], axis=2)
-        past = np.concatenate([np.zeros((stop - start, n + 1, 1)), cum[:, :, :-1]],
-                              axis=2)                              # F_{j-1} means
-        expo = drift[None, :, None] + sigma * past + 0.5 * sigma ** 2 * fv[None, :, :]
-        G = sigma * np.einsum("ij,pij->pj", tauV, np.exp(expo))
-        E_out = np.exp(drift[None, :] + sigma * paths.values[start:stop])
-        F = E_out @ tau
-        res[start:stop] = (F - EF) - (G * dB).sum(axis=1)
+        acc = np.zeros(stop - start)
+        buf = np.empty(n * (stop - start))
+        for j, N in conditional_mean_sweep(table, dB):
+            if j == n:
+                break
+            # integrand terms of cell j, in a buffer laid out like N[:, j+1:]
+            G = buf[: (n - j) * (stop - start)].reshape(n - j, -1).T
+            np.multiply(N[:, j + 1:], sigma, out=G)
+            G += log_w[j, j + 1:]
+            np.exp(G, out=G)
+            acc += G.sum(axis=1) * dB[:, j]
+        F = np.exp(params.a * table.grid + sigma * paths.values[start:stop]) @ tau
+        res[start:stop] = (F - EF) - sigma * acc
     return res
 
 

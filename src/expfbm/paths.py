@@ -147,6 +147,30 @@ def conditional_law(paths: FbmPaths, table: KernelTable, theta) -> ConditionalLa
                           variances=table.conditional_variances(k))
 
 
+def conditional_mean_sweep(table: KernelTable, increments):
+    """Sweep the nodes k = 0..n, yielding (k, N) with N[p, i] = E[B^H_{t_i} | F_{t_k}].
+
+    N (P, n+1) holds the realized value for i <= k and the conditional mean
+    of the future for i > k. It is one array, updated in place by the rank-1
+    step N[:, k:] += dB[:, k-1] V[k:, k-1], so a node costs O(P n) and no
+    (P, n+1, n) field is built; copy N to keep it past the next step. The
+    sum runs over the cells in the order of np.cumsum. N is stored node-major
+    (a transposed view), so every N[:, k:] is one contiguous block.
+    """
+    increments = np.atleast_2d(increments)
+    P, n = increments.shape[0], table.n
+    dBt = np.ascontiguousarray(increments.T)
+    Vt = np.ascontiguousarray(table.volterra_matrix.T)    # Vt[j] = column j of V
+    Nt = np.zeros((n + 1, P))
+    step = np.empty(n * P)
+    yield 0, Nt.T
+    for k in range(1, n + 1):
+        rank1 = step[: (n + 1 - k) * P].reshape(n + 1 - k, P)
+        np.multiply(Vt[k - 1, k:, None], dBt[k - 1], out=rank1)
+        Nt[k:] += rank1
+        yield k, Nt.T
+
+
 def inner_fluctuations(table: KernelTable, k, n_inner, gen):
     """Antithetic draws of B_{t_i} - E[B_{t_i} | F_{t_k}] at the nodes i = k..n.
 
@@ -174,16 +198,27 @@ def martingale_M(paths: FbmPaths, table: KernelTable, params, r) -> np.ndarray:
     """
     law = conditional_law(paths, table, r)
     k = law.theta_index
-    grid = table.grid
-    tau = trapezoid_weights(grid)
-    a, sigma = params.a, params.sigma
-    drift = a * grid
-    past = np.exp(drift[: k + 1] + sigma * paths.values[:, : k + 1])
-    M = past @ tau[: k + 1]
-    if k < table.n:
-        future = np.exp(drift[k + 1:] + sigma * law.means[:, k + 1:]
-                        + 0.5 * sigma ** 2 * law.variances[k + 1:])
-        M = M + future @ tau[k + 1:]
+    E = np.exp(params.a * table.grid[: k + 1] + params.sigma * paths.values[:, : k + 1])
+    return martingale_value(E, law.means, k, martingale_log_weights(table, params, k),
+                            params.sigma, trapezoid_weights(table.grid))
+
+
+def martingale_log_weights(table: KernelTable, params, k):
+    """a t_i + sigma^2 v(t_i, t_k) / 2 on the grid, v the conditional variance.
+
+    For i > k this is log E[exp(a t_i + sigma B_i) | F_{t_k}] - sigma N_i.
+    """
+    return params.a * table.grid + 0.5 * params.sigma ** 2 * table.conditional_variances(k)
+
+
+def martingale_value(E, N, k, log_w, sigma, tau):
+    """M_k from the integrand E = exp(a t + sigma B) on nodes 0..k, the
+    conditional means N (P, n+1) at node k and log_w, the node-k row of
+    martingale_log_weights: the trapezoid rule over the realized past plus
+    the conditional lognormal means of the future."""
+    M = E[:, : k + 1] @ tau[: k + 1]
+    if k + 1 < len(tau):
+        M = M + np.exp(log_w[k + 1:] + sigma * N[:, k + 1:]) @ tau[k + 1:]
     return M
 
 

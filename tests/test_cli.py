@@ -48,6 +48,7 @@ class TestConfig:
         ("inner_paths", 48), ("subgrid_stride", 0), ("centering_paths", -1),
         ("nested_paths", -1), ("kde_bootstrap", -1), ("seed", -1),
         ("seed", "1"), ("tol_identity", float("inf")), ("suites", ["tail", "nope"]),
+        ("centering_paths", 500),
     ])
     def test_invalid_field_is_config_error(self, tmp_path, capsys, field, value):
         bad = tmp_path / "bad.json"
@@ -55,6 +56,10 @@ class TestConfig:
         assert main(["--config", str(bad), "kernel-verify"]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_centering_paths_free_when_deterministic(self):
+        # sigma = 0 makes ln F exact, so no centering paths are needed
+        assert ExperimentConfig(sigma_vol=0.0, centering_paths=0).centering_paths == 0
 
     @pytest.mark.parametrize("flags", [["--grid", "4"], ["--inner", "51"],
                                        ["--paths", "-5"]])
@@ -186,7 +191,8 @@ class TestBounds:
         assert main(["--config", str(path), "bounds", "--only", "nope"]) == EXIT_CONFIG
 
     def test_non_finite_results_fail(self, tmp_path, capsys):
-        # sigma = 400 overflows F: the MGF lhs is nan, which must not PASS
+        # sigma = 400 overflows F: non-finite X must fail both the tail
+        # count and the MGF (whose lhs is nan), not PASS
         cfg = tmp_path / "huge-sigma.json"
         cfg.write_text(json.dumps({
             "sigma_vol": 400.0, "grid_n": 32, "outer_paths": 20_000,
@@ -195,8 +201,24 @@ class TestBounds:
         with np.errstate(all="ignore"):
             assert main(["--config", str(cfg), "bounds"]) == EXIT_VIOLATION
         payload = json.loads((tmp_path / "run" / "bounds.json").read_text())
-        mgf = [r for r in payload["reports"] if r["bound_id"] == "mgf_domination"]
-        assert mgf[0]["meta"]["non_finite"] > 0
+        reports = {r["bound_id"]: r for r in payload["reports"]}
+        for bound_id in ("gaussian_left_tail", "mgf_domination"):
+            assert not reports[bound_id]["passed"]
+            assert reports[bound_id]["meta"]["non_finite"] > 0
+
+    def test_nested_paths_drawn_once(self, small_config, tmp_path, capsys, monkeypatch):
+        path, _ = small_config
+        cfg = json.loads(path.read_text())
+        cfg.update(out_dir=str(tmp_path / "once"), nested_paths=3000,
+                   suites=["derivatives", "dphi", "clark_ocone"])
+        p2 = tmp_path / "once.json"
+        p2.write_text(json.dumps(cfg))
+        calls = []
+        draw = cli.pth.sample_fbm_volterra
+        monkeypatch.setattr(cli.pth, "sample_fbm_volterra",
+                            lambda *a, **k: calls.append(a[1]) or draw(*a, **k))
+        assert main(["--config", str(p2), "bounds"]) in (EXIT_OK, EXIT_VIOLATION)
+        assert calls == [3000]
 
     def test_missing_cache_with_no_simulate(self, small_config, tmp_path, capsys):
         path, _ = small_config

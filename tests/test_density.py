@@ -120,6 +120,15 @@ class TestGaussianTail:
         with pytest.raises(ValueError):
             dn.verify_gaussian_tail(batch.X, params, points=(0.5,))
 
+    def test_non_finite_samples_fail(self, batch, params):
+        # nan <= x is False: counted alone, an all-nan X gives P(X <= x) = 0
+        rep = dn.verify_gaussian_tail(np.full(1000, np.nan), params)
+        assert not rep.passed
+        assert rep.meta["non_finite"] == 4
+        X = batch.X.copy()
+        X[7] = -np.inf
+        assert not dn.verify_gaussian_tail(X, params).passed
+
 
 class TestBoundReport:
     def make(self, lhs, inconclusive=None):

@@ -64,6 +64,72 @@ def reference_nested_at(paths, table, params, k, n_inner, seed, stage, Kcols=Non
     return est, se, est2, se2
 
 
+def reference_phi_lower_bound_terms(paths, table, params):
+    """The dense phi_lower_bound_terms that the conditional-mean sweep replaced.
+
+    Builds the whole (P, n+1, n+1) field N[p, i, k] = E[B_i | F_k] per chunk,
+    takes the masked min over k <= i and M_k by exponentiating every (k, i)
+    pair. Returns (bound, terms) like malliavin.phi_lower_bound_terms.
+    """
+    a, sigma, H, T = params.a, params.sigma, params.H, params.T
+    n = table.n
+    minB = paths.values.min(axis=1)
+    maxB = paths.values.max(axis=1)
+    V = table.volterra_matrix
+    tau = pth.trapezoid_weights(table.grid)
+    drift = a * table.grid
+    marg = np.power(table.grid, 2.0 * H)
+    v_ki = np.maximum(marg[None, :] - table.partial_energies.T, 0.0)
+    lower_ki = np.tril(np.ones((n + 1, n + 1))) > 0      # pairs k <= i as [i, k]
+    upper_ki = np.triu(np.ones((n + 1, n + 1)), 1) > 0   # pairs i > k as [k, i]
+    minN = np.empty(paths.n_paths)
+    maxM = np.empty(paths.n_paths)
+    chunk = max(8, 2 ** 22 // (n + 1) ** 2)
+    for _, start, stop in rng.batch_ranges(paths.n_paths, chunk):
+        dB = paths.increments[start:stop]
+        cum = np.cumsum(V[None, :, :] * dB[:, None, :], axis=2)
+        Nfield = np.concatenate([np.zeros((stop - start, n + 1, 1)), cum], axis=2)
+        minN[start:stop] = np.where(lower_ki[None], Nfield, np.inf).min(axis=(1, 2))
+        E_out = np.exp(drift[None, :] + sigma * paths.values[start:stop])
+        past = np.cumsum(tau[None, :] * E_out, axis=1)
+        expo = (drift[None, None, :] + sigma * Nfield.swapaxes(1, 2)
+                + 0.5 * sigma ** 2 * v_ki[None, :, :])
+        future = np.where(upper_ki[None], tau[None, None, :] * np.exp(expo), 0.0).sum(axis=2)
+        maxM[start:stop] = (past + future).max(axis=1)
+    const = T ** (2.0 * H + 2.0) / (2.0 * H + 2.0)
+    bound = (sigma ** 2 / T) * np.exp(-3.0 * abs(a) * T + sigma * minB
+                                      - sigma * maxB + sigma * minN) * const / maxM
+    return bound, {"minB": minB, "maxB": maxB, "minN": minN, "maxM": maxM}
+
+
+def reference_clark_ocone_residual(paths, table, params):
+    """The dense clark_ocone_residual that the conditional-mean sweep replaced.
+
+    Builds the (C, n+1, n) field of conditional means per block and
+    exponentiates all of it, the half with V[i, j] = 0 included.
+    """
+    n = table.n
+    grid = table.grid
+    tau = pth.trapezoid_weights(grid)
+    a, sigma = params.a, params.sigma
+    drift = a * grid
+    V = table.volterra_matrix
+    fv = np.cumsum((V ** 2 * table.dt)[:, ::-1], axis=1)[:, ::-1]
+    EF = ml.discrete_mean_F(table, params)
+    tauV = tau[:, None] * V
+    res = np.empty(paths.n_paths)
+    for _, start, stop in rng.batch_ranges(paths.n_paths, ml.CHUNK_OUTER):
+        dB = paths.increments[start:stop]
+        cum = np.cumsum(V[None, :, :] * dB[:, None, :], axis=2)
+        past = np.concatenate([np.zeros((stop - start, n + 1, 1)), cum[:, :, :-1]],
+                              axis=2)
+        expo = drift[None, :, None] + sigma * past + 0.5 * sigma ** 2 * fv[None, :, :]
+        G = sigma * np.einsum("ij,pij->pj", tauV, np.exp(expo))
+        F = np.exp(drift[None, :] + sigma * paths.values[start:stop]) @ tau
+        res[start:stop] = (F - EF) - (G * dB).sum(axis=1)
+    return res
+
+
 def agreement_z(new, new_se, old, old_se):
     """z-scores of new - old, with 0 where the combined SE is 0 (both exact)."""
     comb = np.sqrt(new_se ** 2 + old_se ** 2)
@@ -371,6 +437,44 @@ class TestClarkOcone:
         res128 = ml.clark_ocone_residual(
             pth.sample_fbm_volterra(table128, 4_000, seed=18), table128, params)
         assert res128.var(ddof=1) < res64.var(ddof=1)
+
+
+class TestConditionalMeanSweep:
+    """The sweep against conditional_law, and the passes built on it against
+    their dense references on a path count that spans two sweep blocks, the
+    second one partial. min N is exact: both sum the same products in the
+    same order."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return {(H, n): kn.build_kernel_table(H, 1.0, n)
+                for H in (0.55, 0.9) for n in (16, 64)}
+
+    def test_sweep_matches_conditional_law(self, table64):
+        paths = pth.sample_fbm_volterra(table64, 7, seed=31)
+        for k, N in pth.conditional_mean_sweep(table64, paths.increments):
+            law = pth.conditional_law(paths, table64, table64.grid[k])
+            assert np.allclose(N, law.means, rtol=0, atol=1e-13)
+        assert np.allclose(N, paths.values, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("H", [0.55, 0.9])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_passes_match_references(self, tables, H, n):
+        table = tables[(H, n)]
+        P = ml._sweep_paths(n) + 101
+        paths = pth.sample_fbm_volterra(table, P, seed=32)
+        for a in (-1.0, 0.0, 1.0):
+            for sigma in (0.0, 0.3, 2.0):
+                params = make_params(a=a, sigma=sigma, H=H)
+                scale = np.abs(fn.functional_F(paths, params)).max()
+                res = ml.clark_ocone_residual(paths, table, params)
+                ref = reference_clark_ocone_residual(paths, table, params)
+                assert np.abs(res - ref).max() <= 1e-12 * scale, (a, sigma)
+                bound, terms = ml.phi_lower_bound_terms(paths, table, params)
+                ref_bound, ref_terms = reference_phi_lower_bound_terms(paths, table, params)
+                assert np.abs(terms["maxM"] - ref_terms["maxM"]).max() <= 1e-12 * scale
+                assert np.array_equal(terms["minN"], ref_terms["minN"])
+                assert np.allclose(bound, ref_bound, rtol=1e-12, atol=0), (a, sigma)
 
 
 class TestDphi:
