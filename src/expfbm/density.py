@@ -317,11 +317,12 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
             implied_constant=c, inconclusive=~resolved[mask] | (not info), meta=info))
 
     # right-tail slope: -d/dy ln rho >= y / s2 - 3 SE on the resolved range
-    with np.errstate(divide="ignore"):
-        ln_rho = np.log(rho)
     dy = y[1] - y[0]
     slope = np.full_like(y, np.nan)
-    slope[1:-1] = -(ln_rho[2:] - ln_rho[:-2]) / (2.0 * dy)
+    # ln rho is -inf at empty bins; the nan slopes next to them are masked below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_rho = np.log(rho)
+        slope[1:-1] = -(ln_rho[2:] - ln_rho[:-2]) / (2.0 * dy)
     rel = np.where(rho > 0, se / np.maximum(rho, 1e-300), np.inf)
     slope_se = np.full_like(y, np.inf)
     slope_se[1:-1] = np.sqrt(rel[2:] ** 2 + rel[:-2] ** 2) / (2.0 * dy)

@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from . import rng
 from .kernel import HurstParams, covariance
@@ -71,6 +70,8 @@ def pathwise_bracket(paths: FbmPaths, params: ModelParams):
 
 def analytic_mean_F(params: ModelParams) -> float:
     """E[F] = int_0^T exp(a s + sigma^2 s^2H / 2) ds to ~1e-12 relative."""
+    from scipy.integrate import quad
+
     a, sigma, H, T = params.a, params.sigma, params.H, params.T
 
     def integrand(s):
@@ -86,6 +87,8 @@ def analytic_second_moment_F(params: ModelParams) -> float:
     Integrates twice over the triangle s < t; the |t-s|^2H kink then sits on
     the integration boundary instead of crossing the interior.
     """
+    from scipy.integrate import dblquad
+
     a, sigma, H, T = params.a, params.sigma, params.H, params.T
     h2 = 2.0 * H
 

@@ -16,6 +16,17 @@ with W = (t-s)^(H-1/2) and a smooth integrand, which composite Gauss-Legendre
 panels (geometrically refined toward both panel ends) integrate to ~1e-12.
 Outer integrals in s use power substitutions that absorb the s^(1/2-H)
 prefactor before handing the remainder to adaptive quadrature.
+
+The discrete table does not run the panel rule at every (row, node) pair.
+At a node r of cell j it takes I(t_{j+1}, r) from the panel rule once, then
+adds, row by row, the integral over each further cell m >= j+2 by a fixed
+12-point Gauss-Legendre rule. The singularity u = r lies at least one cell
+width outside cell m, so that rule converges like rho^-24 with
+rho >= 3 + sqrt(8) (error below 1e-18). On the uniform grid, u - r depends
+only on the offset m - j, so every power is tabulated once.
+
+SciPy is imported inside the functions that run adaptive quadrature, so
+using a saved table does not load it.
 """
 from __future__ import annotations
 
@@ -24,8 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.special import beta as beta_fn
 
 TABLE_FORMAT_VERSION = 1
 
@@ -77,6 +86,12 @@ def _gauss_legendre_01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+# Gauss-Legendre nodes per cell for the increments of the inner integral in
+# build_kernel_table's running sum over rows
+INCREMENT_NODES = 12
+_IY, _IW = _gauss_legendre_01(INCREMENT_NODES)
+
+
 # ---------------------------------------------------------------------------
 # pointwise kernel evaluation
 # ---------------------------------------------------------------------------
@@ -105,15 +120,17 @@ def _inner_integral(H, t, s):
     f1 = np.power(1.0 + np.power(w1, 1.0 / alpha), alpha)
     J1 = np.power(s, 2.0 * H - 1.0) * (W1 / alpha) * (f1 @ _UW)
 
-    # outer piece on [cut, t]
-    wlo = np.power(np.maximum(cut - s, 0.0), alpha)
-    whi = np.power(np.maximum(t - s, 0.0), alpha)
-    span = np.maximum(whi - wlo, 0.0)
-    w2 = wlo[..., None] + span[..., None] * _UX
-    f2 = np.power(s[..., None] + np.power(w2, 1.0 / alpha), alpha)
-    J2 = (span / alpha) * (f2 @ _UW)
-
-    out = J1 + J2
+    # outer piece on [cut, t], empty (and skipped) where t <= 2s
+    out = np.asarray(J1)
+    far = cut < t
+    if far.any():
+        s, cut, t = s[far], cut[far], t[far]
+        wlo = np.power(np.maximum(cut - s, 0.0), alpha)
+        whi = np.power(np.maximum(t - s, 0.0), alpha)
+        span = np.maximum(whi - wlo, 0.0)
+        w2 = wlo[..., None] + span[..., None] * _UX
+        f2 = np.power(s[..., None] + np.power(w2, 1.0 / alpha), alpha)
+        out[far] += (span / alpha) * (f2 @ _UW)
     return out if out.ndim else float(out)
 
 
@@ -150,6 +167,8 @@ def covariance(H, t, s):
 
 def ch_closed_form(H):
     """Classical closed form c_H = sqrt(H(2H-1) / B(2-2H, H-1/2))."""
+    from scipy.special import beta as beta_fn
+
     return np.sqrt(H * (2.0 * H - 1.0) / beta_fn(2.0 - 2.0 * H, H - 0.5))
 
 
@@ -160,6 +179,8 @@ def _sq_energy_unnormalized(H, t, epsrel=1e-11, limit=200):
     the remaining integrand is bounded and adaptive quadrature converges fast.
     Returns (value, quad error estimate).
     """
+    from scipy.integrate import quad
+
     p = 2.0 - 2.0 * H
 
     def integrand(z):
@@ -236,6 +257,8 @@ def time_integral_square_aggregate(H, c_H, T, epsrel=1e-10):
     Same z = theta^(2-2H) substitution as the energy integral; the squared
     theta^(1/2-H) prefactor is absorbed exactly.
     """
+    from scipy.integrate import quad
+
     p = 2.0 - 2.0 * H
 
     def integrand(z):
@@ -331,27 +354,36 @@ class KernelTable:
         return idx
 
 
-def _first_cell_weights(H, c_H, t_rows, t1, nodes=24):
-    """(int_0^t1 K(t_i,r) dr, int_0^t1 K(t_i,r)^2 dr) for each row time t_i.
+def _first_cell_rule(H, t1, nodes=24):
+    """Nodes r in (0, t1] and weights (wK, wK2) such that, for every t >= t1,
 
-    Power substitutions z = r^(3/2-H) and z = r^(2-2H) absorb the r^(1/2-H)
-    prefactor (resp. its square) exactly, leaving bounded integrands.
+        int_0^t1 K(t,r) dr   = c_H   * I(t, r[:nodes]) @ wK,
+        int_0^t1 K(t,r)^2 dr = c_H^2 * I(t, r[nodes:])^2 @ wK2,
+
+    with I the inner integral. Power substitutions z = r^(3/2-H) and
+    z = r^(2-2H) absorb the r^(1/2-H) prefactor (resp. its square) exactly,
+    leaving bounded integrands.
     """
     x, w = _gauss_legendre_01(nodes)
-    out_w = np.zeros(len(t_rows))
-    out_w2 = np.zeros(len(t_rows))
-    for power, acc in ((1.5 - H, out_w), (2.0 - 2.0 * H, out_w2)):
+    r, weights = [], []
+    for power in (1.5 - H, 2.0 - 2.0 * H):
         zmax = t1 ** power
-        r = (zmax * x) ** (1.0 / power)
-        inner = _inner_integral(H, t_rows[:, None], r[None, :])
-        if power == 1.5 - H:
-            vals = inner
-            scale = c_H
-        else:
-            vals = inner ** 2
-            scale = c_H ** 2
-        acc[:] = scale * (zmax / power) * (vals @ w)
-    return out_w, out_w2
+        r.append((zmax * x) ** (1.0 / power))
+        weights.append((zmax / power) * w)
+    return np.concatenate(r), weights[0], weights[1]
+
+
+def _first_cell_sums(c_H, inner, wK, wK2):
+    """First-cell integrals of K and K^2 from inner[i] = I(t_i, r), r the
+    nodes of _first_cell_rule."""
+    m = len(wK)
+    return c_H * (inner[:, :m] @ wK), c_H ** 2 * ((inner[:, m:] ** 2) @ wK2)
+
+
+def _first_cell_weights(H, c_H, t_rows, t1, nodes=24):
+    """(int_0^t1 K(t_i,r) dr, int_0^t1 K(t_i,r)^2 dr) for each row time t_i."""
+    r, wK, wK2 = _first_cell_rule(H, t1, nodes)
+    return _first_cell_sums(c_H, _inner_integral(H, t_rows[:, None], r[None, :]), wK, wK2)
 
 
 def _diag_cell_weights(H, c_H, t_rows, dt, nodes=24):
@@ -385,12 +417,29 @@ def _diag_cell_weights(H, c_H, t_rows, dt, nodes=24):
     return out_w, out_w2
 
 
+def _offset_powers(H, dt, d, x):
+    """D[d, q, k] = ((d + y_k - x_q) dt)^(H-3/2), y the increment rule's nodes.
+
+    u - r for u = t_{m-1} + y_k dt in cell m and r = t_{j-1} + x_q dt in
+    cell j, with d = m - j: on the uniform grid it depends on the offset only.
+    """
+    return np.power((d[:, None, None] + _IY - x[:, None]) * dt, H - 1.5)
+
+
 def build_kernel_table(H, T, n, quad_points=256, cell_nodes=8):
     """Build the KernelTable on the uniform grid with n cells.
 
     Interior cell integrals use plain Gauss-Legendre with `cell_nodes` points
     (the integrand is smooth strictly inside (0, t_i)); the first cell and the
     diagonal cell get dedicated singularity-absorbing substitutions.
+
+    The inner integral I(t_i, r) at a node r of cell j is a running sum over
+    the rows: I(t_{j+1}, r) from the panel rule of _inner_integral, then one
+    increment per cell m = j+2..i, int_{t_{m-1}}^{t_m} (u-r)^(H-3/2) u^(H-1/2)
+    du, by INCREMENT_NODES-point Gauss-Legendre. The singularity u = r lies at
+    least one cell width outside cell m, so the rule's error decays like
+    rho^(-2 INCREMENT_NODES) with rho >= 3 + sqrt(8): below 1e-18 relative.
+    The increments are positive, so every column of `values` is monotone.
     """
     if n < 8:
         raise ValueError("grid size n must be >= 8")
@@ -403,15 +452,18 @@ def build_kernel_table(H, T, n, quad_points=256, cell_nodes=8):
     row_w = np.zeros((n + 1, n + 1))
     row_w2 = np.zeros((n + 1, n + 1))
 
-    # pointwise values K(t_i, t_j), 1 <= j <= i (diagonal stays exactly 0)
-    for i in range(1, n + 1):
-        j = np.arange(1, i)
-        if len(j):
-            values[i, 1:i] = kernel_eval(H, c_H, grid[i], grid[j])
+    # U[m-1, k] = u_k^(H-1/2) w_k dt at the increment nodes u_k of cell m
+    U = np.power(grid[:-1, None] + dt * _IY, H - 0.5) * (dt * _IW)
 
-    # first-cell and diagonal-cell weights, vectorized across rows
-    fw, fw2 = _first_cell_weights(H, c_H, grid[2:], grid[1])
-    dw, dw2 = _diag_cell_weights(H, c_H, grid[2:], dt)
+    # first cell, rows i >= 2: its nodes are the same for every row
+    r1, wK, wK2 = _first_cell_rule(H, grid[1])
+    inc = np.einsum("dqk,dk->dq", _offset_powers(H, dt, np.arange(2, n), r1 / dt), U[2:])
+    inner = np.cumsum(np.vstack([_inner_integral(H, grid[2], r1)[None], inc]), axis=0)
+    row_w[2:, 1], row_w2[2:, 1] = _first_cell_sums(c_H, inner, wK, wK2)
+
+    # diagonal-cell weights, vectorized across rows
+    rows2 = np.arange(2, n + 1)
+    row_w[rows2, rows2], row_w2[rows2, rows2] = _diag_cell_weights(H, c_H, grid[2:], dt)
 
     # row i = 1: the single cell touches both s=0 and s=t_1; split at t_1/2,
     # handling the left half with the first-cell substitution and the right
@@ -421,21 +473,23 @@ def build_kernel_table(H, T, n, quad_points=256, cell_nodes=8):
     row_w[1, 1] = fw_half[0] + dw_half
     row_w2[1, 1] = fw2_half[0] + dw2_half
 
-    rows2 = np.arange(2, n + 1)
-    row_w[rows2, 1] = fw
-    row_w2[rows2, 1] = fw2
-    row_w[rows2, rows2] = dw
-    row_w2[rows2, rows2] = dw2
-
-    # interior cells, smooth integrand: plain GL per cell, vectorized per row
+    # cells j = 1..n-1 at the cell-rule nodes and at r = t_j (for values):
+    # S[j-1] = I(t_i, r) at row i, starting from I(t_{j+1}, r)
     gx, gw = _gauss_legendre_01(cell_nodes)
-    for i in range(3, n + 1):
-        j = np.arange(2, i)                       # cells strictly inside (0, t_i)
-        a = grid[j - 1]
-        r = a[:, None] + dt * gx[None, :]         # (cells, nodes)
-        K = kernel_eval(H, c_H, np.full_like(r, grid[i]), r)
-        row_w[i, 2:i] = dt * (K @ gw)
-        row_w2[i, 2:i] = dt * ((K ** 2) @ gw)
+    x = np.append(gx, 1.0)
+    r = grid[:-2, None] + dt * x
+    r[:, -1] = grid[1:-1]
+    prefactor = c_H * np.power(r, 0.5 - H)
+    S = _inner_integral(H, grid[2:, None], r)
+    # increments of cell m for the cells j = 1..m-2 (offsets m-1 down to 2)
+    D = _offset_powers(H, dt, np.arange(n - 1, 1, -1), x).reshape(-1, INCREMENT_NODES)
+    for i in range(2, n + 1):
+        S[: i - 2] += (D[(n - i) * len(x):] @ U[i - 1]).reshape(i - 2, len(x))
+        K = prefactor[: i - 1] * S[: i - 1]
+        values[i, 1:i] = K[:, -1]
+        Kc = K[1:, :-1]                           # cells strictly inside (0, t_i)
+        row_w[i, 2:i] = dt * (Kc @ gw)
+        row_w2[i, 2:i] = dt * ((Kc * Kc) @ gw)
 
     marg = np.power(grid, 2.0 * H)
     energies = row_w2.sum(axis=1)

@@ -19,6 +19,9 @@ import numpy as np
 from . import rng
 from .kernel import KernelTable, covariance
 
+# Rows per GEMM of the Volterra map (fbm_from_bm).
+MAP_BLOCK = 256
+
 
 @dataclass
 class FbmPaths:
@@ -90,12 +93,22 @@ def fbm_from_bm(table: KernelTable, increments, seed=None):
 
     values[:, i] = sum_{j<=i} w_ij * dB_j / dt with w_ij the cell integrals of
     K(t_i, .), i.e. the increments enter as densities over their cells.
+    The map runs in blocks of MAP_BLOCK rows, the last one zero-padded: a
+    GEMM may round by its row count, and this way the values of path p do not
+    depend on how many paths are mapped with it.
     """
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
-    if increments.shape[1] != table.n:
-        raise ValueError(
-            f"increments have {increments.shape[1]} cells, grid has {table.n}")
-    values = increments @ table.volterra_matrix.T
+    n_paths, n = increments.shape
+    if n != table.n:
+        raise ValueError(f"increments have {n} cells, grid has {table.n}")
+    V = table.volterra_matrix.T
+    values = np.empty((n_paths, n + 1))
+    block = np.zeros((MAP_BLOCK, n))
+    for start in range(0, n_paths, MAP_BLOCK):
+        rows = min(MAP_BLOCK, n_paths - start)
+        block[:rows] = increments[start:start + rows]
+        block[rows:] = 0.0
+        values[start:start + rows] = (block @ V)[:rows]
     return FbmPaths(grid=table.grid, values=values, increments=increments,
                     seed=seed, method="volterra")
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,28 @@ class TestBounds:
                             lambda *a, **k: calls.append(a[1]) or draw(*a, **k))
         assert main(["--config", str(p2), "bounds"]) in (EXIT_OK, EXIT_VIOLATION)
         assert calls == [3000]
+
+    def test_cached_table_runs_without_scipy(self, small_config, tmp_path):
+        # quadrature (scipy) is needed to build the kernel table, not to use it
+        cfg = json.loads(small_config[0].read_text())
+        cfg.update(out_dir=str(tmp_path / "run"))
+        p2 = tmp_path / "cfg.json"
+        p2.write_text(json.dumps(cfg))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        probe = ("import sys\n"
+                 "from expfbm.cli import main\n"
+                 "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+                 "print(rc, [m for m in sys.modules if m.startswith('scipy')])")
+
+        def run(*argv):
+            out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                                 capture_output=True, text=True, check=True)
+            return out.stdout.splitlines()[-1]
+
+        assert run("--config", str(p2), "kernel-verify") != "0 []"   # builds it
+        assert run("--config", str(p2), "bounds") in ("0 []", "1 []")
+        assert run() == "0 []"
 
     def test_missing_cache_with_no_simulate(self, small_config, tmp_path, capsys):
         path, _ = small_config

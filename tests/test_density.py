@@ -178,6 +178,17 @@ class TestEnvelopes:
             dn.verify_envelopes(dens, make_params(sigma=0.0),
                                 batch.centering)
 
+    @pytest.mark.filterwarnings("error")
+    def test_empty_bins_raise_no_warning(self, params):
+        # a far outlier leaves a gap of exact zeros in the density: ln rho is
+        # -inf there and the slope next to it nan, by design and masked
+        X = np.append(np.random.default_rng(3).standard_normal(20_000), 15.0)
+        dens = dn.kde_log_domain(X, n_boot=10, seed=12)
+        assert np.any(dens.density == 0.0)
+        reports = dn.verify_envelopes(dens, params, CenteringEstimate(0.0, 0.0, 0, None))
+        slope = next(r for r in reports if r.bound_id == "right_tail_slope")
+        assert np.all(np.isfinite(slope.lhs))
+
     def test_extreme_tails_marked_inconclusive(self, batch, params):
         dens = dn.kde_log_domain(batch.X, seed=11)
         reports = dn.verify_envelopes(dens, params, batch.centering)

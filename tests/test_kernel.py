@@ -21,6 +21,63 @@ def inner_integral_oracle(H, t, s):
     return exact + val
 
 
+def reference_build_kernel_table(H, T, n, c_H, cell_nodes=8):
+    """(values, row_weights, sq_weights) of the per-cell build: K evaluated
+    afresh, by the panel rule of the inner integral, at every (row, node)
+    pair. Reference for the running sum of kn.build_kernel_table."""
+    grid = np.linspace(0.0, T, n + 1)
+    dt = T / n
+    values = np.zeros((n + 1, n + 1))
+    row_w = np.zeros((n + 1, n + 1))
+    row_w2 = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        j = np.arange(1, i)
+        if len(j):
+            values[i, 1:i] = kn.kernel_eval(H, c_H, grid[i], grid[j])
+    fw, fw2 = kn._first_cell_weights(H, c_H, grid[2:], grid[1])
+    dw, dw2 = kn._diag_cell_weights(H, c_H, grid[2:], dt)
+    fw_half, fw2_half = kn._first_cell_weights(H, c_H, grid[1:2], 0.5 * grid[1])
+    dw_half, dw2_half = kn._half_diag_weights(H, c_H, grid[1], 0.5 * grid[1])
+    row_w[1, 1] = fw_half[0] + dw_half
+    row_w2[1, 1] = fw2_half[0] + dw2_half
+    rows2 = np.arange(2, n + 1)
+    row_w[rows2, 1] = fw
+    row_w2[rows2, 1] = fw2
+    row_w[rows2, rows2] = dw
+    row_w2[rows2, rows2] = dw2
+    gx, gw = kn._gauss_legendre_01(cell_nodes)
+    for i in range(3, n + 1):
+        j = np.arange(2, i)
+        r = grid[j - 1][:, None] + dt * gx[None, :]
+        K = kn.kernel_eval(H, c_H, np.full_like(r, grid[i]), r)
+        row_w[i, 2:i] = dt * (K @ gw)
+        row_w2[i, 2:i] = dt * ((K ** 2) @ gw)
+    return values, row_w, row_w2
+
+
+def assert_matches_reference(table):
+    ref = reference_build_kernel_table(table.H, table.T, table.n, table.c_H)
+    for name, want in zip(("values", "row_weights", "sq_weights"), ref):
+        got = getattr(table, name)
+        assert np.array_equal(got == 0.0, want == 0.0), name
+        nz = want != 0.0
+        assert np.max(np.abs(got[nz] / want[nz] - 1.0)) < 1e-13, name
+    # the running sum adds positive increments: columns monotone, exactly
+    assert np.all(np.diff(table.values, axis=0) >= 0.0)
+
+
+class TestRunningSumBuild:
+    @pytest.mark.parametrize("H", [0.51, 0.55, 0.7, 0.9])
+    def test_matches_per_cell_build(self, H):
+        for T in (1.0, 2.0):
+            for n in (8, 9, 16, 64):
+                assert_matches_reference(kn.build_kernel_table(H, T, n))
+
+    def test_matches_per_cell_build_n256(self):
+        # largest differences from the per-cell build occur at H = 0.9
+        assert_matches_reference(kn.build_kernel_table(0.9, 1.0, 256))
+
+
 class TestCalibration:
     def test_matches_closed_form(self):
         for H in (0.55, 0.6, 0.7, 0.75, 0.9):

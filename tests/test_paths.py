@@ -13,10 +13,16 @@ class TestIncrements:
         b = pth.sample_bm_increments(table64.grid, 123, 4)
         assert np.array_equal(a, b)
 
-    def test_prefix_stable_in_path_count(self, table64):
+    def test_prefix_stable_in_path_count(self, table64, table256):
         a = pth.sample_bm_increments(table64.grid, 123, 100)
         b = pth.sample_bm_increments(table64.grid, 123, 10_000)
         assert np.array_equal(a, b[:100])
+        # the values too, bit for bit, at a size where a plain GEMM over the
+        # prefix rounds differently from one over the full draw
+        full = pth.sample_fbm_volterra(table256, 10_000, 123)
+        for count in (1, 1000, 1500, 2000, 3001, 9999):
+            part = pth.sample_fbm_volterra(table256, count, 123)
+            assert np.array_equal(part.values, full.values[:count])
 
     def test_moments(self, table64):
         incr = pth.sample_bm_increments(table64.grid, 7, 100_000)
