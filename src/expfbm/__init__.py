@@ -20,6 +20,7 @@ from .kernel import (
 )
 from .functional import (
     CenteringEstimate,
+    LogFunctional,
     ModelParams,
     analytic_mean_F,
     analytic_second_moment_F,
@@ -40,12 +41,10 @@ from .paths import (
 from .malliavin import (
     MalliavinProfile,
     clark_ocone_residual,
-    conditional_dx,
     d2x,
     dphi_bound_check,
     dx,
     dx_increment,
-    phi_x,
     phi_x_batch,
 )
 from .density import (

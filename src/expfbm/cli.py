@@ -11,13 +11,16 @@ error, 3 resource/budget exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import zipfile
+import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,8 @@ from . import functional as fn
 from . import kernel as kn
 from . import malliavin as ml
 from . import paths as pth
-from .reports import summarize
+from . import rng
+from .reports import BoundReport, summarize
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -44,7 +48,9 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 # of a cache change meaning, so files written by older code are not read.
 # 2: nested estimates share one inner draw set per block of paths.
 # 3: kernel tables built by a running sum over rows (differ in the last bits).
-CACHE_SCHEMA = 3
+# 4: sample caches hold ln F and X (not F); tables take c_H from its closed
+#    form; ln F is a max-shifted log-sum (all differ in the last bits).
+CACHE_SCHEMA = 4
 
 
 @dataclass
@@ -139,8 +145,6 @@ class ExperimentConfig:
 
 
 def _provenance(cfg: ExperimentConfig):
-    from . import rng
-
     return {"config": cfg.effective(), "config_hash": cfg.hash(),
             "sim_hash": cfg.sim_hash(), "code_version": __version__,
             "seed": cfg.seed, "batch_partition": rng.BATCH}
@@ -151,13 +155,6 @@ def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _workers():
-    try:
-        return max(1, int(os.environ.get("EXPFBM_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -187,42 +184,64 @@ def _savez(tmp, **arrays):
         np.savez_compressed(fh, **arrays)
 
 
+# what reading a truncated or otherwise damaged cache file raises
+UNREADABLE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error)
+
+
+def _cached(path, load, build, save, allow_build=True):
+    """load(path) if it can be read; else build(), save(value, tmp) it
+    atomically in place, and return it.
+
+    An unreadable file is a miss like a missing one, reported on stderr.
+    Without allow_build (--no-simulate) a miss raises FileNotFoundError.
+    """
+    if path.exists():
+        try:
+            return load(path)
+        except UNREADABLE as exc:
+            print(f"warning: cache {path} is unreadable ({type(exc).__name__}: "
+                  f"{exc}); treating it as a miss", file=sys.stderr)
+    if not allow_build:
+        raise FileNotFoundError(
+            f"cache {path} missing or unreadable and simulation disabled (--no-simulate)")
+    value = build()
+    _write_atomic(path, lambda tmp: save(value, tmp))
+    return value
+
+
 def _table_for(cfg) -> kn.KernelTable:
     # the table depends on (H, T, n) only, so every seed shares one file
-    path = _cache_dir(cfg) / f"table-{cfg.cache_key(TABLE_FIELDS)}.npz"
-    if path.exists():
-        return kn.load_table(path)
-    table = kn.build_kernel_table(cfg.hurst_H, cfg.horizon_T, cfg.grid_n)
-    _write_atomic(path, lambda tmp: kn.save_table(table, tmp))
-    return table
+    return _cached(_cache_dir(cfg) / f"table-{cfg.cache_key(TABLE_FIELDS)}.npz",
+                   kn.load_table,
+                   lambda: kn.build_kernel_table(cfg.hurst_H, cfg.horizon_T, cfg.grid_n),
+                   kn.save_table)
 
 
 def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
-    path = _cache_dir(cfg) / f"sim-{cfg.cache_key(SIM_FIELDS)}.npz"
     params = cfg.model_params()
-    if path.exists():
+
+    def load(path):
         with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(bytes(data["meta"].tobytes()).decode())
-            centering = fn.CenteringEstimate(
-                value=meta["centering_value"], se=meta["centering_se"],
-                n_paths=meta["centering_paths"], seed=cfg.seed)
-            return dn.SampleBatch(F=data["F"], lnF=np.log(data["F"]),
-                                  X=data["X"], params=params,
-                                  centering=centering, seed=cfg.seed,
-                                  n_grid=cfg.grid_n, meta=meta)
-    if not allow_simulate:
-        raise FileNotFoundError(
-            f"sample cache {path} missing and simulation disabled (--no-simulate)")
-    centering = fn.estimate_mean_lnF(params, table, cfg.centering_paths, cfg.seed)
-    batch = dn.sample_X_batch(params, table, cfg.outer_paths, cfg.seed, centering,
-                              workers=_workers())
-    meta = dict(batch.meta)
-    meta.update({"centering_value": centering.value, "centering_se": centering.se,
-                 "centering_paths": centering.n_paths})
-    meta_bytes = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    _write_atomic(path, lambda tmp: _savez(tmp, F=batch.F, X=batch.X, meta=meta_bytes))
-    batch.meta = meta
-    return batch
+            meta = json.loads(data["meta"].tobytes())
+            centering = fn.CenteringEstimate(meta["centering_value"], meta["centering_se"],
+                                             meta["centering_paths"], cfg.seed)
+            return dn.SampleBatch(lnF=data["lnF"], X=data["X"], params=params,
+                                  centering=centering, meta=meta)
+
+    def build():
+        centering = fn.estimate_mean_lnF(params, table, cfg.centering_paths, cfg.seed)
+        batch = dn.sample_X_batch(params, table, cfg.outer_paths, cfg.seed, centering)
+        batch.meta.update({"centering_value": centering.value,
+                           "centering_se": centering.se,
+                           "centering_paths": centering.n_paths})
+        return batch
+
+    def save(batch, tmp):
+        meta = json.dumps(batch.meta, sort_keys=True).encode()
+        _savez(tmp, lnF=batch.lnF, X=batch.X, meta=np.frombuffer(meta, dtype=np.uint8))
+
+    return _cached(_cache_dir(cfg) / f"sim-{cfg.cache_key(SIM_FIELDS)}.npz",
+                   load, build, save, allow_simulate)
 
 
 def _nested_paths(cfg, table, ctx):
@@ -234,25 +253,24 @@ def _nested_paths(cfg, table, ctx):
 
 def _nested_run(cfg, table, ctx, allow_simulate=True):
     """Joint (X, Phi_X) samples plus derivative-bound ingredients (cached)."""
-    path = _cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz"
     params = cfg.model_params()
-    if path.exists():
-        with np.load(path) as data:
+
+    def load(path):
+        with np.load(path, allow_pickle=False) as data:
             return {k: data[k] for k in data.files}
-    if not allow_simulate:
-        raise FileNotFoundError(
-            f"nested cache {path} missing and simulation disabled (--no-simulate)")
-    paths = _nested_paths(cfg, table, ctx)
-    prof = ml.phi_x_batch(paths, table, params, cfg.inner_paths, cfg.seed,
-                          stride=cfg.subgrid_stride)
-    lnF = np.log(fn.functional_F(paths, params))
-    lower, _ = ml.phi_lower_bound_terms(paths, table, params)
-    out = {"lnF": lnF, "phi": prof.phi, "phi_se": prof.phi_se,
-           "dX": prof.dX, "cond": prof.cond_dX, "cond_se": prof.cond_se,
-           "indices": prof.meta["indices"]}
-    out["lower"] = lower
-    _write_atomic(path, lambda tmp: _savez(tmp, **out))
-    return out
+
+    def build():
+        paths = _nested_paths(cfg, table, ctx)
+        prof = ml.phi_x_batch(paths, table, params, cfg.inner_paths, cfg.seed,
+                              stride=cfg.subgrid_stride)
+        lower, _ = ml.phi_lower_bound_terms(paths, table, params)
+        return {"lnF": fn.LogFunctional(paths, params).lnF, "phi": prof.phi,
+                "phi_se": prof.phi_se, "dX": prof.dX, "cond": prof.cond_dX,
+                "cond_se": prof.cond_se, "indices": prof.meta["indices"],
+                "lower": lower}
+
+    return _cached(_cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz",
+                   load, build, lambda out, tmp: _savez(tmp, **out), allow_simulate)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +289,8 @@ def kernel_checks(cfg: ExperimentConfig, table=None):
                        "tolerance": float(tol), "pass": bool(value <= tol)})
 
     ch = table.c_H
-    add("calibration_closed_form", abs(ch / kn.ch_closed_form(H) - 1.0), 1e-7)
+    # the table takes c_H from its closed form; the quadrature cross-checks it
+    add("calibration_closed_form", abs(ch / kn.calibrate_ch(H) - 1.0), 1e-7)
     for t in (0.5 * T, T):
         e = kn.kernel_sq_integral(H, ch, t)
         add(f"energy_continuous_t={t:g}", abs(e / t ** (2 * H) - 1.0),
@@ -296,27 +315,11 @@ def kernel_checks(cfg: ExperimentConfig, table=None):
 
 
 def cmd_kernel_verify(cfg, args):
-    table = None
-    if getattr(args, "corrupt_ch", None):
-        table = _table_for(cfg)
-        table = kn.KernelTable(H=table.H, T=table.T,
-                               c_H=table.c_H * args.corrupt_ch,
-                               grid=table.grid, values=table.values,
-                               row_weights=table.row_weights,
-                               sq_weights=table.sq_weights, meta=table.meta)
-        # corrupted constant must flow into the continuous checks
-        checks = kernel_checks(cfg, table=None)
-        H, T = cfg.hurst_H, cfg.horizon_T
-        bad = []
-        for t in (0.5 * T, T):
-            e = kn.kernel_sq_integral(H, table.c_H, t)
-            val = abs(e / t ** (2 * H) - 1.0)
-            bad.append({"id": f"energy_continuous_t={t:g}", "value": float(val),
-                        "tolerance": cfg.tol_kernel_smooth,
-                        "pass": bool(val <= cfg.tol_kernel_smooth)})
-        checks = bad + [c for c in checks if not c["id"].startswith("energy_continuous")]
-    else:
-        checks = kernel_checks(cfg)
+    table = _table_for(cfg)
+    if args.corrupt_ch:
+        # fault injection: the corrupted constant flows into every check
+        table = dataclasses.replace(table, c_H=table.c_H * args.corrupt_ch)
+    checks = kernel_checks(cfg, table)
     payload = dict(_provenance(cfg), checks=checks)
     out = Path(cfg.out_dir) / "kernel-verify.json"
     _write_json(out, payload)
@@ -397,7 +400,6 @@ def _suite_envelopes(cfg, table, ctx):
 
 
 def _suite_derivatives(cfg, table, ctx):
-    from .reports import BoundReport
     nested = ctx["nested"]
     params = cfg.model_params()
     idx = nested["indices"].astype(int)
@@ -493,7 +495,6 @@ def _suite_dphi(cfg, table, ctx):
 
 
 def _suite_clark_ocone(cfg, table, ctx):
-    from .reports import BoundReport
     params = cfg.model_params()
     paths = _nested_paths(cfg, table, ctx)
     res = ml.clark_ocone_residual(paths, table, params)
@@ -541,6 +542,16 @@ def _suites_for(cfg, only=None):
     return names
 
 
+def _print_reports(args, payload, reports):
+    """Print payload (--json) or one summary line per report; return the exit code."""
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for line in summarize(reports):
+            print(line)
+    return EXIT_VIOLATION if any(not r.passed for r in reports) else EXIT_OK
+
+
 def cmd_bounds(cfg, args):
     table = _table_for(cfg)
     try:
@@ -551,15 +562,10 @@ def cmd_bounds(cfg, args):
 
     ctx = {}
     allow = not args.no_simulate
-    try:
-        needs_batch = any(s in ("tail", "mgf", "envelopes", "w") for s in names)
-        if needs_batch:
-            ctx["batch"] = _sim_batch(cfg, table, allow_simulate=allow)
-        if any(s in ("derivatives", "w") for s in names):
-            ctx["nested"] = _nested_run(cfg, table, ctx, allow_simulate=allow)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if any(s in ("tail", "mgf", "envelopes", "w") for s in names):
+        ctx["batch"] = _sim_batch(cfg, table, allow_simulate=allow)
+    if any(s in ("derivatives", "w") for s in names):
+        ctx["nested"] = _nested_run(cfg, table, ctx, allow_simulate=allow)
 
     reports = []
     for name in names:
@@ -580,12 +586,7 @@ def cmd_bounds(cfg, args):
     for r in reports:
         r.write_csv(out_dir / f"bound-{r.bound_id}.csv")
 
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in summarize(reports):
-            print(line)
-    return EXIT_VIOLATION if any(not r.passed for r in reports) else EXIT_OK
+    return _print_reports(args, payload, reports)
 
 
 def cmd_malliavin(cfg, args):
@@ -598,9 +599,8 @@ def cmd_malliavin(cfg, args):
     _write_json(out_dir / "malliavin.json", payload)
     nested = ctx["nested"]
     idx = nested["indices"].astype(int)
-    import csv as _csv
     with open(out_dir / "malliavin-profile.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["theta", "mean_dX", "bound_sigma_K", "margin",
                          "mean_cond_dX", "mean_inner_se"])
         bounds = ml.dx_bounds(table, cfg.model_params(), idx)
@@ -612,21 +612,11 @@ def cmd_malliavin(cfg, args):
                              repr(mean_dx - float(bounds[c])),
                              repr(float(nested["cond"][:, c].mean())),
                              repr(float(nested["cond_se"][:, c].mean()))])
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in summarize(reports):
-            print(line)
-    return EXIT_VIOLATION if any(not r.passed for r in reports) else EXIT_OK
+    return _print_reports(args, payload, reports)
 
 
 def cmd_density(cfg, args):
-    table = _table_for(cfg)
-    try:
-        batch = _sim_batch(cfg, table, allow_simulate=not args.no_simulate)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    batch = _sim_batch(cfg, _table_for(cfg), allow_simulate=not args.no_simulate)
     dens = dn.kde_log_domain(batch.X, n_boot=cfg.kde_bootstrap, seed=cfg.seed)
     reports = dn.verify_envelopes(dens, batch.params, batch.centering,
                                   sample_mean_F=float(batch.F.mean()),
@@ -640,9 +630,8 @@ def cmd_density(cfg, args):
                    density_F=densF.to_dict(),
                    reports=[r.to_dict() for r in reports])
     _write_json(out_dir / "density.json", payload)
-    import csv as _csv
     with open(out_dir / "density.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["x", "density", "se", "x_F", "density_F"])
         for i in range(len(dens.x)):
             writer.writerow([repr(float(dens.x[i])), repr(float(dens.density[i])),
@@ -650,12 +639,7 @@ def cmd_density(cfg, args):
                              repr(float(densF.density[i]))])
     for r in reports:
         r.write_csv(out_dir / f"bound-{r.bound_id}.csv")
-    if args.json:
-        print(json.dumps({"reports": [r.to_dict() for r in reports]}, sort_keys=True))
-    else:
-        for line in summarize(reports):
-            print(line)
-    return EXIT_VIOLATION if any(not r.passed for r in reports) else EXIT_OK
+    return _print_reports(args, {"reports": [r.to_dict() for r in reports]}, reports)
 
 
 def cmd_report(cfg, args):
@@ -736,9 +720,6 @@ def _apply_overrides(cfg, args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for attr in ("only", "no_simulate", "corrupt_ch"):
-        if not hasattr(args, attr):
-            setattr(args, attr, None)
     try:
         cfg = (ExperimentConfig.from_file(args.config) if args.config
                else ExperimentConfig())
@@ -757,6 +738,9 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](cfg, args)
+    except FileNotFoundError as exc:        # a cache --no-simulate may not rebuild
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except MemoryError:
         print("resource limit exceeded", file=sys.stderr)
         return EXIT_BUDGET

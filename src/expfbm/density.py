@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .functional import CenteringEstimate, ModelParams
+from .functional import CenteringEstimate, LogFunctional, ModelParams
 from .kernel import KernelTable
+from .paths import fbm_batches
 from .reports import BoundReport
 
 MIN_TAIL_COUNT = 50        # local samples below this: inconclusive, not failed
@@ -27,20 +28,22 @@ MIN_TAIL_COUNT = 50        # local samples below this: inconclusive, not failed
 
 @dataclass
 class SampleBatch:
-    """Reproducible batch of (F, ln F, X) draws with provenance."""
+    """Reproducible batch of (ln F, X) draws with provenance."""
 
-    F: np.ndarray
     lnF: np.ndarray
     X: np.ndarray
     params: ModelParams
     centering: CenteringEstimate
-    seed: int
-    n_grid: int
     meta: dict = field(default_factory=dict)
 
     @property
+    def F(self):
+        """exp(ln F); inf where F overflows, while ln F and X stay finite."""
+        return np.exp(self.lnF)
+
+    @property
     def n_samples(self):
-        return len(self.F)
+        return len(self.lnF)
 
 
 @dataclass
@@ -70,56 +73,21 @@ class DensityEstimate:
                 "point_mass": bool(self.point_mass)}
 
 
-_SIM_STATE: dict = {}
-
-
-def _sim_worker_init(volterra_T, grid, a, sigma, seed):
-    from .paths import trapezoid_weights
-
-    _SIM_STATE.update(v=volterra_T, grid=grid, a=a, sigma=sigma, seed=seed,
-                      tau=trapezoid_weights(grid),
-                      sq_dt=np.sqrt(grid[1] - grid[0]))
-
-
-def _sim_worker(task):
-    b, start, stop = task
-    st = _SIM_STATE
-    gen = rng.stream(st["seed"], rng.OUTER, b)
-    incr = gen.standard_normal((stop - start, len(st["grid"]) - 1)) * st["sq_dt"]
-    E = np.exp(st["a"] * st["grid"][None, :] + st["sigma"] * (incr @ st["v"]))
-    return b, start, stop, E @ st["tau"]
-
-
 def sample_X_batch(params: ModelParams, table: KernelTable, n_paths, seed,
-                   centering: CenteringEstimate, workers=1) -> SampleBatch:
-    """Draw n_paths values of (F, ln F, X) through the Volterra map.
+                   centering: CenteringEstimate) -> SampleBatch:
+    """Draw n_paths values of (ln F, X) through the Volterra map.
 
     The centering constant must be frozen beforehand; every X in the batch
-    uses the same constant. With workers > 1 the fixed-size batches are
-    distributed over a process pool; each batch owns its stream, so the
-    result is bit-identical for any worker count or partition.
+    uses the same constant. One batch of paths is held at a time, and the
+    ln F of path p is bit-identical to LogFunctional on
+    sample_fbm_volterra(table, P, seed) for any P > p.
     """
-    F = np.empty(n_paths)
-    tasks = list(rng.batch_ranges(n_paths))
-    init_args = (table.volterra_matrix.T.copy(), table.grid,
-                 params.a, params.sigma, seed)
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_sim_worker_init,
-                                 initargs=init_args) as pool:
-            for b, start, stop, vals in pool.map(_sim_worker, tasks):
-                F[start:stop] = vals
-    else:
-        _sim_worker_init(*init_args)
-        for task in tasks:
-            _, start, stop, vals = _sim_worker(task)
-            F[start:stop] = vals
-    lnF = np.log(F)
+    lnF = np.empty(n_paths)
+    for start, stop, paths in fbm_batches(table, n_paths, seed):
+        lnF[start:stop] = LogFunctional(paths, params).lnF
     X = lnF - centering.value
-    return SampleBatch(F=F, lnF=lnF, X=X, params=params, centering=centering,
-                       seed=seed, n_grid=table.n,
+    F = np.exp(lnF)
+    return SampleBatch(lnF=lnF, X=X, params=params, centering=centering,
                        meta={"mean_F": float(F.mean()),
                              "var_F": float(F.var(ddof=1)),
                              "mean_X": float(X.mean()),

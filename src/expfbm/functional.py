@@ -4,17 +4,26 @@ Per-path values use the trapezoid rule on the shared grid: the integrand
 inherits the Holder roughness of the path (exponent < H), so higher-order
 rules buy nothing and grid refinement is the accuracy knob. Analytic moment
 oracles use adaptive quadrature of the exact Gaussian-moment integrands.
+
+LogFunctional computes them in the log domain: with
+x_i = a t_i + sigma B_i and trapezoid weights tau_i, ln F = log sum_i tau_i
+exp(x_i) and the Gibbs weights are w_i = tau_i exp(x_i) / F. The Malliavin
+derivatives of X = ln F - E[ln F] are moments under w: D_theta X = sigma
+sum_i w_i K(t_i, theta), and D_r D_theta X is sigma^2 times the covariance
+of K(., theta) and K(., r) under w (see malliavin). Both stay finite at any
+sigma >= 0, where F itself may overflow.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import rng
 from .kernel import HurstParams, covariance
-from .paths import FbmPaths, trapezoid_weights
+from .paths import FbmPaths, fbm_batches, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -52,19 +61,42 @@ class CenteringEstimate:
     seed: int | None
 
 
+class LogFunctional:
+    """ln F per path and the Gibbs weights w_i = tau_i exp(a t_i + sigma B_i) / F.
+
+    Both come from one exponential of log tau + a t + sigma B shifted per row
+    by its max, so every term is <= 1 and one is 1. Each row is summed on its
+    own, so a path's ln F does not depend on its batch. The weights (P, n+1)
+    are formed on first use: callers of ln F alone do not pay for them.
+    """
+
+    def __init__(self, paths: FbmPaths, params: ModelParams):
+        x = params.sigma * paths.values
+        x += np.log(trapezoid_weights(paths.grid)) + params.a * paths.grid
+        shift = x.max(axis=1)
+        x -= shift[:, None]
+        np.exp(x, out=x)
+        self._terms = x
+        self._F_shifted = x.sum(axis=1)
+        self.lnF = shift + np.log(self._F_shifted)
+
+    @cached_property
+    def weights(self):
+        return self._terms / self._F_shifted[:, None]
+
+
 def functional_F(paths: FbmPaths, params: ModelParams) -> np.ndarray:
-    """Trapezoid value of the exponential functional per path (always > 0)."""
-    grid = paths.grid
-    tau = trapezoid_weights(grid)
-    E = np.exp(params.a * grid[None, :] + params.sigma * paths.values)
-    return E @ tau
+    """Trapezoid value of the exponential functional per path (> 0; inf
+    where it overflows, while ln F stays finite)."""
+    return np.exp(LogFunctional(paths, params).lnF)
 
 
 def pathwise_bracket(paths: FbmPaths, params: ModelParams):
-    """(lower, upper) bounds T*exp(-|a|T + sigma*min B) <= F <= T*exp(|a|T + sigma*max B)."""
+    """(lower, upper) bounds on ln F, the log of the bracket
+    T exp(-|a|T + sigma min B) <= F <= T exp(|a|T + sigma max B)."""
     T = params.T
-    lo = T * np.exp(-abs(params.a) * T + params.sigma * paths.values.min(axis=1))
-    hi = T * np.exp(abs(params.a) * T + params.sigma * paths.values.max(axis=1))
+    lo = np.log(T) - abs(params.a) * T + params.sigma * paths.values.min(axis=1)
+    hi = np.log(T) + abs(params.a) * T + params.sigma * paths.values.max(axis=1)
     return lo, hi
 
 
@@ -111,7 +143,7 @@ def deterministic_lnF(params: ModelParams) -> float:
     a, T = params.a, params.T
     if a == 0.0:
         return float(np.log(T))
-    return float(np.log((np.exp(a * T) - 1.0) / a))
+    return float(np.log(np.expm1(a * T) / a))      # exp(aT) - 1 is 0 for tiny a
 
 
 def estimate_mean_lnF(params: ModelParams, table, n_paths, seed) -> CenteringEstimate:
@@ -128,20 +160,14 @@ def estimate_mean_lnF(params: ModelParams, table, n_paths, seed) -> CenteringEst
         raise ValueError("centering estimate needs at least 1000 paths")
     total = 0.0
     total_sq = 0.0
-    done = 0
-    for b, start, stop in rng.batch_ranges(n_paths):
-        incr = rng.stream(seed, rng.CENTERING, b).standard_normal(
-            (stop - start, table.n)) * np.sqrt(table.dt)
-        values = incr @ table.volterra_matrix.T
-        lnF = np.log(functional_F(
-            FbmPaths(table.grid, values, incr, seed, "volterra"), params))
+    for _, _, batch in fbm_batches(table, n_paths, seed, rng.CENTERING):
+        lnF = LogFunctional(batch, params).lnF
         total += lnF.sum()
         total_sq += (lnF ** 2).sum()
-        done += stop - start
-    mean = total / done
-    var = max(total_sq / done - mean ** 2, 0.0)
-    return CenteringEstimate(value=float(mean), se=float(np.sqrt(var / done)),
-                             n_paths=done, seed=seed)
+    mean = total / n_paths
+    var = max(total_sq / n_paths - mean ** 2, 0.0)
+    return CenteringEstimate(value=float(mean), se=float(np.sqrt(var / n_paths)),
+                             n_paths=n_paths, seed=seed)
 
 
 def refinement_diffs(values_fine, grid_fine, params: ModelParams, levels=3):

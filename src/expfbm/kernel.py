@@ -25,12 +25,14 @@ width outside cell m, so that rule converges like rho^-24 with
 rho >= 3 + sqrt(8) (error below 1e-18). On the uniform grid, u - r depends
 only on the offset m - j, so every power is tabulated once.
 
-SciPy is imported inside the functions that run adaptive quadrature, so
-using a saved table does not load it.
+The table takes c_H from its closed form. SciPy is imported inside the
+functions that run adaptive quadrature, so building or using a table does
+not load it.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,10 +168,10 @@ def covariance(H, t, s):
 # ---------------------------------------------------------------------------
 
 def ch_closed_form(H):
-    """Classical closed form c_H = sqrt(H(2H-1) / B(2-2H, H-1/2))."""
-    from scipy.special import beta as beta_fn
-
-    return np.sqrt(H * (2.0 * H - 1.0) / beta_fn(2.0 - 2.0 * H, H - 0.5))
+    """Classical closed form c_H = sqrt(H(2H-1) / B(2-2H, H-1/2)), with the
+    Beta function from math.lgamma."""
+    log_beta = math.lgamma(2.0 - 2.0 * H) + math.lgamma(H - 0.5) - math.lgamma(1.5 - H)
+    return math.sqrt(H * (2.0 * H - 1.0)) * math.exp(-0.5 * log_beta)
 
 
 def _sq_energy_unnormalized(H, t, epsrel=1e-11, limit=200):
@@ -331,14 +333,6 @@ class KernelTable:
         """Variance of the discrete Volterra map at each node."""
         return (self.row_weights ** 2).sum(axis=1) / self.dt
 
-    @property
-    def partial_map_variances(self):
-        """[i, k] = Var of sum_{j<=k} w_ij dB_j / dt (discrete-map version)."""
-        if "_partial_map" not in self.__dict__:
-            self.__dict__["_partial_map"] = np.cumsum(
-                self.row_weights ** 2, axis=1) / self.dt
-        return self.__dict__["_partial_map"]
-
     def conditional_variances(self, k):
         """v(t_i, t_k) = t_i^2H - int_0^{t_k} K(t_i, u)^2 du, clipped at 0."""
         marg = np.power(self.grid, 2.0 * self.H)
@@ -426,9 +420,11 @@ def _offset_powers(H, dt, d, x):
     return np.power((d[:, None, None] + _IY - x[:, None]) * dt, H - 1.5)
 
 
-def build_kernel_table(H, T, n, quad_points=256, cell_nodes=8):
+def build_kernel_table(H, T, n, cell_nodes=8):
     """Build the KernelTable on the uniform grid with n cells.
 
+    c_H comes from its closed form (ch_closed_form); calibrate_ch, the
+    quadrature of the unit-energy condition, cross-checks it in kernel-verify.
     Interior cell integrals use plain Gauss-Legendre with `cell_nodes` points
     (the integrand is smooth strictly inside (0, t_i)); the first cell and the
     diagonal cell get dedicated singularity-absorbing substitutions.
@@ -444,7 +440,7 @@ def build_kernel_table(H, T, n, quad_points=256, cell_nodes=8):
     if n < 8:
         raise ValueError("grid size n must be >= 8")
     params = HurstParams(H, T)
-    c_H = calibrate_ch(H, quad_points=quad_points)
+    c_H = ch_closed_form(H)
     grid = np.linspace(0.0, T, n + 1)
     dt = T / n
 
@@ -497,7 +493,6 @@ def build_kernel_table(H, T, n, quad_points=256, cell_nodes=8):
     meta = {
         "format_version": TABLE_FORMAT_VERSION,
         "n": n,
-        "quad_points": quad_points,
         "cell_nodes": cell_nodes,
         "energy_max_abs_err": float(np.max(np.abs(energies - marg))),
         "map_variance_max_abs_err": float(np.max(np.abs(map_var - marg))),

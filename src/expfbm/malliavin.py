@@ -1,16 +1,17 @@
 """Pathwise Malliavin derivatives of X = ln F - E[ln F] and their bounds.
 
-All derivatives are ratios of kernel-weighted exponential integrals sharing
-the trapezoid rule of the functional:
+All derivatives are moments of kernel columns under the Gibbs weights
+w_i = tau_i exp(a t_i + sigma B^H_{t_i}) / F of functional.LogFunctional:
 
-    D_theta X      = sigma * int_theta^T K(s,theta) E(s) ds / int_0^T E(s) ds
-    D_r D_theta X  = sigma^2 [ int K(s,theta)K(s,r) E ds / F
-                               - (int K(.,r) E)(int K(.,theta) E) / F^2 ]
+    D_theta X      = sigma * sum_i w_i K(t_i, theta)
+    D_r D_theta X  = sigma^2 * Cov_w(K(., theta), K(., r))
+                   = sigma^2 [ sum_i w_i K(t_i,theta) K(t_i,r)
+                               - (sum_i w_i K(t_i,theta)) (sum_i w_i K(t_i,r)) ]
 
-with E(s) = exp(a s + sigma B^H_s). Conditional expectations given F_theta are
-estimated by nested Monte Carlo: the future driving increments are resampled
-through the shared kernel table (antithetic pairs), so the inner law is
-exactly the conditional law of the outer discrete model.
+so both stay finite at any sigma. Conditional expectations given F_theta
+are estimated by nested Monte Carlo: the future driving increments are
+resampled through the shared kernel table (antithetic pairs), so the inner
+law is exactly the conditional law of the outer discrete model.
 
 The nested estimates are factorised. An inner path is the outer path's
 conditional mean N_p plus a fluctuation Z_q that does not depend on the
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .functional import LogFunctional
 from .kernel import KernelTable
 from .paths import (FbmPaths, conditional_law, conditional_mean_sweep, inner_fluctuations,
                     martingale_log_weights, martingale_value, trapezoid_weights)
@@ -64,13 +66,6 @@ class MalliavinProfile:
     meta: dict = field(default_factory=dict)
 
 
-def exp_values(paths: FbmPaths, params):
-    """(E, F): integrand values exp(a t + sigma B) and trapezoid functional."""
-    E = np.exp(params.a * paths.grid[None, :] + params.sigma * paths.values)
-    tau = trapezoid_weights(paths.grid)
-    return E, E @ tau
-
-
 def _kernel_column(table: KernelTable, j):
     """Kernel values K(t_i, t_j) as a column; index 0 means the first-cell
     average int_0^{t_1} K(t_i, r) dr / dt (pointwise K diverges at s = 0)."""
@@ -88,49 +83,48 @@ def dx_bounds(table: KernelTable, params, indices):
 def dx(paths: FbmPaths, table: KernelTable, params, indices=None):
     """D_theta X on the grid nodes (default: all nodes).
 
-    Shares numerator and denominator quadrature with the functional, so the
-    kernel monotonicity bound 0 <= D <= sigma*K(T, theta) holds exactly in
-    the discrete model up to float rounding.
+    sigma times the Gibbs mean of the kernel column: w >= 0 sums to one and
+    the column is non-decreasing in the row index, so 0 <= D <= sigma*K(T,
+    theta) holds exactly in the discrete model up to float rounding.
     """
-    E, F = exp_values(paths, params)
-    tau = trapezoid_weights(paths.grid)
-    G = tau * E
     if indices is None:
         indices = np.arange(table.n + 1)
     K = np.column_stack([_kernel_column(table, j) for j in indices])
-    return params.sigma * (G @ K) / F[:, None]
+    return params.sigma * (LogFunctional(paths, params).weights @ K)
 
 
 def dx_increment(paths: FbmPaths, table: KernelTable, params):
     """Derivative of X with respect to each driving increment.
 
-    dX/d(dB_j) = sigma * sum_i tau_i (w_ij/dt) E_i / F: the exact gradient of
-    the discrete map, and the object the finite-difference oracle measures.
+    dX/d(dB_j) = sigma * sum_i w_i V_ij, with V the Volterra matrix: the
+    exact gradient of the discrete map, and the object the finite-difference
+    oracle measures.
     """
-    E, F = exp_values(paths, params)
-    tau = trapezoid_weights(paths.grid)
-    return params.sigma * ((tau * E) @ table.volterra_matrix) / F[:, None]
+    return params.sigma * (LogFunctional(paths, params).weights @ table.volterra_matrix)
 
 
 def d2x(paths: FbmPaths, table: KernelTable, params, indices=None):
     """D_r D_theta X on indices x indices (default: every grid node >= 1).
 
-    Non-negativity is a discrete Chebyshev-association fact: both kernel
-    columns are non-decreasing in the row index, so the covariance under the
-    measure proportional to tau_i E_i is >= 0 up to rounding.
+    sigma^2 times the Gibbs covariance of the kernel columns. Non-negativity
+    is a discrete Chebyshev-association fact: both columns are
+    non-decreasing in the row index, so their covariance under w is >= 0 up
+    to rounding. It is formed as the Gram matrix of the centred columns
+    sqrt(w) (K - w K), not as w KK - (w K)(w K): where w is nearly a point
+    mass, the two terms of that difference agree to the last bits and their
+    rounding would decide the sign.
     """
     if indices is None:
         indices = np.arange(1, table.n + 1)
-    E, F = exp_values(paths, params)
-    tau = trapezoid_weights(paths.grid)
-    G = tau * E
+    w = LogFunctional(paths, params).weights
     K = np.column_stack([_kernel_column(table, j) for j in indices])
-    m = K.shape[1]
-    A = G @ K                                             # (P, m)
-    KK = (K[:, :, None] * K[:, None, :]).reshape(len(K), m * m)
-    term1 = (G @ KK).reshape(-1, m, m)
-    s2 = params.sigma ** 2
-    return s2 * term1 / F[:, None, None] - s2 * A[:, :, None] * A[:, None, :] / (F ** 2)[:, None, None]
+    out = np.empty((paths.n_paths, K.shape[1], K.shape[1]))
+    for _, start, stop in rng.batch_ranges(paths.n_paths, max(1, 2 ** 18 // K.size)):
+        C = K - (w[start:stop] @ K)[:, None, :]              # (c, n+1, m)
+        C *= np.sqrt(w[start:stop])[:, :, None]
+        np.matmul(C.transpose(0, 2, 1), C, out=out[start:stop])
+    out *= params.sigma ** 2
+    return out
 
 
 def d2x_bounds(table: KernelTable, params, indices):
@@ -290,14 +284,6 @@ def block_mean_se(values):
     return np.sqrt(B / (B - 1) * (dev ** 2).sum(axis=0)) / values.shape[0]
 
 
-def conditional_dx(path: FbmPaths, table: KernelTable, params, theta, n_inner,
-                   seed):
-    """Single-time wrapper around conditional_dx_at (theta must be a node)."""
-    k = table.index_of(theta)
-    est, se = conditional_dx_at(path, table, params, k, n_inner, seed)
-    return est, se
-
-
 def phi_x_batch(paths: FbmPaths, table: KernelTable, params, n_inner, seed,
                 stride=4, with_d2=False) -> MalliavinProfile:
     """Phi_X = int_0^T D_theta X * E[D_theta X | F_theta] dtheta per path.
@@ -324,12 +310,6 @@ def phi_x_batch(paths: FbmPaths, table: KernelTable, params, n_inner, seed,
         phi=phi, phi_se=phi_se,
         meta={"indices": idx, "omega": omega, "n_inner": n_inner,
               "seed": seed, "stride": stride})
-
-
-def phi_x(path: FbmPaths, table: KernelTable, params, n_inner, seed, stride=4):
-    """Phi_X for a single path (or small batch); returns (phi, se)."""
-    prof = phi_x_batch(path, table, params, n_inner, seed, stride=stride)
-    return prof.phi, prof.phi_se
 
 
 def _sweep_paths(n):
@@ -425,7 +405,7 @@ def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
             G += log_w[j, j + 1:]
             np.exp(G, out=G)
             acc += G.sum(axis=1) * dB[:, j]
-        F = np.exp(params.a * table.grid + sigma * paths.values[start:stop]) @ tau
+        F = np.exp(LogFunctional(paths.subset(slice(start, stop)), params).lnF)
         res[start:stop] = (F - EF) - sigma * acc
     return res
 

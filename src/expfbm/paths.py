@@ -11,7 +11,6 @@ Two generators:
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,18 +72,25 @@ class ConditionalLaw:
     variances: np.ndarray
 
 
-def sample_bm_increments(grid, seed, n_paths, purpose=rng.OUTER):
-    """i.i.d. N(0, dt) increments, (n_paths, n). Deterministic in (seed, purpose).
+def _increment_batches(grid, n_paths, seed, purpose):
+    """Yield (start, stop, increments) for each batch of rng.batch_ranges.
 
-    Drawn in fixed-size batches with one Philox substream per batch, so the
-    increments of global path p never depend on n_paths or worker partition.
+    The one draw of outer and centering increments: i.i.d. N(0, dt), batch b
+    from its own Philox substream rng.stream(seed, purpose, b), so the
+    increments of global path p never depend on n_paths.
     """
     n = len(grid) - 1
-    dt = grid[1] - grid[0]
-    out = np.empty((n_paths, n))
+    sq_dt = np.sqrt(grid[1] - grid[0])
     for b, start, stop in rng.batch_ranges(n_paths):
         gen = rng.stream(seed, purpose, b)
-        out[start:stop] = gen.standard_normal((stop - start, n)) * np.sqrt(dt)
+        yield start, stop, gen.standard_normal((stop - start, n)) * sq_dt
+
+
+def sample_bm_increments(grid, seed, n_paths, purpose=rng.OUTER):
+    """i.i.d. N(0, dt) increments, (n_paths, n). Deterministic in (seed, purpose)."""
+    out = np.empty((n_paths, len(grid) - 1))
+    for start, stop, incr in _increment_batches(grid, n_paths, seed, purpose):
+        out[start:stop] = incr
     return out
 
 
@@ -117,6 +123,17 @@ def sample_fbm_volterra(table: KernelTable, n_paths, seed, purpose=rng.OUTER):
     """Volterra-map paths with stored driving increments."""
     incr = sample_bm_increments(table.grid, seed, n_paths, purpose=purpose)
     return fbm_from_bm(table, incr, seed=seed)
+
+
+def fbm_batches(table: KernelTable, n_paths, seed, purpose=rng.OUTER):
+    """Yield (start, stop, FbmPaths) for each batch of rng.batch_ranges.
+
+    The paths of sample_fbm_volterra(table, n_paths, seed, purpose), bit for
+    bit, one batch at a time: a batch is a whole number of Volterra-map
+    blocks, so the map rounds path p alike either way.
+    """
+    for start, stop, incr in _increment_batches(table.grid, n_paths, seed, purpose):
+        yield start, stop, fbm_from_bm(table, incr, seed=seed)
 
 
 def cholesky_factor(H, grid, jitter=0.0):
@@ -242,22 +259,3 @@ def trapezoid_weights(grid):
     tau[0] = tau[-1] = 0.5 * dt
     return tau
 
-
-def write_paths_csv(path, paths: FbmPaths, header_meta=None):
-    """Audit dump: one row per (path, node) with the driving increment if any."""
-    meta = dict(header_meta or {})
-    meta.setdefault("seed", paths.seed)
-    meta.setdefault("method", paths.method)
-    meta.setdefault("n", paths.n)
-    meta.setdefault("grid_start", float(paths.grid[0]))
-    meta.setdefault("grid_end", float(paths.grid[-1]))
-    with open(path, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "t", "dB", "B_H"])
-        for p in range(paths.n_paths):
-            for i, t in enumerate(paths.grid):
-                db = "" if (paths.increments is None or i == 0) \
-                    else repr(paths.increments[p, i - 1])
-                writer.writerow([p, repr(float(t)), db, repr(paths.values[p, i])])

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +77,6 @@ class BoundReport:
             "meta": {k: _tolist(v) for k, v in self.meta.items()
                      if not isinstance(v, np.ndarray) or v.size <= 4096},
         }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
 
     def write_csv(self, path):
         """Plot-ready rows: (x, lhs, rhs, margin, se, implied_c)."""

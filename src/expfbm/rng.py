@@ -2,7 +2,7 @@
 
 Every sampling stage draws from a stream keyed by (seed, purpose, *indices), so
 nested inner simulations never share a stream with outer paths and results are
-independent of how work is partitioned across batches or workers.
+independent of how work is partitioned into batches.
 """
 from __future__ import annotations
 

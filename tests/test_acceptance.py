@@ -47,16 +47,9 @@ def pathlaw(table256):
     F = np.empty(n_paths)
     col_values = np.empty((n_paths, len(cols)))
     t0 = time.time()
-    from expfbm import rng
-
-    sq_dt = np.sqrt(table256.dt)
-    for b, start, stop in rng.batch_ranges(n_paths):
-        gen = rng.stream(SEED, rng.OUTER, b)
-        incr = gen.standard_normal((stop - start, table256.n)) * sq_dt
-        values = incr @ table256.volterra_matrix.T
-        batch = pth.FbmPaths(table256.grid, values, incr, SEED, "volterra")
+    for start, stop, batch in pth.fbm_batches(table256, n_paths, SEED):
         F[start:stop] = fn.functional_F(batch, params)
-        col_values[start:stop] = values[:, cols]
+        col_values[start:stop] = batch.values[:, cols]
     return {"F": F, "cols": cols, "col_of": col_of, "values": col_values,
             "elapsed": time.time() - t0, "params": params}
 

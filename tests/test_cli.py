@@ -94,7 +94,7 @@ class TestCaches:
         (stale,) = (tmp_path / "cache").glob("sim-*.npz")
         with np.load(stale) as data:
             poisoned = dict(data)
-        poisoned["F"] = np.ones_like(poisoned["F"])
+        poisoned["lnF"] = np.zeros_like(poisoned["lnF"])
         with open(stale, "wb") as fh:
             np.savez_compressed(fh, **poisoned)
         assert np.all(cli._sim_batch(cfg, table).F == 1.0)   # that schema reads it
@@ -102,6 +102,49 @@ class TestCaches:
         assert not np.all(cli._sim_batch(cfg, table).F == 1.0)
         assert len(list((tmp_path / "cache").glob("sim-*.npz"))) == 2
         assert not list((tmp_path / "cache").glob("*.tmp"))
+
+    @pytest.fixture
+    def cached_run(self, tmp_path):
+        """A bounds run that reads every cache: table, sample and nested."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+            "nested_paths": 300, "inner_paths": 50, "seed": 5,
+            "suites": ["tail", "derivatives"], "out_dir": str(tmp_path / "run")}))
+        return ["--config", str(cfg), "bounds"], tmp_path / "run"
+
+    @staticmethod
+    def outputs(run):
+        return {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()}
+
+    def test_unreadable_cache_is_a_miss(self, cached_run, capsys):
+        argv, run = cached_run
+        assert main(argv) == EXIT_OK
+        clean = self.outputs(run)
+        caches = sorted((run / "cache").glob("*.npz"))
+        assert [p.name.split("-")[0] for p in caches] == ["mal", "sim", "table"]
+        for p in caches:
+            p.write_bytes(p.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err.count("treating it as a miss") == 3
+        assert self.outputs(run) == clean
+        for p in caches:                  # rewritten whole, read without a miss
+            assert p.stat().st_size > 100
+        assert main(argv) == EXIT_OK
+        assert "treating it as a miss" not in capsys.readouterr().err
+        assert not list((run / "cache").glob("*.tmp"))
+
+    def test_unreadable_cache_with_no_simulate(self, cached_run, capsys):
+        argv, run = cached_run
+        assert main(argv) == EXIT_OK
+        (sim,) = (run / "cache").glob("sim-*.npz")
+        sim.write_bytes(sim.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(argv + ["--no-simulate"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "treating it as a miss" in err
+        assert "missing or unreadable and simulation disabled" in err
 
     def test_two_seeds_share_one_table(self, tmp_path, capsys):
         for seed in ("1", "2"):
@@ -195,8 +238,9 @@ class TestBounds:
         assert main(["--config", str(path), "bounds", "--only", "nope"]) == EXIT_CONFIG
 
     def test_non_finite_results_fail(self, tmp_path, capsys):
-        # sigma = 400 overflows F: non-finite X must fail both the tail
-        # count and the MGF (whose lhs is nan), not PASS
+        # sigma = 400 overflows F but not ln F: X is finite and the tail
+        # count passes, while the MGF bound exp(lambda^2 sigma^2 T^2H / 2)
+        # is inf and must fail, not PASS
         cfg = tmp_path / "huge-sigma.json"
         cfg.write_text(json.dumps({
             "sigma_vol": 400.0, "grid_n": 32, "outer_paths": 20_000,
@@ -206,9 +250,9 @@ class TestBounds:
             assert main(["--config", str(cfg), "bounds"]) == EXIT_VIOLATION
         payload = json.loads((tmp_path / "run" / "bounds.json").read_text())
         reports = {r["bound_id"]: r for r in payload["reports"]}
-        for bound_id in ("gaussian_left_tail", "mgf_domination"):
-            assert not reports[bound_id]["passed"]
-            assert reports[bound_id]["meta"]["non_finite"] > 0
+        assert reports["gaussian_left_tail"]["passed"]
+        assert not reports["mgf_domination"]["passed"]
+        assert reports["mgf_domination"]["meta"]["non_finite"] > 0
 
     def test_nested_paths_drawn_once(self, small_config, tmp_path, capsys, monkeypatch):
         path, _ = small_config
@@ -273,6 +317,11 @@ class TestMalliavinAndDensity:
         assert rc == EXIT_OK
         payload = json.loads((out / "run" / "density.json").read_text())
         assert payload["density"]["n_samples"] == 20_000
+
+    def test_malliavin_missing_cache_with_no_simulate(self, tmp_path, capsys):
+        argv = ["--out", str(tmp_path), "--grid", "16", "malliavin", "--no-simulate"]
+        assert main(argv) == EXIT_CONFIG
+        assert "simulation disabled" in capsys.readouterr().err
 
     def test_report_aggregates(self, small_config, capsys):
         path, out = small_config

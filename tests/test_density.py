@@ -46,12 +46,14 @@ class TestSampleBatch:
         assert np.array_equal(again.F, dn.sample_X_batch(
             params, table64, 1_000, 101, centering).F)
 
-    def test_worker_count_invariance(self, table64, params, centering):
-        seq = dn.sample_X_batch(params, table64, 20_000, 102, centering,
-                                workers=1)
-        par = dn.sample_X_batch(params, table64, 20_000, 102, centering,
-                                workers=2)
-        assert np.array_equal(seq.F, par.F)
+    def test_lnF_matches_paths_bit_for_bit(self, table256, params, centering):
+        # one batch at a time, yet path p's ln F is the one LogFunctional
+        # gives on the same paths drawn whole, for any path count
+        batch = dn.sample_X_batch(params, table256, 9000, 103, centering)
+        for count in (1, 1000, 9000):
+            paths = pth.sample_fbm_volterra(table256, count, 103)
+            assert np.array_equal(batch.lnF[:count],
+                                  fn.LogFunctional(paths, params).lnF)
 
 
 class TestKde:

@@ -39,7 +39,17 @@ class TestFunctionalF:
         F = fn.functional_F(paths, params)
         lo, hi = fn.pathwise_bracket(paths, params)
         assert np.all(F > 0)
-        assert np.all(F >= lo) and np.all(F <= hi)
+        assert np.all(np.log(F) >= lo) and np.all(np.log(F) <= hi)
+
+    def test_log_domain_matches_direct_sum(self, table64, params):
+        # where nothing overflows, the max-shifted log-sum is the plain one
+        paths = pth.sample_fbm_volterra(table64, 1_000, seed=3)
+        tau = pth.trapezoid_weights(table64.grid)
+        E = np.exp(params.a * table64.grid + params.sigma * paths.values)
+        g = fn.LogFunctional(paths, params)
+        assert np.allclose(g.lnF, np.log(E @ tau), rtol=0, atol=1e-14)
+        assert np.allclose(g.weights, tau * E / (E @ tau)[:, None], rtol=1e-13, atol=0)
+        assert np.allclose(g.weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
     def test_monotone_in_path_shift(self, table64, params):
         paths = pth.sample_fbm_volterra(table64, 10, seed=4)

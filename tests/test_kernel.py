@@ -84,6 +84,15 @@ class TestCalibration:
             ch = kn.calibrate_ch(H)
             assert abs(ch / kn.ch_closed_form(H) - 1.0) < 1e-8
 
+    def test_closed_form_from_lgamma(self):
+        # the stdlib form against the Beta function of scipy.special
+        from scipy.special import beta
+
+        for H in (0.51, 0.55, 0.7, 0.9, 0.99):
+            want = np.sqrt(H * (2.0 * H - 1.0) / beta(2.0 - 2.0 * H, H - 0.5))
+            assert kn.ch_closed_form(H) == pytest.approx(want, rel=1e-14)
+        assert kn.build_kernel_table(0.7, 1.0, 8).c_H == kn.ch_closed_form(0.7)
+
     def test_near_singular_H(self):
         ch = kn.calibrate_ch(0.51)
         assert abs(ch / kn.ch_closed_form(0.51) - 1.0) < 1e-6

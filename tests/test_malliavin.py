@@ -179,9 +179,9 @@ class TestFirstDerivative:
     def test_cell_average_convention_at_zero(self, table64, params):
         paths = pth.sample_fbm_volterra(table64, 3, seed=3)
         D = ml.dx(paths, table64, params)
-        E, F = ml.exp_values(paths, params)
         tau = pth.trapezoid_weights(table64.grid)
-        manual = params.sigma * ((tau * E) @ table64.volterra_matrix[:, 0]) / F
+        E = np.exp(params.a * table64.grid + params.sigma * paths.values)
+        manual = params.sigma * ((tau * E) @ table64.volterra_matrix[:, 0]) / (E @ tau)
         assert np.allclose(D[:, 0], manual, rtol=1e-13)
 
     def test_finite_difference_agreement(self, table64, params, rng_seeds):
@@ -232,25 +232,24 @@ class TestSecondDerivative:
                     pth.fbm_from_bm(table64, incr), params))[0])
         fd2 = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) \
             / (4.0 * eps ** 2)
-        E, F = ml.exp_values(paths, params)
-        tau = pth.trapezoid_weights(table64.grid)
+        w = fn.LogFunctional(paths, params).weights[0]
         V = table64.volterra_matrix
-        G = (tau * E)[0]
-        A = G @ V
-        t1 = (G * V[:, ja]) @ V[:, jb]
-        expected = t1 / F[0] - A[ja] * A[jb] / F[0] ** 2
+        A = w @ V
+        expected = (w * V[:, ja]) @ V[:, jb] - A[ja] * A[jb]
         assert fd2 == pytest.approx(expected, rel=1e-2)
 
 
 class TestConditionalDx:
     def test_zero_at_horizon(self, table64, params):
         paths = pth.sample_fbm_volterra(table64, 10, seed=8)
-        est, se = ml.conditional_dx(paths, table64, params, 1.0, 200, seed=1)
+        k = table64.index_of(1.0)
+        est, se = ml.conditional_dx_at(paths, table64, params, k, 200, seed=1)
         assert np.all(est == 0.0) and np.all(se == 0.0)
 
     def test_upper_bound(self, table64, params):
         paths = pth.sample_fbm_volterra(table64, 200, seed=9)
-        est, _ = ml.conditional_dx(paths, table64, params, 0.25, 200, seed=2)
+        k = table64.index_of(0.25)
+        est, _ = ml.conditional_dx_at(paths, table64, params, k, 200, seed=2)
         bound = params.sigma * table64.values[-1, 16]
         assert np.all(est <= bound * (1.0 + 1e-9))
         assert np.all(est >= 0.0)
@@ -259,7 +258,7 @@ class TestConditionalDx:
         # conditioning on nothing: nested estimate must match plain MC of the
         # same (cell-averaged) derivative across independent outer paths
         paths = pth.sample_fbm_volterra(table64, 40, seed=10)
-        est, se = ml.conditional_dx(paths, table64, params, 0.0, 2_000, seed=3)
+        est, se = ml.conditional_dx_at(paths, table64, params, 0, 2_000, seed=3)
         plain_paths = pth.sample_fbm_volterra(table64, 20_000, seed=11)
         plain = ml.dx(plain_paths, table64, params, indices=[0])[:, 0]
         plain_mean = plain.mean()
@@ -269,11 +268,12 @@ class TestConditionalDx:
 
     def test_input_validation(self, table64, params):
         paths = pth.sample_fbm_volterra(table64, 2, seed=12)
+        k = table64.index_of(0.5)
         with pytest.raises(ValueError):
-            ml.conditional_dx(paths, table64, params, 0.5, 10, seed=1)
+            ml.conditional_dx_at(paths, table64, params, k, 10, seed=1)
         chol = pth.sample_fbm_cholesky(0.7, table64.grid, 2, seed=1)
         with pytest.raises(ValueError):
-            ml.conditional_dx(chol, table64, params, 0.5, 200, seed=1)
+            ml.conditional_dx_at(chol, table64, params, k, 200, seed=1)
 
 
 class TestFactorisedNested:
@@ -360,8 +360,8 @@ class TestQuadratureWeights:
 class TestPhi:
     def test_small_sigma_scaling(self, table64):
         paths = pth.sample_fbm_volterra(table64, 4, seed=13)
-        phi_1, _ = ml.phi_x(paths, table64, make_params(sigma=1e-3), 200, seed=4)
-        phi_2, _ = ml.phi_x(paths, table64, make_params(sigma=5e-4), 200, seed=4)
+        phi_1 = ml.phi_x_batch(paths, table64, make_params(sigma=1e-3), 200, seed=4).phi
+        phi_2 = ml.phi_x_batch(paths, table64, make_params(sigma=5e-4), 200, seed=4).phi
         assert np.allclose(phi_1 / phi_2, 4.0, rtol=1e-2)
 
     def test_bounds_small_batch(self, table64, params):

@@ -4,6 +4,7 @@ from scipy.stats import ks_2samp
 
 from expfbm import kernel as kn
 from expfbm import paths as pth
+from expfbm import rng
 from expfbm.functional import functional_F
 
 
@@ -23,6 +24,15 @@ class TestIncrements:
         for count in (1, 1000, 1500, 2000, 3001, 9999):
             part = pth.sample_fbm_volterra(table256, count, 123)
             assert np.array_equal(part.values, full.values[:count])
+
+    def test_batches_match_whole_draw(self, table64):
+        whole = pth.sample_fbm_volterra(table64, 9000, 5, purpose=rng.CENTERING)
+        starts = []
+        for start, stop, batch in pth.fbm_batches(table64, 9000, 5, rng.CENTERING):
+            starts.append(start)
+            assert np.array_equal(batch.increments, whole.increments[start:stop])
+            assert np.array_equal(batch.values, whole.values[start:stop])
+        assert starts == [0, rng.BATCH]
 
     def test_moments(self, table64):
         incr = pth.sample_bm_increments(table64.grid, 7, 100_000)
@@ -134,7 +144,8 @@ class TestInnerFluctuations:
         # mean matches the conditional mean, variance the discrete map
         # variance of the future cells k..n-1
         assert abs(term.mean() - law.means[0, -1]) < 4.0 * term.std() / np.sqrt(4000)
-        disc_var = table64.map_variances[-1] - table64.partial_map_variances[-1, k - 1]
+        partial = np.cumsum(table64.row_weights[-1] ** 2) / table64.dt
+        disc_var = table64.map_variances[-1] - partial[k - 1]
         assert abs(term.var(ddof=1) / disc_var - 1.0) < 0.1
 
 
@@ -174,16 +185,3 @@ class TestMartingale:
             a, b = ests[128][p_idx], ests[256][p_idx]
             assert abs(a - b) / b < 0.10
 
-
-class TestCsvDump:
-    def test_header_and_shape(self, table64, tmp_path):
-        paths = pth.sample_fbm_volterra(table64, 2, seed=21)
-        out = tmp_path / "paths.csv"
-        pth.write_paths_csv(out, paths)
-        text = out.read_text().splitlines()
-        header_lines = [l for l in text if l.startswith("#")]
-        assert any("seed=21" in l for l in header_lines)
-        assert any("method=volterra" in l for l in header_lines)
-        rows = [l for l in text if not l.startswith("#")]
-        assert rows[0] == "path_id,t,dB,B_H"
-        assert len(rows) == 1 + 2 * (table64.n + 1)
