@@ -50,7 +50,9 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 # 3: kernel tables built by a running sum over rows (differ in the last bits).
 # 4: sample caches hold ln F and X (not F); tables take c_H from its closed
 #    form; ln F is a max-shifted log-sum (all differ in the last bits).
-CACHE_SCHEMA = 4
+# 5: the nested cache's Phi_X lower bound uses the discrete model's
+#    conditional variance (moves by ~1e-3 relative).
+CACHE_SCHEMA = 5
 
 
 @dataclass
@@ -483,14 +485,11 @@ def _suite_w(cfg, table, ctx):
 
 
 def _suite_dphi(cfg, table, ctx):
-    # doubly nested and expensive: runs on a capped path budget
-    params = cfg.model_params()
-    budget = min(cfg.nested_paths, 2_000)
-    # path p does not depend on the path count, so the prefix is the budget's
-    # own draw
-    paths = _nested_paths(cfg, table, ctx).subset(slice(0, budget))
-    out = ml.dphi_bound_check(paths, table, params, cfg.inner_paths, cfg.seed,
-                              stride=cfg.subgrid_stride)
+    # doubly nested and expensive: runs on the first 2000 nested paths, and
+    # the reports carry the covered fraction
+    out = ml.dphi_bound_check(_nested_paths(cfg, table, ctx), table, cfg.model_params(),
+                              cfg.inner_paths, cfg.seed, stride=cfg.subgrid_stride,
+                              max_paths=2_000)
     return out["reports"]
 
 
@@ -616,15 +615,13 @@ def cmd_malliavin(cfg, args):
 
 
 def cmd_density(cfg, args):
-    batch = _sim_batch(cfg, _table_for(cfg), allow_simulate=not args.no_simulate)
-    dens = dn.kde_log_domain(batch.X, n_boot=cfg.kde_bootstrap, seed=cfg.seed)
-    reports = dn.verify_envelopes(dens, batch.params, batch.centering,
-                                  sample_mean_F=float(batch.F.mean()),
-                                  sample_var_F=float(batch.F.var(ddof=1)))
-    reports.append(dn.verify_gaussian_tail(batch.X, batch.params))
-    reports.append(dn.verify_mgf(batch.X, batch.params))
+    table = _table_for(cfg)
+    ctx = {"batch": _sim_batch(cfg, table, allow_simulate=not args.no_simulate)}
+    reports = [r for name in ("envelopes", "tail", "mgf")
+               for r in SUITES[name](cfg, table, ctx)]
+    dens = ctx["density"]
     out_dir = Path(cfg.out_dir)
-    densF = dn.induced_density_F(dens, batch.centering)
+    densF = dn.induced_density_F(dens, ctx["batch"].centering)
     payload = dict(_provenance(cfg),
                    density=dens.to_dict(),
                    density_F=densF.to_dict(),

@@ -24,6 +24,8 @@ from .paths import fbm_batches
 from .reports import BoundReport
 
 MIN_TAIL_COUNT = 50        # local samples below this: inconclusive, not failed
+KDE_GRID = 512             # output nodes of kde_log_domain
+KDE_FINE_BINS = 4096       # histogram bins the KDE convolves
 
 
 @dataclass
@@ -101,9 +103,8 @@ def silverman_bandwidth(x):
     return 0.9 * spread * len(x) ** (-0.2)
 
 
-def kde_log_domain(samples, bandwidth=None, grid_size=512, fine_bins=4096,
-                   n_boot=100, seed=0) -> DensityEstimate:
-    """Gaussian KDE of the X samples on range +- 3 bandwidths.
+def kde_log_domain(samples, n_boot=100, seed=0) -> DensityEstimate:
+    """Gaussian KDE (Silverman bandwidth) of the X samples on range +- 3 bandwidths.
 
     Degenerate input (zero spread, the sigma = 0 limit) returns a point-mass
     flagged estimate instead of a density.
@@ -118,11 +119,11 @@ def kde_log_domain(samples, bandwidth=None, grid_size=512, fine_bins=4096,
             bandwidth=0.0, n_samples=len(x), se=np.array([0.0]),
             local_counts=np.array([len(x)]), point_mass=True)
 
-    h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(x)
+    h = silverman_bandwidth(x)
     lo, hi = x.min() - 3.0 * h, x.max() + 3.0 * h
-    counts, edges = np.histogram(x, bins=fine_bins, range=(lo, hi))
+    counts, edges = np.histogram(x, bins=KDE_FINE_BINS, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    bw_bins = (hi - lo) / fine_bins
+    bw_bins = (hi - lo) / KDE_FINE_BINS
     half = int(np.ceil(5.0 * h / bw_bins))
     offsets = np.arange(-half, half + 1) * bw_bins
     kern = np.exp(-0.5 * (offsets / h) ** 2)
@@ -132,12 +133,12 @@ def kde_log_domain(samples, bandwidth=None, grid_size=512, fine_bins=4096,
         return np.convolve(c, kern, mode="same") * bw_bins / (len(x) * bw_bins)
 
     dens_fine = smooth(counts)
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, KDE_GRID)
     dens = np.interp(grid, centers, dens_fine)
 
     gen = rng.stream(seed, rng.BOOTSTRAP)
     p = counts / counts.sum()
-    reps = np.empty((n_boot, grid_size))
+    reps = np.empty((n_boot, KDE_GRID))
     for r in range(n_boot):
         cb = gen.multinomial(len(x), p)
         reps[r] = np.interp(grid, centers, smooth(cb))
@@ -147,11 +148,11 @@ def kde_log_domain(samples, bandwidth=None, grid_size=512, fine_bins=4096,
     cum = np.concatenate([[0.0], np.cumsum(counts)])
     right = np.searchsorted(edges, grid + 3.0 * h, side="right") - 1
     left = np.searchsorted(edges, grid - 3.0 * h, side="left")
-    local = cum[np.clip(right, 0, fine_bins)] - cum[np.clip(left, 0, fine_bins)]
+    local = cum[np.clip(right, 0, KDE_FINE_BINS)] - cum[np.clip(left, 0, KDE_FINE_BINS)]
 
     return DensityEstimate(domain="X", x=grid, density=dens, bandwidth=h,
                            n_samples=len(x), se=se, local_counts=local,
-                           meta={"n_boot": n_boot, "fine_bins": fine_bins,
+                           meta={"n_boot": n_boot, "fine_bins": KDE_FINE_BINS,
                                  "seed": seed})
 
 
@@ -335,15 +336,12 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
 # conditional profile w_X by binned regression
 # ---------------------------------------------------------------------------
 
-def estimate_w_X(X, phi, params: ModelParams, n_bins=40, min_count=MIN_TAIL_COUNT,
-                 h_integrand=None):
+def estimate_w_X(X, phi, params: ModelParams, n_bins=40, min_count=MIN_TAIL_COUNT):
     """Binned-regression estimate of w_X(z) = E[X / Phi_X | X = z].
 
     Joint samples (X, Phi_X) come from the nested Malliavin run. Verifies
     w_X(z) >= z / (sigma^2 T^2H) - 3 SE on resolved bins z > 0 and the
     reconstruction bound exp(-int_0^z w) <= exp(-z^2/(2 sigma^2 T^2H)).
-    Optionally bins a coarse h_X profile from supplied per-sample values of
-    the D Phi integrand (flagged low-precision).
     """
     X = np.asarray(X)
     phi = np.asarray(phi)
@@ -414,14 +412,5 @@ def estimate_w_X(X, phi, params: ModelParams, n_bins=40, min_count=MIN_TAIL_COUN
         tolerance=np.asarray(recon_tol), violations=recon_viol,
         n_samples=len(X))
 
-    out = {"centers": centers, "w": w_mean, "se": w_se, "counts": counts,
-           "resolved": resolved, "reports": [lower, recon]}
-
-    if h_integrand is not None:
-        h_in = (np.asarray(h_integrand) / phi ** 2)[inside]
-        h_mean = np.full(n_bins, np.nan)
-        for b in np.nonzero(counts)[0]:
-            h_mean[b] = h_in[which == b].mean()
-        out["h_coarse"] = h_mean
-        out["h_flag"] = "low-precision (coarse nested run)"
-    return out
+    return {"centers": centers, "w": w_mean, "se": w_se, "counts": counts,
+            "resolved": resolved, "reports": [lower, recon]}

@@ -88,6 +88,9 @@ def _gauss_legendre_01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+# Gauss-Legendre nodes per interior cell of build_kernel_table
+CELL_NODES = 8
+
 # Gauss-Legendre nodes per cell for the increments of the inner integral in
 # build_kernel_table's running sum over rows
 INCREMENT_NODES = 12
@@ -167,6 +170,9 @@ def covariance(H, t, s):
 # normalization constant
 # ---------------------------------------------------------------------------
 
+# adaptive-quadrature subintervals of calibrate_ch's first pass
+CALIBRATION_SUBINTERVALS = 256
+
 def ch_closed_form(H):
     """Classical closed form c_H = sqrt(H(2H-1) / B(2-2H, H-1/2)), with the
     Beta function from math.lgamma."""
@@ -195,7 +201,7 @@ def _sq_energy_unnormalized(H, t, epsrel=1e-11, limit=200):
     return val / p, err / p
 
 
-def calibrate_ch(H, quad_points=256):
+def calibrate_ch(H):
     """c_H such that int_0^1 K(1,s)^2 ds = 1, to ~1e-10 relative.
 
     Cross-validated internally by re-running the quadrature at a stricter
@@ -204,10 +210,9 @@ def calibrate_ch(H, quad_points=256):
     """
     if not 0.5 < H < 1.0:
         raise ValueError(f"H must lie strictly in (1/2, 1), got {H}")
-    if quad_points < 64:
-        raise ValueError("quad_points must be >= 64")
-    J, _ = _sq_energy_unnormalized(H, 1.0, epsrel=1e-11, limit=quad_points)
-    J2, _ = _sq_energy_unnormalized(H, 1.0, epsrel=1e-13, limit=2 * quad_points)
+    J, _ = _sq_energy_unnormalized(H, 1.0, epsrel=1e-11, limit=CALIBRATION_SUBINTERVALS)
+    J2, _ = _sq_energy_unnormalized(H, 1.0, epsrel=1e-13,
+                                    limit=2 * CALIBRATION_SUBINTERVALS)
     residual = abs(J / J2 - 1.0)
     tol = 1e-6 if H < 0.52 else 1e-8
     if not np.isfinite(J) or J <= 0 or residual > tol:
@@ -290,7 +295,8 @@ class KernelTable:
     Derived arrays: volterra_matrix (row_weights / dt) maps Brownian
     increments to fBm values; energies = cumulative sq_weights (continuous
     energies, ~ t_i^2H); map_variances = sum_j row_weights^2 / dt (variance
-    actually produced by the discrete map, slightly below t_i^2H).
+    actually produced by the discrete map, slightly below t_i^2H), and
+    conditional_variances(k) the part of it that the cells after t_k draw.
     """
 
     H: float
@@ -322,23 +328,20 @@ class KernelTable:
         return self.sq_weights.sum(axis=1)
 
     @property
-    def partial_energies(self):
-        """partial_energies[i, k] = int_0^{t_k} K(t_i, r)^2 dr (k <= i)."""
-        if "_partial" not in self.__dict__:
-            self.__dict__["_partial"] = np.cumsum(self.sq_weights, axis=1)
-        return self.__dict__["_partial"]
-
-    @property
     def map_variances(self):
         """Variance of the discrete Volterra map at each node."""
         return (self.row_weights ** 2).sum(axis=1) / self.dt
 
     def conditional_variances(self, k):
-        """v(t_i, t_k) = t_i^2H - int_0^{t_k} K(t_i, u)^2 du, clipped at 0."""
-        marg = np.power(self.grid, 2.0 * self.H)
-        v = marg - self.partial_energies[:, k]
-        v[: k + 1] = 0.0
-        return np.maximum(v, 0.0)
+        """v_i(k) = Var(B^H_{t_i} | F_{t_k}) = sum_{l >= k} V[i, l]^2 dt, drawn by
+        the cells after t_k: 0 for i <= k, map_variances at k = 0. Row k of
+        one cached reverse cumulative sum (read-only)."""
+        if "_future_var" not in self.__dict__:
+            fv = np.zeros((self.n + 1, self.n + 1))
+            fv[:-1] = np.cumsum((self.volterra_matrix.T ** 2 * self.dt)[::-1], axis=0)[::-1]
+            fv.setflags(write=False)
+            self.__dict__["_future_var"] = fv
+        return self.__dict__["_future_var"][k]
 
     def index_of(self, t):
         """Grid index of time t; raises if t is not a grid node."""
@@ -420,12 +423,12 @@ def _offset_powers(H, dt, d, x):
     return np.power((d[:, None, None] + _IY - x[:, None]) * dt, H - 1.5)
 
 
-def build_kernel_table(H, T, n, cell_nodes=8):
+def build_kernel_table(H, T, n):
     """Build the KernelTable on the uniform grid with n cells.
 
     c_H comes from its closed form (ch_closed_form); calibrate_ch, the
     quadrature of the unit-energy condition, cross-checks it in kernel-verify.
-    Interior cell integrals use plain Gauss-Legendre with `cell_nodes` points
+    Interior cell integrals use plain Gauss-Legendre with CELL_NODES points
     (the integrand is smooth strictly inside (0, t_i)); the first cell and the
     diagonal cell get dedicated singularity-absorbing substitutions.
 
@@ -465,13 +468,13 @@ def build_kernel_table(H, T, n, cell_nodes=8):
     # handling the left half with the first-cell substitution and the right
     # half with the diagonal substitution (each valid on its own half).
     fw_half, fw2_half = _first_cell_weights(H, c_H, grid[1:2], 0.5 * grid[1])
-    dw_half, dw2_half = _half_diag_weights(H, c_H, grid[1], 0.5 * grid[1])
-    row_w[1, 1] = fw_half[0] + dw_half
-    row_w2[1, 1] = fw2_half[0] + dw2_half
+    dw_half, dw2_half = _diag_cell_weights(H, c_H, grid[1:2], 0.5 * grid[1])
+    row_w[1, 1] = fw_half[0] + dw_half[0]
+    row_w2[1, 1] = fw2_half[0] + dw2_half[0]
 
     # cells j = 1..n-1 at the cell-rule nodes and at r = t_j (for values):
     # S[j-1] = I(t_i, r) at row i, starting from I(t_{j+1}, r)
-    gx, gw = _gauss_legendre_01(cell_nodes)
+    gx, gw = _gauss_legendre_01(CELL_NODES)
     x = np.append(gx, 1.0)
     r = grid[:-2, None] + dt * x
     r[:, -1] = grid[1:-1]
@@ -493,7 +496,7 @@ def build_kernel_table(H, T, n, cell_nodes=8):
     meta = {
         "format_version": TABLE_FORMAT_VERSION,
         "n": n,
-        "cell_nodes": cell_nodes,
+        "cell_nodes": CELL_NODES,
         "energy_max_abs_err": float(np.max(np.abs(energies - marg))),
         "map_variance_max_abs_err": float(np.max(np.abs(map_var - marg))),
         "smooth_quad_rtol": 1e-8,
@@ -502,27 +505,6 @@ def build_kernel_table(H, T, n, cell_nodes=8):
     return KernelTable(H=params.H, T=params.T, c_H=float(c_H), grid=grid,
                        values=values, row_weights=row_w, sq_weights=row_w2,
                        meta=meta)
-
-
-def _half_diag_weights(H, c_H, t_i, half):
-    """Diagonal-substitution integrals of K and K^2 over [t_i - half, t_i]."""
-    x, w = _gauss_legendre_01(24)
-    alpha = H - 0.5
-    ymax = half ** alpha
-    y = ymax * x
-    r = t_i - y ** (1.0 / alpha)
-    K = c_H * np.power(r, 0.5 - H) * _inner_integral(H, np.full_like(r, t_i), r)
-    jac = y ** ((1.5 - H) / alpha) / alpha
-    w_int = ymax * np.sum(K * jac * w)
-
-    p2 = 2.0 * H
-    psimax = half ** p2
-    psi = psimax * x
-    gap = psi ** (1.0 / p2)
-    r2 = t_i - gap
-    K2 = c_H * np.power(r2, 0.5 - H) * _inner_integral(H, np.full_like(r2, t_i), r2)
-    w2_int = (psimax / p2) * np.sum((K2 ** 2) / gap ** (p2 - 1.0) * w)
-    return w_int, w2_int
 
 
 def kernel_time_integral(table: KernelTable, theta):

@@ -23,9 +23,11 @@ must come from block means (block_mean_se).
 
 The Clark-Ocone residual and the pathwise lower bound on Phi_X walk the whole
 triangle of conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}]. Both run on
-paths.conditional_mean_sweep, which carries N for a block of paths from node
-to node by a rank-1 update: O(P n) per node, O(P n^2) per pass, and no
-(P, n+1, n) temporary.
+paths.conditional_lognormal_sweep: a rank-1 update per node (O(P n) per
+node, no (P, n+1, n) temporary) and, once per node, the conditional
+lognormal means C_i = E[exp(a t_i + sigma B_i) | F_{t_k}] of the rows i > k.
+The lower bound's M_k = E[F | F_{t_k}] is the realized past plus C . tau,
+E[F] = M_0, and the Clark-Ocone integrand of cell k is sigma C . (tau V[:, k]).
 
 Grid conventions: the pointwise derivative diverges like theta^(1/2-H) as
 theta -> 0, so index 0 of derivative arrays stores the first-cell average
@@ -44,8 +46,8 @@ import numpy as np
 from . import rng
 from .functional import LogFunctional
 from .kernel import KernelTable
-from .paths import (FbmPaths, conditional_law, conditional_mean_sweep, inner_fluctuations,
-                    martingale_log_weights, martingale_value, trapezoid_weights)
+from .paths import (FbmPaths, conditional_law, conditional_lognormal,
+                    conditional_lognormal_sweep, inner_fluctuations, trapezoid_weights)
 from .reports import BoundReport
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
@@ -58,7 +60,6 @@ class MalliavinProfile:
 
     theta: np.ndarray            # subgrid times
     dX: np.ndarray               # (P, m) first derivatives
-    d2X: np.ndarray              # (P, m, m) second derivatives
     cond_dX: np.ndarray          # (P, m) nested estimates of E[D X | F]
     cond_se: np.ndarray          # (P, m) inner standard errors
     phi: np.ndarray              # (P,) Phi_X
@@ -285,14 +286,12 @@ def block_mean_se(values):
 
 
 def phi_x_batch(paths: FbmPaths, table: KernelTable, params, n_inner, seed,
-                stride=4, with_d2=False) -> MalliavinProfile:
+                stride=4) -> MalliavinProfile:
     """Phi_X = int_0^T D_theta X * E[D_theta X | F_theta] dtheta per path.
 
     Nested conditional estimates on the coarsened subgrid, singular product
     quadrature in theta. Inner errors are propagated linearly through the
     quadrature weights (inner streams are independent across theta).
-    with_d2 also evaluates the second-derivative matrix on the subgrid
-    (P x m x m storage; skip it for large batches).
     """
     idx = phi_subgrid(table.n, stride=stride)
     omega = singular_quad_weights(table.grid, table.H, idx)
@@ -304,9 +303,8 @@ def phi_x_batch(paths: FbmPaths, table: KernelTable, params, n_inner, seed,
             paths, table, params, int(k), n_inner, seed)
     phi = (D * cond) @ omega
     phi_se = np.sqrt(((omega * D * cond_se) ** 2).sum(axis=1))
-    d2 = d2x(paths, table, params, indices=idx) if with_d2 else None
     return MalliavinProfile(
-        theta=table.grid[idx], dX=D, d2X=d2, cond_dX=cond, cond_se=cond_se,
+        theta=table.grid[idx], dX=D, cond_dX=cond, cond_se=cond_se,
         phi=phi, phi_se=phi_se,
         meta={"indices": idx, "omega": omega, "n_inner": n_inner,
               "seed": seed, "stride": stride})
@@ -327,24 +325,29 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
             * (T^(2H+2)/(2H+2)) / max_r M_r
 
     with min over the conditional-mean field N_{s,theta} on theta <= s grid
-    pairs and max over the grid martingale values M_r. One conditional-mean
-    sweep per block keeps both as running extremes.
+    pairs and max over the grid martingale values M_r = E[F | F_r]. One
+    conditional-lognormal sweep per block keeps both as running extremes;
+    M_k is the running trapezoid sum of the realized integrand up to t_k
+    plus C . tau over the future rows.
     """
     paths.require_increments()
     a, sigma, H, T = params.a, params.sigma, params.H, params.T
     minB = paths.values.min(axis=1)
     maxB = paths.values.max(axis=1)
     tau = trapezoid_weights(table.grid)
-    log_w = [martingale_log_weights(table, params, k) for k in range(table.n + 1)]
 
     minN = np.full(paths.n_paths, np.inf)
     maxM = np.full(paths.n_paths, -np.inf)
     for _, start, stop in rng.batch_ranges(paths.n_paths, _sweep_paths(table.n)):
-        E = np.exp(a * table.grid + sigma * paths.values[start:stop])
+        # the realized integrand: the conditional lognormal mean given F_T
+        E = conditional_lognormal(table, params, table.n, paths.values[start:stop])
+        past = np.zeros(stop - start)
         lo, hi = minN[start:stop], maxM[start:stop]
-        for k, N in conditional_mean_sweep(table, paths.increments[start:stop]):
+        for k, N, C in conditional_lognormal_sweep(table, params,
+                                                   paths.increments[start:stop]):
+            past += tau[k] * E[:, k]
             np.minimum(lo, N[:, k:].min(axis=1), out=lo)
-            np.maximum(hi, martingale_value(E, N, k, log_w[k], sigma, tau), out=hi)
+            np.maximum(hi, past + C @ tau[k + 1:], out=hi)
 
     const = T ** (2.0 * H + 2.0) / (2.0 * H + 2.0)
     bound = (sigma ** 2 / T) * np.exp(-3.0 * abs(a) * T + sigma * minB
@@ -356,57 +359,38 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
 # Clark-Ocone residual
 # ---------------------------------------------------------------------------
 
-def discrete_mean_F(table: KernelTable, params):
-    """E[F] under the discrete Volterra model (map variances, not t^2H)."""
-    tau = trapezoid_weights(table.grid)
-    return float(np.sum(tau * np.exp(params.a * table.grid
-                                     + 0.5 * params.sigma ** 2 * table.map_variances)))
-
-
 def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
     """Residual of the martingale representation on the grid.
 
     residual = (F - E[F]) - sum_j E[dF/d(dB_j) | F_{j-1}] dB_j
 
     The integrand is evaluated in closed form (conditional lognormal means
-    with the *discrete* map variances) at the left endpoint of each cell, so
-    each term is exactly adapted and the residual has exact zero mean under
-    the discrete model; its variance measures the within-cell chaos left out
-    by the first-order representation and must shrink with grid refinement.
+    with the discrete model's conditional variance) at the left endpoint of
+    each cell, so each term is exactly adapted and the residual has exact
+    zero mean under the discrete model; its variance measures the
+    within-cell chaos left out by the first-order representation and must
+    shrink with grid refinement.
 
-    One conditional-mean sweep per block: at node j the integrand is
-    G_j = sigma sum_{i>j} exp(log_w[j, i] + sigma N_i), where log_w folds the
-    cell weight tau_i V[i, j], the drift and half the future map variance;
-    cell j reaches only the rows i > j (V[i, j] = 0 for i <= j).
+    One conditional-lognormal sweep per block: at node j the integrand is
+    G_j = sigma C . (tau V[:, j]) over the rows i > j (V[i, j] = 0 for
+    i <= j), and E[F] = M_0.
     """
     paths.require_increments()
     n = table.n
     tau = trapezoid_weights(table.grid)
-    sigma = params.sigma
-    V = table.volterra_matrix
-    # future map variance seen from cell j: fv[i, j] = sum_{l >= j} V[i,l]^2 dt
-    fv = np.cumsum((V ** 2 * table.dt)[:, ::-1], axis=1)[:, ::-1]
-    with np.errstate(divide="ignore"):                 # log 0 off the rows i > j
-        log_w = (np.log(tau[:, None] * V) + params.a * table.grid[:, None]
-                 + 0.5 * sigma ** 2 * fv).T            # (n, n+1), row j = cell j
-    EF = discrete_mean_F(table, params)
+    tauV = tau[:, None] * table.volterra_matrix
+    EF = float(conditional_lognormal(table, params, 0, np.zeros((1, n + 1)))[0] @ tau)
 
     res = np.empty(paths.n_paths)
     for _, start, stop in rng.batch_ranges(paths.n_paths, _sweep_paths(n)):
         dB = paths.increments[start:stop]
         acc = np.zeros(stop - start)
-        buf = np.empty(n * (stop - start))
-        for j, N in conditional_mean_sweep(table, dB):
+        for j, _, C in conditional_lognormal_sweep(table, params, dB):
             if j == n:
                 break
-            # integrand terms of cell j, in a buffer laid out like N[:, j+1:]
-            G = buf[: (n - j) * (stop - start)].reshape(n - j, -1).T
-            np.multiply(N[:, j + 1:], sigma, out=G)
-            G += log_w[j, j + 1:]
-            np.exp(G, out=G)
-            acc += G.sum(axis=1) * dB[:, j]
+            acc += (C @ tauV[j + 1:, j]) * dB[:, j]
         F = np.exp(LogFunctional(paths.subset(slice(start, stop)), params).lnF)
-        res[start:stop] = (F - EF) - sigma * acc
+        res[start:stop] = (F - EF) - params.sigma * acc
     return res
 
 

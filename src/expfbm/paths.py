@@ -8,6 +8,12 @@ Two generators:
   * Cholesky factorization of the exact covariance: unbiased joint law at the
     grid nodes, used as the referee for the Volterra map's discretization bias.
     No driving increments, so conditional operations reject these paths.
+
+Given F_{t_k}, B^H_{t_i} is Gaussian with mean N_i and the discrete map's
+variance v_i(k) of the cells after t_k (KernelTable.conditional_variances).
+One primitive, conditional_lognormal, forms E[exp(a t_i + sigma B_i) | F_{t_k}]
+= exp(a t_i + sigma N_i + sigma^2 v_i(k) / 2), so M_k = E[F | F_{t_k}] is an
+exact martingale of the simulated model.
 """
 from __future__ import annotations
 
@@ -62,8 +68,9 @@ class ConditionalLaw:
     """Gaussian law of the path given the driving BM up to grid node theta.
 
     means[p, i] = E[B^H_{t_i} | F_theta] for path p (equals the realized value
-    for i <= theta_index); variances[i] = t_i^2H - int_0^theta K(t_i, u)^2 du,
-    zero for i <= theta_index.
+    for i <= theta_index); variances[i] = Var(B^H_{t_i} | F_theta), the
+    discrete map's sum_{l >= theta_index} V[i, l]^2 dt, zero for
+    i <= theta_index.
     """
 
     theta_index: int
@@ -136,11 +143,11 @@ def fbm_batches(table: KernelTable, n_paths, seed, purpose=rng.OUTER):
         yield start, stop, fbm_from_bm(table, incr, seed=seed)
 
 
-def cholesky_factor(H, grid, jitter=0.0):
+def cholesky_factor(H, grid):
     """Lower Cholesky factor of the exact covariance at grid[1:]."""
     t = np.asarray(grid)[1:]
     cov = covariance(H, t[:, None], t[None, :])
-    for eps in (jitter, 1e-14, 1e-12):
+    for eps in (0.0, 1e-14, 1e-12):
         try:
             return np.linalg.cholesky(cov + eps * np.eye(len(t)))
         except np.linalg.LinAlgError:
@@ -217,39 +224,38 @@ def inner_fluctuations(table: KernelTable, k, n_inner, gen):
     return z @ table.volterra_matrix[k:, k:].T     # rows t_k..T, future cells
 
 
+def conditional_lognormal(table: KernelTable, params, k, N, start=0, out=None):
+    """E[exp(a t_i + sigma B^H_{t_i}) | F_{t_k}] at the rows i >= start.
+
+    exp(a t_i + sigma N_i + sigma^2 v_i(k) / 2), with N (P, n+1) the
+    conditional means at node k and v the discrete conditional variance; for
+    i <= k it is the realized integrand. The result is laid out like
+    N[:, start:], written into out if given.
+    """
+    C = np.multiply(N[:, start:], params.sigma, out=out)
+    C += (params.a * table.grid[start:]
+          + 0.5 * params.sigma ** 2 * table.conditional_variances(k)[start:])
+    return np.exp(C, out=C)
+
+
+def conditional_lognormal_sweep(table: KernelTable, params, increments):
+    """conditional_mean_sweep yielding (k, N, C), C = conditional_lognormal(
+    table, params, k, N, k + 1): the future rows i > k, exponentiated once per
+    node into one reused node-major buffer; copy C to keep it past the next step.
+    """
+    P = np.atleast_2d(increments).shape[0]
+    buf = np.empty(table.n * P)
+    for k, N in conditional_mean_sweep(table, increments):
+        C = buf[: (table.n - k) * P].reshape(table.n - k, P).T
+        yield k, N, conditional_lognormal(table, params, k, N, k + 1, out=C)
+
+
 def martingale_M(paths: FbmPaths, table: KernelTable, params, r) -> np.ndarray:
-    """Conditional expectation of the exponential functional given F_r.
-
-    Closed form through the conditional lognormal means:
-        M_r = int_0^r exp(a s + sigma B_s) ds
-            + int_r^T exp(a s + sigma N_{s,r} + sigma^2 v(s,r)/2) ds
-    evaluated with the shared trapezoid rule. M_T equals the functional value
-    and M_0 the deterministic mean integral on the same grid.
-    """
+    """M_r = E[F | F_r] for the trapezoid-rule F: conditional_lognormal over the
+    whole row at node r. M_T is the functional value, M_0 = E[F]."""
     law = conditional_law(paths, table, r)
-    k = law.theta_index
-    E = np.exp(params.a * table.grid[: k + 1] + params.sigma * paths.values[:, : k + 1])
-    return martingale_value(E, law.means, k, martingale_log_weights(table, params, k),
-                            params.sigma, trapezoid_weights(table.grid))
-
-
-def martingale_log_weights(table: KernelTable, params, k):
-    """a t_i + sigma^2 v(t_i, t_k) / 2 on the grid, v the conditional variance.
-
-    For i > k this is log E[exp(a t_i + sigma B_i) | F_{t_k}] - sigma N_i.
-    """
-    return params.a * table.grid + 0.5 * params.sigma ** 2 * table.conditional_variances(k)
-
-
-def martingale_value(E, N, k, log_w, sigma, tau):
-    """M_k from the integrand E = exp(a t + sigma B) on nodes 0..k, the
-    conditional means N (P, n+1) at node k and log_w, the node-k row of
-    martingale_log_weights: the trapezoid rule over the realized past plus
-    the conditional lognormal means of the future."""
-    M = E[:, : k + 1] @ tau[: k + 1]
-    if k + 1 < len(tau):
-        M = M + np.exp(log_w[k + 1:] + sigma * N[:, k + 1:]) @ tau[k + 1:]
-    return M
+    return conditional_lognormal(table, params, law.theta_index, law.means) \
+        @ trapezoid_weights(table.grid)
 
 
 def trapezoid_weights(grid):

@@ -268,6 +268,19 @@ class TestBounds:
         assert main(["--config", str(p2), "bounds"]) in (EXIT_OK, EXIT_VIOLATION)
         assert calls == [3000]
 
+    def test_dphi_reports_its_coverage(self, tmp_path, capsys):
+        # dphi runs on the first 2000 of the 3000 nested paths
+        cfg = tmp_path / "dphi.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "nested_paths": 3000, "inner_paths": 50,
+            "suites": ["dphi"], "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "bounds"]) in (EXIT_OK, EXIT_VIOLATION)
+        payload = json.loads((tmp_path / "run" / "bounds.json").read_text())
+        reports = {r["bound_id"]: r for r in payload["reports"]}
+        for bound_id in ("dphi_upper", "dphi_integral_upper"):
+            assert reports[bound_id]["meta"]["coverage"] == pytest.approx(2.0 / 3.0)
+            assert reports[bound_id]["n_samples"] == 2000
+
     def test_cached_table_runs_without_scipy(self, small_config, tmp_path):
         # quadrature (scipy) is needed to build the kernel table, not to use it
         cfg = json.loads(small_config[0].read_text())

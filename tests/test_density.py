@@ -246,9 +246,3 @@ class TestWProfile:
         phi2 = np.concatenate([phi, [0.5]])
         out = dn.estimate_w_X(X2, phi2, params)
         assert not out["resolved"][-1]
-
-    def test_coarse_h_profile(self, joint, params):
-        X, phi = joint
-        out = dn.estimate_w_X(X, phi, params,
-                              h_integrand=np.abs(X) * 0.01)
-        assert "h_coarse" in out and out["h_flag"].startswith("low-precision")

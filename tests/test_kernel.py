@@ -37,9 +37,9 @@ def reference_build_kernel_table(H, T, n, c_H, cell_nodes=8):
     fw, fw2 = kn._first_cell_weights(H, c_H, grid[2:], grid[1])
     dw, dw2 = kn._diag_cell_weights(H, c_H, grid[2:], dt)
     fw_half, fw2_half = kn._first_cell_weights(H, c_H, grid[1:2], 0.5 * grid[1])
-    dw_half, dw2_half = kn._half_diag_weights(H, c_H, grid[1], 0.5 * grid[1])
-    row_w[1, 1] = fw_half[0] + dw_half
-    row_w2[1, 1] = fw2_half[0] + dw2_half
+    dw_half, dw2_half = kn._diag_cell_weights(H, c_H, grid[1:2], 0.5 * grid[1])
+    row_w[1, 1] = fw_half[0] + dw_half[0]
+    row_w2[1, 1] = fw2_half[0] + dw2_half[0]
     rows2 = np.arange(2, n + 1)
     row_w[rows2, 1] = fw
     row_w2[rows2, 1] = fw2
@@ -110,8 +110,6 @@ class TestCalibration:
             kn.calibrate_ch(0.5)
         with pytest.raises(ValueError):
             kn.calibrate_ch(1.0)
-        with pytest.raises(ValueError):
-            kn.calibrate_ch(0.7, quad_points=32)
 
     def test_failure_reports_residual(self, monkeypatch):
         calls = iter([(1.0, 0.0), (1.5, 0.0)])   # inconsistent passes
@@ -285,12 +283,15 @@ class TestKernelTable:
 
     def test_conditional_variances(self, table64):
         v0 = table64.conditional_variances(0)
-        assert np.allclose(v0, table64.grid ** 1.4, atol=0)
+        assert np.allclose(v0, table64.map_variances, rtol=1e-12, atol=0)
         vT = table64.conditional_variances(table64.n)
         assert np.all(vT == 0.0)
         vk = table64.conditional_variances(32)
         assert np.all(vk >= 0.0)
         assert np.all(vk[:33] == 0.0)
+        # the future cells' share: v(0) - v(k) is what the cells before t_k draw
+        past = (table64.volterra_matrix[:, :32] ** 2).sum(axis=1) * table64.dt
+        assert np.allclose(v0 - vk, past, rtol=1e-12, atol=1e-15)
 
     def test_build_deterministic(self):
         a = kn.build_kernel_table(0.7, 1.0, 16)

@@ -78,8 +78,9 @@ def reference_phi_lower_bound_terms(paths, table, params):
     V = table.volterra_matrix
     tau = pth.trapezoid_weights(table.grid)
     drift = a * table.grid
-    marg = np.power(table.grid, 2.0 * H)
-    v_ki = np.maximum(marg[None, :] - table.partial_energies.T, 0.0)
+    # discrete conditional variance v_ki[k, i] = sum_{l >= k} V[i, l]^2 dt
+    fv = np.cumsum((V ** 2 * table.dt)[:, ::-1], axis=1)[:, ::-1]
+    v_ki = np.vstack([fv.T, np.zeros(n + 1)])
     lower_ki = np.tril(np.ones((n + 1, n + 1))) > 0      # pairs k <= i as [i, k]
     upper_ki = np.triu(np.ones((n + 1, n + 1)), 1) > 0   # pairs i > k as [k, i]
     minN = np.empty(paths.n_paths)
@@ -115,7 +116,7 @@ def reference_clark_ocone_residual(paths, table, params):
     drift = a * grid
     V = table.volterra_matrix
     fv = np.cumsum((V ** 2 * table.dt)[:, ::-1], axis=1)[:, ::-1]
-    EF = ml.discrete_mean_F(table, params)
+    EF = np.sum(tau * np.exp(drift + 0.5 * sigma ** 2 * fv[:, 0]))
     tauV = tau[:, None] * V
     res = np.empty(paths.n_paths)
     for _, start, stop in rng.batch_ranges(paths.n_paths, ml.CHUNK_OUTER):
@@ -377,8 +378,9 @@ class TestPhi:
 
     def test_profile_carries_metadata(self, table64, params):
         paths = pth.sample_fbm_volterra(table64, 8, seed=15)
-        prof = ml.phi_x_batch(paths, table64, params, 100, seed=6, with_d2=True)
-        assert prof.d2X is not None
+        prof = ml.phi_x_batch(paths, table64, params, 100, seed=6)
+        m = len(prof.meta["indices"])
+        assert ml.d2x(paths, table64, params, indices=prof.meta["indices"]).shape == (8, m, m)
         assert prof.dX.shape == prof.cond_dX.shape
         assert prof.meta["n_inner"] == 100
 
@@ -431,6 +433,18 @@ class TestClarkOcone:
         se = res.std(ddof=1) / np.sqrt(len(res))
         assert abs(res.mean()) < 3.0 * se
 
+    def test_mean_is_initial_martingale_value(self, table64):
+        # on the zero path every integrand term is multiplied by dB = 0, so
+        # the residual is F - E[F]: the E[F] it subtracts must be M_0
+        zero = pth.fbm_from_bm(table64, np.zeros((1, table64.n)))
+        for a in (-1.0, 0.3):
+            for sigma in (0.3, 1.0, 2.0):
+                params = make_params(a=a, sigma=sigma)
+                F = fn.functional_F(zero, params)
+                EF = F - ml.clark_ocone_residual(zero, table64, params)
+                M0 = pth.martingale_M(zero, table64, params, 0.0)
+                assert abs(EF[0] / M0[0] - 1.0) <= 1e-15, (a, sigma)
+
     def test_variance_shrinks_with_refinement(self, table64, table128, params):
         res64 = ml.clark_ocone_residual(
             pth.sample_fbm_volterra(table64, 4_000, seed=18), table64, params)
@@ -456,6 +470,23 @@ class TestConditionalMeanSweep:
             law = pth.conditional_law(paths, table64, table64.grid[k])
             assert np.allclose(N, law.means, rtol=0, atol=1e-13)
         assert np.allclose(N, paths.values, rtol=0, atol=1e-13)
+
+    def test_sweep_martingale_matches_martingale_M(self, table64):
+        # the M_k of the lower bound (running past sum plus C . tau) is
+        # martingale_M at every node, and max M is the max over the nodes
+        paths = pth.sample_fbm_volterra(table64, 50, seed=33)
+        tau = pth.trapezoid_weights(table64.grid)
+        for a, sigma in ((-1.0, 0.3), (0.3, 1.0), (0.3, 2.0)):
+            params = make_params(a=a, sigma=sigma)
+            E = np.exp(a * table64.grid + sigma * paths.values)
+            M_all = []
+            for k, _, C in pth.conditional_lognormal_sweep(table64, params,
+                                                           paths.increments):
+                M = E[:, : k + 1] @ tau[: k + 1] + C @ tau[k + 1:]
+                M_all.append(pth.martingale_M(paths, table64, params, table64.grid[k]))
+                assert np.allclose(M, M_all[-1], rtol=1e-13, atol=0), (a, sigma, k)
+            _, terms = ml.phi_lower_bound_terms(paths, table64, params)
+            assert np.allclose(terms["maxM"], np.max(M_all, axis=0), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("H", [0.55, 0.9])
     @pytest.mark.parametrize("n", [16, 64])

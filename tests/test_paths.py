@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.stats import ks_2samp
 
 from expfbm import kernel as kn
 from expfbm import paths as pth
 from expfbm import rng
-from expfbm.functional import functional_F
+from expfbm.functional import ModelParams, functional_F
 
 
 class TestIncrements:
@@ -101,7 +102,7 @@ class TestConditionalLaw:
         paths = pth.sample_fbm_volterra(table64, 4, seed=3)
         law = pth.conditional_law(paths, table64, 0.0)
         assert np.all(law.means == 0.0)
-        assert np.allclose(law.variances, table64.grid ** 1.4)
+        assert np.allclose(law.variances, table64.map_variances, rtol=1e-12, atol=0)
 
     def test_full_information(self, table64):
         paths = pth.sample_fbm_volterra(table64, 4, seed=3)
@@ -115,7 +116,7 @@ class TestConditionalLaw:
         N = law.means[:, -1]
         se = N.std(ddof=1) / np.sqrt(len(N))
         assert abs(N.mean()) < 3.0 * se
-        assert abs(N.var(ddof=1) + law.variances[-1] - 1.0) < 5e-3
+        assert abs(N.var(ddof=1) + law.variances[-1] - table64.map_variances[-1]) < 5e-3
 
     def test_rejects_cholesky_paths(self, table64):
         chol = pth.sample_fbm_cholesky(0.7, table64.grid, 2, seed=1)
@@ -160,16 +161,39 @@ class TestMartingale:
         paths = pth.sample_fbm_volterra(table64, 2, seed=13)
         M0 = pth.martingale_M(paths, table64, params, 0.0)
         tau = pth.trapezoid_weights(table64.grid)
-        oracle = np.sum(tau * np.exp(0.5 * table64.grid ** 1.4))
+        oracle = np.sum(tau * np.exp(0.5 * table64.map_variances))
         assert np.all(np.abs(M0 - oracle) < 1e-10)
 
     def test_martingale_property(self, table64, params):
         paths = pth.sample_fbm_volterra(table64, 100_000, seed=14)
         M = pth.martingale_M(paths, table64, params, 0.5)
         tau = pth.trapezoid_weights(table64.grid)
-        M0 = np.sum(tau * np.exp(0.5 * table64.grid ** 1.4))
+        M0 = np.sum(tau * np.exp(0.5 * table64.map_variances))
         se = M.std(ddof=1) / np.sqrt(len(M))
         assert abs(M.mean() - M0) < 3.0 * se
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_one_step_martingale_exact(self, H):
+        # E[M_{k+1} | F_k] = M_k in the discrete model: M_{k+1} depends on
+        # F_k and the one increment dB_k ~ N(0, dt), which a 60-node
+        # Gauss-Hermite rule integrates to rounding (the integrand is
+        # exp of a linear function of dB_k)
+        table = kn.build_kernel_table(H, 1.0, 64)
+        x, w = hermegauss(60)
+        w = w / w.sum()
+        base = pth.sample_bm_increments(table.grid, 43, 3)
+        now = pth.fbm_from_bm(table, base)
+        for k in (0, 16, 32, 63):
+            incr = np.repeat(base, len(x), axis=0)
+            incr[:, k] = np.tile(x * np.sqrt(table.dt), len(base))
+            step = pth.fbm_from_bm(table, incr)
+            for a in (-1.0, 0.3):
+                for sigma in (0.3, 1.0, 2.0):
+                    params = ModelParams(a=a, sigma=sigma, hurst=kn.HurstParams(H, 1.0))
+                    M_next = pth.martingale_M(step, table, params, table.grid[k + 1])
+                    M_now = pth.martingale_M(now, table, params, table.grid[k])
+                    avg = M_next.reshape(len(base), len(x)) @ w
+                    assert np.allclose(avg, M_now, rtol=1e-12, atol=0), (k, a, sigma)
 
     def test_max_moment_stability(self, table128, table256, params):
         # E[max_r M_r^p] stable across grid refinement for p in {2, 4}
