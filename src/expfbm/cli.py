@@ -5,8 +5,13 @@ A run is a pure function of its configuration: the effective config (all
 defaults resolved), its hash, the seed and the code version are embedded in
 every output file, and identical configs produce byte-identical CSV/JSON.
 
-Exit codes: 0 all selected suites pass, 1 bound violation, 2 configuration
-error, 3 resource/budget exceeded.
+bounds, malliavin and density share one runner: each writes <command>.json
+(provenance, reports, summary) and a bound-<id>.csv per report, and prints
+one `reports.summarize` line per report, as report does. `--only` is a
+bounds option.
+
+Exit codes, the same for every command: 0 all selected suites pass, 1 bound
+violation, 2 configuration error, 3 resource/budget exceeded.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from . import kernel as kn
 from . import malliavin as ml
 from . import paths as pth
 from . import rng
-from .reports import BoundReport, summarize
+from .reports import BoundReport, range_report, summarize
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -246,14 +251,25 @@ def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
                    load, build, save, allow_simulate)
 
 
+def _once(ctx, key, make):
+    """ctx[key], made on first use: a command's suites share their inputs
+    through its ctx, whose "allow_simulate" says if a missing cache may be
+    rebuilt."""
+    if key not in ctx:
+        ctx[key] = make()
+    return ctx[key]
+
+
+def _batch(cfg, table, ctx):
+    return _once(ctx, "batch", lambda: _sim_batch(cfg, table, ctx["allow_simulate"]))
+
+
 def _nested_paths(cfg, table, ctx):
-    """The command's nested paths, drawn once into ctx and shared by its suites."""
-    if "paths" not in ctx:
-        ctx["paths"] = pth.sample_fbm_volterra(table, cfg.nested_paths, cfg.seed)
-    return ctx["paths"]
+    return _once(ctx, "paths",
+                 lambda: pth.sample_fbm_volterra(table, cfg.nested_paths, cfg.seed))
 
 
-def _nested_run(cfg, table, ctx, allow_simulate=True):
+def _nested_run(cfg, table, ctx):
     """Joint (X, Phi_X) samples plus derivative-bound ingredients (cached)."""
     params = cfg.model_params()
 
@@ -271,8 +287,9 @@ def _nested_run(cfg, table, ctx, allow_simulate=True):
                 "cond_se": prof.cond_se, "indices": prof.meta["indices"],
                 "lower": lower}
 
-    return _cached(_cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz",
-                   load, build, lambda out, tmp: _savez(tmp, **out), allow_simulate)
+    return _once(ctx, "nested", lambda: _cached(
+        _cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz", load, build,
+        lambda out, tmp: _savez(tmp, **out), ctx["allow_simulate"]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +333,12 @@ def kernel_checks(cfg: ExperimentConfig, table=None):
     return checks
 
 
+def _check_line(c):
+    """One kernel identity check, as kernel-verify and report print it."""
+    return (f"{'PASS' if c['pass'] else 'FAIL'} {c['id']}: "
+            f"{c['value']:.3e} (tol {c['tolerance']:.1e})")
+
+
 def cmd_kernel_verify(cfg, args):
     table = _table_for(cfg)
     if args.corrupt_ch:
@@ -330,8 +353,7 @@ def cmd_kernel_verify(cfg, args):
         print(json.dumps(payload, sort_keys=True))
     else:
         for c in checks:
-            print(f"{'PASS' if c['pass'] else 'FAIL'} {c['id']}: "
-                  f"{c['value']:.3e} (tol {c['tolerance']:.1e})")
+            print(_check_line(c))
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
@@ -382,17 +404,17 @@ def _csv_meta(cfg):
 # ---------------------------------------------------------------------------
 
 def _suite_tail(cfg, table, ctx):
-    batch = ctx["batch"]
+    batch = _batch(cfg, table, ctx)
     return [dn.verify_gaussian_tail(batch.X, batch.params)]
 
 
 def _suite_mgf(cfg, table, ctx):
-    batch = ctx["batch"]
+    batch = _batch(cfg, table, ctx)
     return [dn.verify_mgf(batch.X, batch.params)]
 
 
 def _suite_envelopes(cfg, table, ctx):
-    batch = ctx["batch"]
+    batch = _batch(cfg, table, ctx)
     dens = dn.kde_log_domain(batch.X, n_boot=cfg.kde_bootstrap, seed=cfg.seed)
     reports = dn.verify_envelopes(dens, batch.params, batch.centering,
                                   sample_mean_F=float(batch.F.mean()),
@@ -402,41 +424,20 @@ def _suite_envelopes(cfg, table, ctx):
 
 
 def _suite_derivatives(cfg, table, ctx):
-    nested = ctx["nested"]
+    nested = _nested_run(cfg, table, ctx)
     params = cfg.model_params()
     idx = nested["indices"].astype(int)
-    D = nested["dX"]
-    cond = nested["cond"]
-    cond_se = nested["cond_se"]
     bounds = ml.dx_bounds(table, params, idx)
-    tol = 1e-9 * np.maximum(bounds, 1e-300)
-    dx_viol = int(np.sum((D < -tol[None, :]) | (D > bounds[None, :] + tol[None, :])))
-    reports = [BoundReport(
-        bound_id="dx_range", description="0 <= D_theta X <= sigma K(T, theta)",
-        points=table.grid[idx], lhs=D.max(axis=0), rhs=bounds,
-        se=np.zeros(len(idx)), tolerance=tol, violations=dx_viol,
-        n_samples=D.shape[0])]
-
-    cd_tol = 1e-9 * np.maximum(bounds, 1e-300)[None, :] + 3.0 * cond_se
-    cd_viol = int(np.sum((cond < -cd_tol) | (cond > bounds[None, :] + cd_tol)))
-    reports.append(BoundReport(
-        bound_id="cond_dx_range",
-        description="0 <= E[D_theta X | F_theta] <= sigma K(T, theta)",
-        points=table.grid[idx], lhs=cond.max(axis=0), rhs=bounds,
-        se=cond_se.max(axis=0), tolerance=cd_tol.max(axis=0),
-        violations=cd_viol, n_samples=cond.shape[0]))
-
     s2T = params.sigma ** 2 * params.T ** (2 * params.H)
     phi = nested["phi"]
     phi_se = nested["phi_se"]
-    up_tol = 1e-9 * s2T + 3.0 * phi_se
-    up_viol = int(np.sum((phi > s2T + up_tol) | (phi < -up_tol)))
-    reports.append(BoundReport(
-        bound_id="phi_upper", description="0 <= Phi_X <= sigma^2 T^2H",
-        points=np.array([0.0]), lhs=np.array([float(phi.max())]),
-        rhs=np.array([s2T]), se=np.array([float(phi_se.max())]),
-        tolerance=np.array([float(up_tol.max())]), violations=up_viol,
-        n_samples=len(phi)))
+    reports = [
+        range_report("dx_range", "0 <= D_theta X <= sigma K(T, theta)",
+                     nested["dX"], bounds, points=table.grid[idx]),
+        range_report("cond_dx_range",
+                     "0 <= E[D_theta X | F_theta] <= sigma K(T, theta)",
+                     nested["cond"], bounds, nested["cond_se"], table.grid[idx]),
+        range_report("phi_upper", "0 <= Phi_X <= sigma^2 T^2H", phi, s2T, phi_se)]
 
     lower = nested["lower"]
     lo_viol = int(np.sum(phi < lower - 3.0 * phi_se - 1e-9 * s2T))
@@ -476,12 +477,9 @@ def _suite_derivatives(cfg, table, ctx):
 
 
 def _suite_w(cfg, table, ctx):
-    nested = ctx["nested"]
-    batch = ctx["batch"]
-    X = nested["lnF"] - batch.centering.value
-    res = dn.estimate_w_X(X, nested["phi"], cfg.model_params())
-    ctx["w_profile"] = res
-    return res["reports"]
+    nested = _nested_run(cfg, table, ctx)
+    X = nested["lnF"] - _batch(cfg, table, ctx).centering.value
+    return dn.estimate_w_X(X, nested["phi"], cfg.model_params())["reports"]
 
 
 def _suite_dphi(cfg, table, ctx):
@@ -531,78 +529,54 @@ BOUND_IDS = {
 }
 
 
-def _suites_for(cfg, only=None):
-    names = list(cfg.suites)
-    if only:
-        names = [s for s in names
-                 if s == only or only in BOUND_IDS.get(s, [])]
-        if not names:
-            raise ValueError(f"--only {only!r} matches no suite or bound id")
-    return names
+def _run_suites(cfg, args, command, names, only=None, finish=None):
+    """Run the named suites (with `only`, those holding that suite or bound
+    id, keeping only its reports), then finish(cfg, table, ctx), which writes
+    the command's own files and returns its extra JSON fields. Write
+    <command>.json and bound-<id>.csv per report, print, return the exit code.
+    A ValueError is a configuration error."""
+    table = _table_for(cfg)
+    ctx = {"allow_simulate": not args.no_simulate}
+    try:
+        if only:
+            names = [s for s in names if s == only or only in BOUND_IDS[s]]
+            if not names:
+                raise ValueError(f"--only {only!r} matches no suite or bound id")
+        reports = [r for name in names for r in SUITES[name](cfg, table, ctx)
+                   if only in (None, name, r.bound_id)]
+        extra = finish(cfg, table, ctx) if finish else {}
+    except ValueError as exc:
+        print(f"configuration error in {command}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
-
-def _print_reports(args, payload, reports):
-    """Print payload (--json) or one summary line per report; return the exit code."""
+    out_dir = Path(cfg.out_dir)
+    payload = dict(_provenance(cfg), **extra,
+                   reports=[r.to_dict() for r in reports],
+                   summary={r.bound_id: r.description for r in reports})
+    _write_json(out_dir / f"{command}.json", payload)
+    for r in reports:
+        r.write_csv(out_dir / f"bound-{r.bound_id}.csv")
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in summarize(reports):
+        for line in summarize(payload["reports"]):
             print(line)
     return EXIT_VIOLATION if any(not r.passed for r in reports) else EXIT_OK
 
 
 def cmd_bounds(cfg, args):
-    table = _table_for(cfg)
-    try:
-        names = _suites_for(cfg, args.only)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    ctx = {}
-    allow = not args.no_simulate
-    if any(s in ("tail", "mgf", "envelopes", "w") for s in names):
-        ctx["batch"] = _sim_batch(cfg, table, allow_simulate=allow)
-    if any(s in ("derivatives", "w") for s in names):
-        ctx["nested"] = _nested_run(cfg, table, ctx, allow_simulate=allow)
-
-    reports = []
-    for name in names:
-        try:
-            suite_reports = SUITES[name](cfg, table, ctx)
-        except ValueError as exc:
-            print(f"configuration error in suite {name}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        if args.only and args.only not in (name,):
-            suite_reports = [r for r in suite_reports if r.bound_id == args.only]
-        reports.extend(suite_reports)
-
-    out_dir = Path(cfg.out_dir)
-    payload = dict(_provenance(cfg),
-                   reports=[r.to_dict() for r in reports],
-                   summary={r.bound_id: r.description for r in reports})
-    _write_json(out_dir / "bounds.json", payload)
-    for r in reports:
-        r.write_csv(out_dir / f"bound-{r.bound_id}.csv")
-
-    return _print_reports(args, payload, reports)
+    return _run_suites(cfg, args, "bounds", cfg.suites, only=args.only)
 
 
-def cmd_malliavin(cfg, args):
-    table = _table_for(cfg)
-    ctx = {}
-    ctx["nested"] = _nested_run(cfg, table, ctx, allow_simulate=not args.no_simulate)
-    reports = _suite_derivatives(cfg, table, ctx)
-    out_dir = Path(cfg.out_dir)
-    payload = dict(_provenance(cfg), reports=[r.to_dict() for r in reports])
-    _write_json(out_dir / "malliavin.json", payload)
-    nested = ctx["nested"]
+def _malliavin_profile(cfg, table, ctx):
+    """malliavin-profile.csv: per-theta means of D_theta X and its conditional."""
+    nested = _nested_run(cfg, table, ctx)
     idx = nested["indices"].astype(int)
-    with open(out_dir / "malliavin-profile.csv", "w", newline="") as fh:
+    bounds = ml.dx_bounds(table, cfg.model_params(), idx)
+    with open(Path(cfg.out_dir) / "malliavin-profile.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "mean_dX", "bound_sigma_K", "margin",
                          "mean_cond_dX", "mean_inner_se"])
-        bounds = ml.dx_bounds(table, cfg.model_params(), idx)
         for c, k in enumerate(idx):
             mean_dx = float(nested["dX"][:, c].mean())
             writer.writerow([repr(float(table.grid[k])),
@@ -611,56 +585,51 @@ def cmd_malliavin(cfg, args):
                              repr(mean_dx - float(bounds[c])),
                              repr(float(nested["cond"][:, c].mean())),
                              repr(float(nested["cond_se"][:, c].mean()))])
-    return _print_reports(args, payload, reports)
+    return {}
 
 
-def cmd_density(cfg, args):
-    table = _table_for(cfg)
-    ctx = {"batch": _sim_batch(cfg, table, allow_simulate=not args.no_simulate)}
-    reports = [r for name in ("envelopes", "tail", "mgf")
-               for r in SUITES[name](cfg, table, ctx)]
+def cmd_malliavin(cfg, args):
+    return _run_suites(cfg, args, "malliavin", ["derivatives"],
+                       finish=_malliavin_profile)
+
+
+def _density_fields(cfg, table, ctx):
+    """density.csv, and the KDE of rho_X and its image rho_F for the JSON."""
     dens = ctx["density"]
-    out_dir = Path(cfg.out_dir)
-    densF = dn.induced_density_F(dens, ctx["batch"].centering)
-    payload = dict(_provenance(cfg),
-                   density=dens.to_dict(),
-                   density_F=densF.to_dict(),
-                   reports=[r.to_dict() for r in reports])
-    _write_json(out_dir / "density.json", payload)
-    with open(out_dir / "density.csv", "w", newline="") as fh:
+    densF = dn.induced_density_F(dens, _batch(cfg, table, ctx).centering)
+    with open(Path(cfg.out_dir) / "density.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "density", "se", "x_F", "density_F"])
         for i in range(len(dens.x)):
             writer.writerow([repr(float(dens.x[i])), repr(float(dens.density[i])),
                              repr(float(dens.se[i])), repr(float(densF.x[i])),
                              repr(float(densF.density[i]))])
-    for r in reports:
-        r.write_csv(out_dir / f"bound-{r.bound_id}.csv")
-    return _print_reports(args, {"reports": [r.to_dict() for r in reports]}, reports)
+    return {"density": dens.to_dict(), "density_F": densF.to_dict()}
+
+
+def cmd_density(cfg, args):
+    return _run_suites(cfg, args, "density", ["envelopes", "tail", "mgf"],
+                       finish=_density_fields)
 
 
 def cmd_report(cfg, args):
     out_dir = Path(cfg.out_dir)
-    found = False
     lines = []
     for name in ("kernel-verify.json", "bounds.json", "malliavin.json",
                  "density.json"):
         path = out_dir / name
         if not path.exists():
             continue
-        found = True
-        with open(path) as fh:
-            payload = json.load(fh)
-        lines.append(f"== {name} (config {payload.get('config_hash')}) ==")
-        for c in payload.get("checks", []):
-            lines.append(f"  {'PASS' if c['pass'] else 'FAIL'} {c['id']}: "
-                         f"{c['value']:.3e} <= {c['tolerance']:.1e}")
-        for r in payload.get("reports", []):
-            status = "PASS" if r["passed"] else "FAIL"
-            lines.append(f"  {status} {r['bound_id']} "
-                         f"(violations={r['violations']}, n={r['n_samples']}): "
-                         f"{r['description']}")
-    if not found:
+        try:
+            payload = json.loads(path.read_text())
+            lines.append(f"== {name} (config {payload.get('config_hash')}) ==")
+            lines += [_check_line(c) for c in payload.get("checks", [])]
+            lines += summarize(payload.get("reports", []))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            print(f"error: {path} is unreadable ({type(exc).__name__}: {exc})",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+    if not lines:
         print(f"error: no reports found under {out_dir}", file=sys.stderr)
         return EXIT_CONFIG
     text = "\n".join(lines)
@@ -690,11 +659,11 @@ def _build_parser():
         help="multiply c_H by this factor (fault-injection testing)")
     sub.add_parser("simulate")
     for name in ("bounds", "malliavin", "density"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--only", type=str, default=None,
-                        help="run a single suite or bound id")
-        sp.add_argument("--no-simulate", action="store_true",
-                        help="fail instead of regenerating missing caches")
+        sub.add_parser(name).add_argument(
+            "--no-simulate", action="store_true",
+            help="fail instead of regenerating missing caches")
+    sub.choices["bounds"].add_argument("--only", type=str, default=None,
+                                       help="run a single suite or bound id")
     sub.add_parser("report")
     return p
 

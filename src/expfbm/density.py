@@ -186,7 +186,8 @@ def verify_gaussian_tail(X, params: ModelParams,
     if not np.isfinite(X).all():
         # nan <= x is False, so the count alone would pass; a nan lhs is a violation
         emp[:] = np.nan
-    bound = np.exp(-pts ** 2 / (2.0 * s2))
+    with np.errstate(divide="ignore"):        # sigma = 0: exp(-inf) = 0
+        bound = np.exp(-pts ** 2 / (2.0 * s2))
     se = np.sqrt(np.maximum(emp * (1.0 - emp), 1.0 / n) / n)
     tol = 3.0 * se
     viol = int(np.sum(emp > bound + tol))

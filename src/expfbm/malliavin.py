@@ -48,7 +48,7 @@ from .functional import LogFunctional
 from .kernel import KernelTable
 from .paths import (FbmPaths, conditional_law, conditional_lognormal,
                     conditional_lognormal_sweep, inner_fluctuations, trapezoid_weights)
-from .reports import BoundReport
+from .reports import range_report
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
                            # determinism contract, stream keys include the block)
@@ -443,43 +443,19 @@ def dphi_bound_check(paths: FbmPaths, table: KernelTable, params, n_inner,
     se_b = np.sqrt(np.einsum("t,pt,pst->ps", omega ** 2, D ** 2, cond2_se ** 2))
     dphi_se = se_a + se_b
 
-    T2H = params.T ** (2.0 * params.H)
-    bound_s = 4.0 * sigma ** 3 * Kcols[-1] * T2H
-    tol = 1e-9 * bound_s[None, :] + 3.0 * dphi_se
-    upper_viol = int(np.sum(dphi > bound_s[None, :] + tol))
-    lower_viol = int(np.sum(dphi < -tol))
-
+    bound_s = 4.0 * sigma ** 3 * Kcols[-1] * params.T ** (2.0 * params.H)
     integral = np.einsum("s,ps,ps->p", omega, dphi, cond)
     int_se = np.einsum("s,ps,ps->p", omega, np.abs(dphi_se), np.abs(cond)) \
         + np.einsum("s,ps,ps->p", omega, np.abs(dphi), cond_se)
-    int_bound = 4.0 * sigma ** 4 * params.T ** (4.0 * params.H)
-    int_tol = 1e-9 * int_bound + 3.0 * int_se
-    int_viol = int(np.sum((integral > int_bound + int_tol) | (integral < -int_tol)))
-
-    report_s = BoundReport(
-        bound_id="dphi_upper",
-        description="0 <= D_s Phi_X <= 4 sigma^3 K(T,s) T^(2H)",
-        points=table.grid[idx],
-        lhs=dphi.max(axis=0),
-        rhs=bound_s,
-        se=dphi_se.max(axis=0),
-        tolerance=tol.max(axis=0),
-        violations=upper_viol + lower_viol,
-        n_samples=P,
-        meta={"coverage": coverage, "n_inner": n_inner, "stride": stride},
-    )
-    report_i = BoundReport(
-        bound_id="dphi_integral_upper",
-        description="0 <= int D_s Phi_X E[D_s X|F_s] ds <= 4 sigma^4 T^(4H)",
-        points=np.array([0.0]),
-        lhs=np.array([float(integral.max())]),
-        rhs=np.array([int_bound]),
-        se=np.array([float(int_se.max())]),
-        tolerance=np.array([float(int_tol.max())]),
-        violations=int_viol,
-        n_samples=P,
-        meta={"coverage": coverage},
-    )
+    report_s = range_report(
+        "dphi_upper", "0 <= D_s Phi_X <= 4 sigma^3 K(T,s) T^(2H)", dphi, bound_s,
+        dphi_se, points=table.grid[idx],
+        meta={"coverage": coverage, "n_inner": n_inner, "stride": stride})
+    report_i = range_report(
+        "dphi_integral_upper",
+        "0 <= int D_s Phi_X E[D_s X|F_s] ds <= 4 sigma^4 T^(4H)", integral,
+        4.0 * sigma ** 4 * params.T ** (4.0 * params.H), int_se,
+        meta={"coverage": coverage})
     return {"dphi": dphi, "dphi_se": dphi_se, "integral": integral,
             "cond": cond, "cond_se": cond_se, "cond2": cond2, "cond2_se": cond2_se,
             "reports": [report_s, report_i], "indices": idx}

@@ -96,12 +96,35 @@ class BoundReport:
                 ])
 
 
+def range_report(bound_id, description, values, bound, se=None, points=(0.0,),
+                 meta=None) -> BoundReport:
+    """0 <= v <= bound for every sample v, within 1e-9 bound + 3 SE.
+
+    values and se (0 if omitted) hold one row per path: a vector against a
+    scalar bound at one point, or a matrix against one bound per column at
+    points. The report keeps each column's largest value, SE and tolerance.
+    """
+    values = np.asarray(values)
+    se = np.zeros(values.shape) if se is None else np.asarray(se)
+    tol = 1e-9 * bound + 3.0 * se
+    violations = int(np.sum((values < -tol) | (values > bound + tol)))
+    lhs, se_max, tol_max = (np.atleast_1d(a.max(axis=0)) for a in (values, se, tol))
+    return BoundReport(
+        bound_id=bound_id, description=description,
+        points=np.asarray(points, dtype=float), lhs=lhs,
+        rhs=np.atleast_1d(np.asarray(bound, dtype=float)), se=se_max,
+        tolerance=tol_max, violations=violations, n_samples=len(values),
+        meta=meta or {})
+
+
 def summarize(reports):
-    """One line per report: id, pass/fail, violations, worst margin."""
+    """One line per report, given as a BoundReport.to_dict(): id, pass/fail,
+    violations, worst margin."""
     lines = []
     for r in reports:
-        margin = float(np.max(r.margins)) if np.size(r.margins) else 0.0
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status} {r.bound_id}: violations={r.violations} "
-                     f"worst_margin={margin:.3e} n={r.n_samples} :: {r.description}")
+        margin = float(np.max(r["margins"])) if np.size(r["margins"]) else 0.0
+        status = "PASS" if r["passed"] else "FAIL"
+        lines.append(f"{status} {r['bound_id']}: violations={r['violations']} "
+                     f"worst_margin={margin:.3e} n={r['n_samples']} :: "
+                     f"{r['description']}")
     return lines

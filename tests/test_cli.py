@@ -25,6 +25,15 @@ def small_config(tmp_path_factory):
     return path, out
 
 
+def sigma_zero_config(tmp_path, **fields):
+    """A config file for sigma = 0, where X is deterministic."""
+    path = tmp_path / "sigma0.json"
+    path.write_text(json.dumps(dict(
+        sigma_vol=0.0, grid_n=16, outer_paths=20_000, centering_paths=0,
+        out_dir=str(tmp_path / "run"), **fields)))
+    return path
+
+
 class TestConfig:
     def test_round_trip_and_hash(self, small_config):
         path, _ = small_config
@@ -254,6 +263,14 @@ class TestBounds:
         assert not reports["mgf_domination"]["passed"]
         assert reports["mgf_domination"]["meta"]["non_finite"] > 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sigma_zero_tail_without_warnings(self, tmp_path, capsys):
+        # X is deterministic at sigma = 0: the tail bound is its limit exp(-inf) = 0
+        cfg = sigma_zero_config(tmp_path, suites=["tail", "mgf"])
+        assert main(["--config", str(cfg), "bounds"]) == EXIT_OK
+        payload = json.loads((tmp_path / "run" / "bounds.json").read_text())
+        assert payload["reports"][0]["rhs"] == [0.0] * 4
+
     def test_nested_paths_drawn_once(self, small_config, tmp_path, capsys, monkeypatch):
         path, _ = small_config
         cfg = json.loads(path.read_text())
@@ -344,10 +361,57 @@ class TestMalliavinAndDensity:
         assert "kernel-verify.json" in text
         assert (out / "run" / "report.txt").exists()
 
+    def test_report_prints_bounds_lines_and_rejects_unreadable_json(self, tmp_path,
+                                                                     capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_n": 16, "outer_paths": 2000,
+                                   "centering_paths": 1000, "suites": ["tail", "mgf"],
+                                   "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "bounds"]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert main(["--config", str(cfg), "report"]) == EXIT_OK
+        assert set(printed) <= set(capsys.readouterr().out.splitlines())
+        bounds_json = tmp_path / "run" / "bounds.json"
+        bounds_json.write_bytes(bounds_json.read_bytes()[:500])
+        assert main(["--config", str(cfg), "report"]) == EXIT_CONFIG
+        assert str(bounds_json) in capsys.readouterr().err
+
     def test_report_empty_dir_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out_dir": str(tmp_path / "nothing")}))
         assert main(["--config", str(cfg), "report"]) == EXIT_CONFIG
+
+
+class TestReportCommands:
+    """bounds, malliavin and density share one runner, so one contract."""
+
+    def test_degenerate_density_is_config_error(self, tmp_path, capsys):
+        cfg = sigma_zero_config(tmp_path)
+        assert main(["--config", str(cfg), "density"]) == EXIT_CONFIG
+        assert "point-mass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, only", [("density", "tail"),
+                                               ("malliavin", "phi_upper")])
+    def test_only_is_a_bounds_option(self, tmp_path, capsys, command, only):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), command, "--only", only])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--only" in capsys.readouterr().err
+
+    def test_density_json_carries_provenance(self, small_config, capsys):
+        path, _ = small_config
+        assert main(["--config", str(path), "--json", "density"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config_hash"] == ExperimentConfig.from_file(path).hash()
+        assert set(payload["summary"]) == {r["bound_id"] for r in payload["reports"]}
+
+    def test_malliavin_writes_bound_csvs(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_n": 16, "nested_paths": 300,
+                                   "inner_paths": 50, "out_dir": str(tmp_path)}))
+        assert main(["--config", str(cfg), "malliavin"]) in (EXIT_OK, EXIT_VIOLATION)
+        written = sorted(p.name for p in tmp_path.glob("bound-*.csv"))
+        assert written == sorted(f"bound-{b}.csv" for b in cli.BOUND_IDS["derivatives"])
 
 
 class TestOverrides:

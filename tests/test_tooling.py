@@ -1,23 +1,29 @@
-"""The benchmark's tracer wraps package functions by name: keep them there."""
+"""The benchmark's tracer wraps package functions by name, and its checks
+expect each command's bound ids: keep them there."""
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
+import expfbm.cli as cli
 from expfbm.density import SampleBatch
 from expfbm.malliavin import MalliavinProfile
 
-TRACE_CLI = Path(__file__).parents[1] / "perfbench" / "trace_cli.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def load_trace_cli():
-    spec = importlib.util.spec_from_file_location("trace_cli", TRACE_CLI)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module          # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    trace_cli = load_trace_cli()
+    trace_cli = load_perfbench("trace_cli")
     traced = set()
     for module_name, names in trace_cli.TRACED.items():
         module = importlib.import_module(f"expfbm.{module_name}")
@@ -34,3 +40,26 @@ def test_rate_attributes_exist():
     # RATES counts the work of a call by these attributes of its result
     assert isinstance(SampleBatch.F, property)
     assert "phi" in MalliavinProfile.__dataclass_fields__
+
+
+def test_bound_ids_match_benchmark(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))    # run.py prepends its dir
+    run = load_perfbench("run")
+    fields = {"grid_n": 16, "outer_paths": 10_000, "centering_paths": 1000,
+              "nested_paths": 10_000, "inner_paths": 50, "kde_bootstrap": 20,
+              "seed": 5, "out_dir": str(tmp_path)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        dict(fields, suites=run.WORKLOADS["bounds-n64"].config["suites"])))
+    for command in ("bounds", "malliavin", "density"):
+        assert cli.main(["--config", str(cfg_path), command]) in (0, 1)
+        payload = json.loads((tmp_path / f"{command}.json").read_text())
+        assert [r["bound_id"] for r in payload["reports"]] == run.BOUND_IDS[command]
+
+    # --only matches on cli.BOUND_IDS: each suite must return exactly its ids
+    cfg = cli.ExperimentConfig(**fields)
+    table = cli._table_for(cfg)
+    ctx = {"allow_simulate": False}          # reads the caches written above
+    assert set(cli.BOUND_IDS) == set(cli.SUITES)
+    for name, suite in cli.SUITES.items():
+        assert [r.bound_id for r in suite(cfg, table, ctx)] == cli.BOUND_IDS[name]
