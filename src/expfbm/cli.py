@@ -57,7 +57,8 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 #    form; ln F is a max-shifted log-sum (all differ in the last bits).
 # 5: the nested cache's Phi_X lower bound uses the discrete model's
 #    conditional variance (moves by ~1e-3 relative).
-CACHE_SCHEMA = 5
+# 6: the nested cache holds the d2x_range summary.
+CACHE_SCHEMA = 6
 
 
 @dataclass
@@ -282,10 +283,13 @@ def _nested_run(cfg, table, ctx):
         prof = ml.phi_x_batch(paths, table, params, cfg.inner_paths, cfg.seed,
                               stride=cfg.subgrid_stride)
         lower, _ = ml.phi_lower_bound_terms(paths, table, params)
+        d2x_max, d2x_min, d2x_violations = _d2x_summary(
+            paths, table, params, np.asarray(prof.meta["indices"]))
         return {"lnF": fn.LogFunctional(paths, params).lnF, "phi": prof.phi,
                 "phi_se": prof.phi_se, "dX": prof.dX, "cond": prof.cond_dX,
                 "cond_se": prof.cond_se, "indices": prof.meta["indices"],
-                "lower": lower}
+                "lower": lower, "d2x_max": d2x_max, "d2x_min": d2x_min,
+                "d2x_violations": d2x_violations}
 
     return _once(ctx, "nested", lambda: _cached(
         _cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz", load, build,
@@ -450,30 +454,42 @@ def _suite_derivatives(cfg, table, ctx):
         tolerance=np.array([float((3.0 * phi_se).max())]), violations=lo_viol,
         n_samples=len(phi)))
 
-    # second derivative: recompute in path chunks (the cache stores no d2X)
-    d2_bounds = ml.d2x_bounds(table, params, idx)
-    d2_tol = 1e-9 * np.maximum(d2_bounds, 1e-300)
+    d2_bounds, d2_tol = _d2x_limits(table, params, idx)
+    reports.append(BoundReport(
+        bound_id="d2x_range",
+        description="0 <= D_r D_theta X <= 2 sigma^2 K(T,theta) K(T,r)",
+        points=np.array([0.0]), lhs=np.array([float(nested["d2x_max"])]),
+        rhs=np.array([float(d2_bounds.max())]), se=np.array([0.0]),
+        tolerance=np.array([float(d2_tol.max())]),
+        violations=int(nested["d2x_violations"]), n_samples=cfg.nested_paths,
+        meta={"min_entry": float(nested["d2x_min"])}))
+    return reports
+
+
+def _d2x_limits(table, params, idx):
+    """The d2x_range bound 2 sigma^2 K(T, theta) K(T, r) at the nodes idx,
+    and its tolerance."""
+    bounds = ml.d2x_bounds(table, params, idx)
+    return bounds, 1e-9 * np.maximum(bounds, 1e-300)
+
+
+def _d2x_summary(paths, table, params, idx):
+    """(max, min, violations) of D_r D_theta X at the nodes idx over the
+    paths, computed in path chunks, for the nested cache (which keeps no D^2 X)."""
+    d2_bounds, d2_tol = _d2x_limits(table, params, idx)
     d2_viol = 0
     d2_max = -np.inf
     d2_min = np.inf
     chunk = max(64, 2 ** 22 // max(1, len(idx) ** 2))
-    paths = _nested_paths(cfg, table, ctx)
-    for start in range(0, cfg.nested_paths, chunk):
-        sub = paths.subset(slice(start, min(start + chunk, cfg.nested_paths)))
+    for start in range(0, paths.n_paths, chunk):
+        sub = paths.subset(slice(start, min(start + chunk, paths.n_paths)))
         d2 = ml.d2x(sub, table, params, indices=idx)
         scale = max(np.abs(d2).max(), 1e-300)
         d2_viol += int(np.sum(d2 > d2_bounds[None] + d2_tol[None])
                        + np.sum(d2 < -1e-12 * scale))
         d2_max = max(d2_max, float(d2.max()))
         d2_min = min(d2_min, float(d2.min()))
-    reports.append(BoundReport(
-        bound_id="d2x_range",
-        description="0 <= D_r D_theta X <= 2 sigma^2 K(T,theta) K(T,r)",
-        points=np.array([0.0]), lhs=np.array([d2_max]),
-        rhs=np.array([float(d2_bounds.max())]), se=np.array([0.0]),
-        tolerance=np.array([float(d2_tol.max())]), violations=d2_viol,
-        n_samples=cfg.nested_paths, meta={"min_entry": d2_min}))
-    return reports
+    return d2_max, d2_min, d2_viol
 
 
 def _suite_w(cfg, table, ctx):

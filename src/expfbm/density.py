@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .functional import CenteringEstimate, LogFunctional, ModelParams
+from .functional import CenteringEstimate, ModelParams, sample_lnF
 from .kernel import KernelTable
-from .paths import fbm_batches
 from .reports import BoundReport
 
 MIN_TAIL_COUNT = 50        # local samples below this: inconclusive, not failed
@@ -80,13 +79,12 @@ def sample_X_batch(params: ModelParams, table: KernelTable, n_paths, seed,
     """Draw n_paths values of (ln F, X) through the Volterra map.
 
     The centering constant must be frozen beforehand; every X in the batch
-    uses the same constant. One batch of paths is held at a time, and the
+    uses the same constant. ln F comes from functional.sample_lnF: worker
+    threads hold one batch of increments each and no path array, and the
     ln F of path p is bit-identical to LogFunctional on
     sample_fbm_volterra(table, P, seed) for any P > p.
     """
-    lnF = np.empty(n_paths)
-    for start, stop, paths in fbm_batches(table, n_paths, seed):
-        lnF[start:stop] = LogFunctional(paths, params).lnF
+    lnF = sample_lnF(params, table, n_paths, seed)
     X = lnF - centering.value
     F = np.exp(lnF)
     return SampleBatch(lnF=lnF, X=X, params=params, centering=centering,

@@ -12,10 +12,16 @@ derivatives of X = ln F - E[ln F] are moments under w: D_theta X = sigma
 sum_i w_i K(t_i, theta), and D_r D_theta X is sigma^2 times the covariance
 of K(., theta) and K(., r) under w (see malliavin). Both stay finite at any
 sigma >= 0, where F itself may overflow.
+
+sample_lnF is the ln F of a whole sample (the outer batch and the centering
+paths): rng batches on a few worker threads, each streamed from its
+increments through the Volterra map to ln F block by block, with the bits of
+LogFunctional on the whole path array and no such array formed.
 """
 from __future__ import annotations
 
-import csv
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +29,13 @@ import numpy as np
 
 from . import rng
 from .kernel import HurstParams, covariance
-from .paths import FbmPaths, fbm_batches, trapezoid_weights
+from .paths import (MAP_BLOCK, FbmPaths, draw_increments, map_block,
+                    trapezoid_weights)
+
+# Threads of sample_lnF. Each holds one (rng.BATCH, n) increment buffer, so
+# three keep the draw within the three batch-sized arrays (increments,
+# values, exponentials) that one batch mapped whole would hold.
+MAX_WORKERS = 3
 
 
 @dataclass(frozen=True)
@@ -146,24 +158,75 @@ def deterministic_lnF(params: ModelParams) -> float:
     return float(np.log(np.expm1(a * T) / a))      # exp(aT) - 1 is 0 for tiny a
 
 
+def _workers(n_batches):
+    """Threads for a draw of n_batches batches: one per usable CPU, at most
+    one per batch and MAX_WORKERS, at least one."""
+    return max(1, min(len(os.sched_getaffinity(0)), n_batches, MAX_WORKERS))
+
+
+def sample_lnF(params: ModelParams, table, n_paths, seed, purpose=rng.OUTER):
+    """ln F of every path: LogFunctional(sample_fbm_volterra(table, n_paths,
+    seed, purpose), params).lnF, bit for bit, without the path array.
+
+    Each batch of rng.batch_ranges has its own Philox substream, so the
+    batches are independent: worker threads take them in any order and the
+    bits do not depend on which thread draws which. A worker draws a batch
+    into its one reused (rng.BATCH, n) buffer, maps it in the MAP_BLOCK-row
+    blocks of fbm_from_bm and reduces each block to ln F at once. numpy
+    releases the GIL in the draw, the GEMM and exp, so the threads overlap.
+    """
+    n = table.n
+    Vt = table.volterra_matrix.T
+    lnF = np.empty(n_paths)
+    batches = list(rng.batch_ranges(n_paths))
+    todo = iter(batches)
+    lock = threading.Lock()
+
+    def work():
+        incr = np.empty((rng.BATCH, n))
+        block = np.empty((MAP_BLOCK, n))
+        out = np.empty((MAP_BLOCK, n + 1))
+        while True:
+            with lock:                  # two threads must not take one batch
+                b, start, stop = next(todo, (None, 0, 0))
+            if b is None:
+                return
+            batch = draw_increments(table.grid, seed, purpose, b,
+                                    incr[:stop - start])
+            for lo in range(0, stop - start, MAP_BLOCK):
+                values = map_block(Vt, batch, lo, block, out)
+                paths = FbmPaths(table.grid, values, None, seed, "volterra")
+                lnF[start + lo:start + lo + len(values)] = \
+                    LogFunctional(paths, params).lnF
+
+    # imported here: commands that draw no sample skip its import (~6 ms)
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = _workers(len(batches))
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(work) for _ in range(workers)]:
+            future.result()
+    return lnF
+
+
 def estimate_mean_lnF(params: ModelParams, table, n_paths, seed) -> CenteringEstimate:
     """Frozen centering constant for X = ln F - E[ln F].
 
     One estimate per experiment; downstream consumers reuse it instead of
     re-centering per batch, which would correlate the centering noise with
-    the quantities being tested.
+    the quantities being tested. The sums run per batch, in batch order.
     """
     if params.sigma == 0.0:
         return CenteringEstimate(value=deterministic_lnF(params), se=0.0,
                                  n_paths=0, seed=seed)
     if n_paths < 1000:
         raise ValueError("centering estimate needs at least 1000 paths")
+    lnF = sample_lnF(params, table, n_paths, seed, rng.CENTERING)
     total = 0.0
     total_sq = 0.0
-    for _, _, batch in fbm_batches(table, n_paths, seed, rng.CENTERING):
-        lnF = LogFunctional(batch, params).lnF
-        total += lnF.sum()
-        total_sq += (lnF ** 2).sum()
+    for _, start, stop in rng.batch_ranges(n_paths):
+        total += lnF[start:stop].sum()
+        total_sq += (lnF[start:stop] ** 2).sum()
     mean = total / n_paths
     var = max(total_sq / n_paths - mean ** 2, 0.0)
     return CenteringEstimate(value=float(mean), se=float(np.sqrt(var / n_paths)),
@@ -201,11 +264,13 @@ def write_samples_csv(path, F, lnF, X, params: ModelParams,
         "centering_mean_lnF": centering.value, "centering_se": centering.se,
         "centering_paths": centering.n_paths,
     })
+    columns = [np.asarray(v, dtype=float) for v in (F, lnF, X)]
     with open(path, "w", newline="") as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "F", "lnF", "X"])
-        for p in range(len(F)):
-            writer.writerow([p, repr(float(F[p])), repr(float(lnF[p])),
-                             repr(float(X[p]))])
+        # csv.writer's rows: no field here needs quoting, and lines end \r\n
+        fh.write("path_id,F,lnF,X\r\n")
+        for start in range(0, len(columns[0]), rng.BATCH):
+            rows = zip(range(start, start + rng.BATCH),
+                       *(c[start:start + rng.BATCH].tolist() for c in columns))
+            fh.write("".join(f"{p},{f!r},{lf!r},{x!r}\r\n" for p, f, lf, x in rows))

@@ -4,7 +4,12 @@ Two generators:
 
   * Volterra map (default): draws Brownian increments and applies the
     cell-integrated kernel weights. Keeps the increments, so conditional
-    means, nested resampling and Clark-Ocone sums are available.
+    means, nested resampling and Clark-Ocone sums are available. The
+    increments of a batch are drawn in one place (draw_increments, one Philox
+    substream per batch) and mapped in one place (map_block, fixed-size
+    zero-padded GEMMs), so a path's values do not depend on the path count,
+    on the batch it is drawn in or on the thread that draws it
+    (functional.sample_lnF streams batches through both on worker threads).
   * Cholesky factorization of the exact covariance: unbiased joint law at the
     grid nodes, used as the referee for the Volterra map's discretization bias.
     No driving increments, so conditional operations reject these paths.
@@ -79,49 +84,62 @@ class ConditionalLaw:
     variances: np.ndarray
 
 
-def _increment_batches(grid, n_paths, seed, purpose):
-    """Yield (start, stop, increments) for each batch of rng.batch_ranges.
+def draw_increments(grid, seed, purpose, b, out):
+    """Fill out (rows, n) with the i.i.d. N(0, dt) increments of batch b and
+    return it: the one draw of outer and centering increments.
 
-    The one draw of outer and centering increments: i.i.d. N(0, dt), batch b
-    from its own Philox substream rng.stream(seed, purpose, b), so the
-    increments of global path p never depend on n_paths.
+    Batch b of rng.batch_ranges comes from its own Philox substream
+    rng.stream(seed, purpose, b), so the increments of global path p never
+    depend on the path count, and batches can be drawn in any order.
     """
-    n = len(grid) - 1
-    sq_dt = np.sqrt(grid[1] - grid[0])
-    for b, start, stop in rng.batch_ranges(n_paths):
-        gen = rng.stream(seed, purpose, b)
-        yield start, stop, gen.standard_normal((stop - start, n)) * sq_dt
+    rng.stream(seed, purpose, b).standard_normal(out=out)
+    out *= np.sqrt(grid[1] - grid[0])
+    return out
 
 
 def sample_bm_increments(grid, seed, n_paths, purpose=rng.OUTER):
     """i.i.d. N(0, dt) increments, (n_paths, n). Deterministic in (seed, purpose)."""
     out = np.empty((n_paths, len(grid) - 1))
-    for start, stop, incr in _increment_batches(grid, n_paths, seed, purpose):
-        out[start:stop] = incr
+    for b, start, stop in rng.batch_ranges(n_paths):
+        draw_increments(grid, seed, purpose, b, out[start:stop])
     return out
+
+
+def map_block(Vt, increments, start, block, out):
+    """The Volterra map (Vt = table.volterra_matrix.T) of rows
+    start..start+MAP_BLOCK of increments.
+
+    The rows are copied into block (MAP_BLOCK, n), zero-padded past the last
+    row, and mapped by one GEMM into out (MAP_BLOCK, n+1); returns the view of
+    out holding the mapped rows. A GEMM may round by its row count, so every
+    map runs in these blocks: the values of path p then do not depend on how
+    many paths are mapped with it.
+    """
+    rows = min(MAP_BLOCK, len(increments) - start)
+    block[:rows] = increments[start:start + rows]
+    block[rows:] = 0.0
+    np.matmul(block, Vt, out=out)
+    return out[:rows]
 
 
 def fbm_from_bm(table: KernelTable, increments, seed=None):
     """Apply the discrete Volterra map to driving increments.
 
     values[:, i] = sum_{j<=i} w_ij * dB_j / dt with w_ij the cell integrals of
-    K(t_i, .), i.e. the increments enter as densities over their cells.
-    The map runs in blocks of MAP_BLOCK rows, the last one zero-padded: a
-    GEMM may round by its row count, and this way the values of path p do not
-    depend on how many paths are mapped with it.
+    K(t_i, .), i.e. the increments enter as densities over their cells,
+    mapped in blocks by map_block.
     """
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
     n_paths, n = increments.shape
     if n != table.n:
         raise ValueError(f"increments have {n} cells, grid has {table.n}")
-    V = table.volterra_matrix.T
+    Vt = table.volterra_matrix.T
     values = np.empty((n_paths, n + 1))
-    block = np.zeros((MAP_BLOCK, n))
+    block = np.empty((MAP_BLOCK, n))
+    out = np.empty((MAP_BLOCK, n + 1))
     for start in range(0, n_paths, MAP_BLOCK):
-        rows = min(MAP_BLOCK, n_paths - start)
-        block[:rows] = increments[start:start + rows]
-        block[rows:] = 0.0
-        values[start:start + rows] = (block @ V)[:rows]
+        mapped = map_block(Vt, increments, start, block, out)
+        values[start:start + len(mapped)] = mapped
     return FbmPaths(grid=table.grid, values=values, increments=increments,
                     seed=seed, method="volterra")
 
@@ -139,7 +157,9 @@ def fbm_batches(table: KernelTable, n_paths, seed, purpose=rng.OUTER):
     bit, one batch at a time: a batch is a whole number of Volterra-map
     blocks, so the map rounds path p alike either way.
     """
-    for start, stop, incr in _increment_batches(table.grid, n_paths, seed, purpose):
+    for b, start, stop in rng.batch_ranges(n_paths):
+        incr = draw_increments(table.grid, seed, purpose, b,
+                               np.empty((stop - start, table.n)))
         yield start, stop, fbm_from_bm(table, incr, seed=seed)
 
 

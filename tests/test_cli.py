@@ -353,6 +353,24 @@ class TestMalliavinAndDensity:
         assert main(argv) == EXIT_CONFIG
         assert "simulation disabled" in capsys.readouterr().err
 
+    def test_malliavin_no_simulate_draws_no_paths(self, small_config, tmp_path,
+                                                  capsys, monkeypatch):
+        # the nested cache holds the d2x_range summary: with every cache
+        # present, malliavin reports it without drawing the nested paths
+        cfg = json.loads(small_config[0].read_text())
+        cfg.update(out_dir=str(tmp_path / "run"), suites=["derivatives"])
+        p2 = tmp_path / "cfg.json"
+        p2.write_text(json.dumps(cfg))
+        assert main(["--config", str(p2), "bounds"]) == EXIT_OK
+        written = (tmp_path / "run" / "bound-d2x_range.csv").read_bytes()
+
+        def draw(*args, **kwargs):
+            raise AssertionError("sample_fbm_volterra called")
+
+        monkeypatch.setattr(cli.pth, "sample_fbm_volterra", draw)
+        assert main(["--config", str(p2), "malliavin", "--no-simulate"]) == EXIT_OK
+        assert (tmp_path / "run" / "bound-d2x_range.csv").read_bytes() == written
+
     def test_report_aggregates(self, small_config, capsys):
         path, out = small_config
         rc = main(["--config", str(path), "report"])

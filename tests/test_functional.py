@@ -1,8 +1,12 @@
+import csv
+import sys
+
 import numpy as np
 import pytest
 
 from expfbm import functional as fn
 from expfbm import paths as pth
+from expfbm import rng
 from expfbm.kernel import HurstParams
 
 # frozen from the adaptive-quadrature oracle (H=0.7, a=0, sigma=1, T=1)
@@ -109,6 +113,68 @@ class TestCentering:
         assert est.value <= np.log(fn.analytic_mean_F(params)) + 3.0 * est.se
 
 
+def reference_estimate_mean_lnF(params, table, n_paths, seed):
+    """The serial centering loop: ln F of each whole batch of paths, summed
+    per batch in batch order."""
+    total = 0.0
+    total_sq = 0.0
+    for _, _, batch in pth.fbm_batches(table, n_paths, seed, rng.CENTERING):
+        lnF = fn.LogFunctional(batch, params).lnF
+        total += lnF.sum()
+        total_sq += (lnF ** 2).sum()
+    mean = total / n_paths
+    var = max(total_sq / n_paths - mean ** 2, 0.0)
+    return float(mean), float(np.sqrt(var / n_paths))
+
+
+class TestSampleLnF:
+    @pytest.mark.parametrize("purpose", [rng.OUTER, rng.CENTERING],
+                             ids=["outer", "centering"])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_matches_log_functional_of_paths(self, n, purpose, table64, table256,
+                                             params):
+        table = {64: table64, 256: table256}[n]
+        for count in (1, 255, 257, rng.BATCH, rng.BATCH + 1, 3 * rng.BATCH + 5):
+            paths = pth.sample_fbm_volterra(table, count, 31, purpose)
+            assert np.array_equal(fn.sample_lnF(params, table, count, 31, purpose),
+                                  fn.LogFunctional(paths, params).lnF), count
+
+    def test_worker_count_invariance(self, table64, params, monkeypatch):
+        count = 5 * rng.BATCH + 7
+        draws = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(fn, "_workers", lambda n_batches: workers)
+            draws[workers] = fn.sample_lnF(params, table64, count, 32)
+        assert np.array_equal(draws[1], draws[3])
+
+    def test_more_workers_than_cores_under_fast_switching(self, table64, params,
+                                                          monkeypatch):
+        # batches are handed out under a lock and written to disjoint slices:
+        # a lost or doubled batch would change the result
+        count = 7 * rng.BATCH + 3
+        monkeypatch.setattr(fn, "_workers", lambda n_batches: 1)
+        serial = fn.sample_lnF(params, table64, count, 33)
+        monkeypatch.setattr(fn, "_workers", lambda n_batches: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = fn.sample_lnF(params, table64, count, 33)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial, threaded)
+
+    def test_worker_count_bounds(self):
+        assert fn._workers(0) == 1
+        assert fn._workers(1) == 1
+        assert 1 <= fn._workers(100) <= fn.MAX_WORKERS
+
+    def test_centering_matches_serial_loop(self, table64, params):
+        for count in (1000, 3 * rng.BATCH + 5):
+            est = fn.estimate_mean_lnF(params, table64, count, 34)
+            assert (est.value, est.se) == reference_estimate_mean_lnF(
+                params, table64, count, 34)
+
+
 class TestRefinement:
     def test_diffs_decrease(self, params):
         grid = np.linspace(0.0, 1.0, 513)
@@ -135,3 +201,25 @@ class TestSamplesCsv:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "path_id,F,lnF,X"
         assert len(data) == 3
+
+    def test_bytes_match_csv_writer(self, params, tmp_path):
+        # rows over several write chunks, with values whose repr is unusual
+        gen = np.random.default_rng(5)
+        count = 2 * rng.BATCH + 3
+        F, lnF, X = gen.standard_normal((3, count)) * 10.0 ** gen.integers(
+            -300, 300, (3, count))
+        F[:6] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e16]
+        est = fn.CenteringEstimate(0.06, 0.001, 1000, 5)
+        fast = tmp_path / "fast.csv"
+        fn.write_samples_csv(fast, F, lnF, X, params, est, header_meta={"seed": 5})
+        text = fast.read_bytes()
+        header = text[:text.index(b"path_id")]
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            fh.write(header.decode())
+            writer = csv.writer(fh)
+            writer.writerow(["path_id", "F", "lnF", "X"])
+            for p in range(count):
+                writer.writerow([p, repr(float(F[p])), repr(float(lnF[p])),
+                                 repr(float(X[p]))])
+        assert text == ref.read_bytes()

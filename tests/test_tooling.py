@@ -1,12 +1,17 @@
 """The benchmark's tracer wraps package functions by name, and its checks
 expect each command's bound ids: keep them there."""
+import functools
 import importlib
 import importlib.util
 import json
 import sys
+import threading
 from pathlib import Path
 
 import expfbm.cli as cli
+from expfbm import density as dn
+from expfbm import functional as fn
+from expfbm import rng
 from expfbm.density import SampleBatch
 from expfbm.malliavin import MalliavinProfile
 
@@ -34,6 +39,32 @@ def test_traced_names_resolve():
             assert callable(obj), f"{module_name}.{qualname}"
             traced.add(f"{module_name}.{qualname}")
     assert set(trace_cli.RATES) <= traced
+
+
+def test_spans_open_on_the_main_thread(table64, params, monkeypatch):
+    # the tracer's span stack is not thread-safe: the worker threads of the
+    # ln F draw must call no traced function
+    trace_cli = load_perfbench("trace_cli")
+    opened = []
+
+    class ThreadTracer:
+        def wrap(self, name, fn_):
+            @functools.wraps(fn_)
+            def traced(*args, **kwargs):
+                opened.append((name, threading.get_ident()))
+                return fn_(*args, **kwargs)
+            return traced
+
+    # install() binds the wrappers with setattr; through monkeypatch every
+    # binding is undone after the test
+    monkeypatch.setattr(trace_cli, "setattr", monkeypatch.setattr, raising=False)
+    trace_cli.install(ThreadTracer())
+    monkeypatch.setattr(fn, "_workers", lambda n_batches: 3)
+    centering = fn.estimate_mean_lnF(params, table64, 2 * rng.BATCH + 1, 3)
+    dn.sample_X_batch(params, table64, 3 * rng.BATCH + 1, 4, centering)
+    names = [name for name, _ in opened]
+    assert names == ["functional.estimate_mean_lnF", "density.sample_X_batch"]
+    assert {ident for _, ident in opened} == {threading.main_thread().ident}
 
 
 def test_rate_attributes_exist():
