@@ -58,7 +58,9 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 # 5: the nested cache's Phi_X lower bound uses the discrete model's
 #    conditional variance (moves by ~1e-3 relative).
 # 6: the nested cache holds the d2x_range summary.
-CACHE_SCHEMA = 6
+# 7: nested estimates take the conditional means from the sweep (differ in
+#    the last bits).
+CACHE_SCHEMA = 7
 
 
 @dataclass
@@ -100,9 +102,11 @@ class ExperimentConfig:
             "inner_paths": (self.inner_paths >= 50 and self.inner_paths % 2 == 0,
                             "even (antithetic pairs) and >= 50"),
             "subgrid_stride": (self.subgrid_stride >= 1, ">= 1"),
+            "outer_paths": (self.outer_paths == 0 or self.outer_paths >= 2,
+                            "0 or >= 2 (one sample has no variance)"),
             "suites": (set(self.suites) <= set(SUITES), f"among {sorted(SUITES)}"),
         }
-        for name in ("outer_paths", "nested_paths", "kde_bootstrap", "seed"):
+        for name in ("nested_paths", "kde_bootstrap", "seed"):
             rules[name] = (getattr(self, name) >= 0, ">= 0")
         # the centering estimate needs 1000 paths unless X is deterministic
         rules["centering_paths"] = (
@@ -385,7 +389,7 @@ def cmd_simulate(cfg, args):
 
     fine = pth.sample_fbm_cholesky(cfg.hurst_H,
                                    np.linspace(0, cfg.horizon_T, 513), 1, cfg.seed)
-    diffs = fn.refinement_diffs(fine.values[0], fine.grid, params, levels=3)
+    diffs = fn.refinement_diffs(fine.values[0], fine.grid, params)
     payload = dict(_provenance(cfg), summary=batch.meta,
                    refinement_diffs=diffs, samples_csv=csv_path.name)
     _write_json(out_dir / "simulate.json", payload)
@@ -508,6 +512,8 @@ def _suite_dphi(cfg, table, ctx):
 
 
 def _suite_clark_ocone(cfg, table, ctx):
+    if cfg.nested_paths < 2:
+        raise ValueError("clark_ocone needs nested_paths >= 2 for its SE")
     params = cfg.model_params()
     paths = _nested_paths(cfg, table, ctx)
     res = ml.clark_ocone_residual(paths, table, params)

@@ -196,12 +196,12 @@ def verify_gaussian_tail(X, params: ModelParams,
         violations=viol, n_samples=n)
 
 
-def verify_mgf(X, params: ModelParams, lambdas=(0.5, 1.0, 2.0)) -> BoundReport:
-    """E[exp(-lambda X)] against exp(lambda^2 sigma^2 T^2H / 2)."""
+def verify_mgf(X, params: ModelParams) -> BoundReport:
+    """E[exp(-lambda X)] against exp(lambda^2 sigma^2 T^2H / 2), lambda = 0.5, 1, 2."""
     X = np.asarray(X)
     n = len(X)
     s2 = params.sigma ** 2 * params.T ** (2.0 * params.H)
-    lam = np.asarray(lambdas, dtype=float)
+    lam = np.array([0.5, 1.0, 2.0])
     vals = np.exp(-lam[:, None] * X[None, :])
     emp = vals.mean(axis=1)
     se = vals.std(axis=1, ddof=1) / np.sqrt(n)
@@ -335,7 +335,7 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
 # conditional profile w_X by binned regression
 # ---------------------------------------------------------------------------
 
-def estimate_w_X(X, phi, params: ModelParams, n_bins=40, min_count=MIN_TAIL_COUNT):
+def estimate_w_X(X, phi, params: ModelParams):
     """Binned-regression estimate of w_X(z) = E[X / Phi_X | X = z].
 
     Joint samples (X, Phi_X) come from the nested Malliavin run. Verifies
@@ -353,6 +353,7 @@ def estimate_w_X(X, phi, params: ModelParams, n_bins=40, min_count=MIN_TAIL_COUN
 
     # fixed-width bins over mean +- 4 sd: tails beyond that are out of scope,
     # and sparse bins surface as gaps instead of being absorbed by quantiles
+    n_bins = 40
     mu, sd = X.mean(), X.std()
     lo = max(X.min(), mu - 4.0 * sd)
     hi = min(X.max(), mu + 4.0 * sd)
@@ -372,7 +373,7 @@ def estimate_w_X(X, phi, params: ModelParams, n_bins=40, min_count=MIN_TAIL_COUN
         w_mean[b] = rin[sel].mean()
         if counts[b] > 1:
             w_se[b] = rin[sel].std(ddof=1) / np.sqrt(counts[b])
-    resolved = counts >= min_count
+    resolved = counts >= MIN_TAIL_COUNT
 
     pos = resolved & (centers > 0)
     lhs = w_mean[pos]

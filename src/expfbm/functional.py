@@ -233,8 +233,8 @@ def estimate_mean_lnF(params: ModelParams, table, n_paths, seed) -> CenteringEst
                              n_paths=n_paths, seed=seed)
 
 
-def refinement_diffs(values_fine, grid_fine, params: ModelParams, levels=3):
-    """|F(coarse) - F(fine)| on nested coarsenings of one fixed path.
+def refinement_diffs(values_fine, grid_fine, params: ModelParams):
+    """|F(coarse) - F(fine)| on the coarsenings by 8, 4 and 2 of one fixed path.
 
     Quadrature-consistency diagnostic recorded in batch metadata: the
     differences must shrink as the grid is refined.
@@ -243,10 +243,9 @@ def refinement_diffs(values_fine, grid_fine, params: ModelParams, levels=3):
     nf = len(grid_fine) - 1
     pf = FbmPaths(grid_fine, np.atleast_2d(values_fine), None, None, "fixed")
     f_fine = float(functional_F(pf, params)[0])
-    for lvl in range(levels, 0, -1):
-        step = 2 ** lvl
+    for step in (8, 4, 2):
         if nf % step:
-            raise ValueError("fine grid size must be divisible by 2^levels")
+            raise ValueError("fine grid size must be divisible by 8")
         sub = slice(None, None, step)
         pc = FbmPaths(grid_fine[sub], np.atleast_2d(values_fine)[:, sub],
                       None, None, "fixed")

@@ -15,11 +15,14 @@ law is exactly the conditional law of the outer discrete model.
 
 The nested estimates are factorised. An inner path is the outer path's
 conditional mean N_p plus a fluctuation Z_q that does not depend on the
-past, so exp(a t_i + sigma (N_{p,i} + Z_{q,i})) = A_{p,i} B_{q,i}. One inner
-set Z is drawn per block of CHUNK_OUTER paths, and every inner sum becomes a
-GEMM of A with B^T. Per-path estimates and their inner SEs keep their law,
-but the paths of one block share inner noise: the SE of a mean over paths
-must come from block means (block_mean_se).
+past, so exp(a t_i + sigma (N_{p,i} + Z_{q,i})) = A_{p,i} B_{q,i}. One driver,
+_nested, runs block-major: each block of CHUNK_OUTER paths walks
+paths.conditional_mean_sweep (a rank-1 update of N per node) up to the last
+node it needs, and at each subgrid node draws one inner set Z for the block
+and forms every inner sum as a GEMM of A with B^T. Per-path estimates and
+their inner SEs keep their law, but the paths of one block share inner
+noise: the SE of a mean over paths must come from block means
+(block_mean_se).
 
 The Clark-Ocone residual and the pathwise lower bound on Phi_X walk the whole
 triangle of conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}]. Both run on
@@ -40,14 +43,15 @@ the integrand instead of truncating it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import rng
 from .functional import LogFunctional
 from .kernel import KernelTable
-from .paths import (FbmPaths, conditional_law, conditional_lognormal,
-                    conditional_lognormal_sweep, inner_fluctuations, trapezoid_weights)
+from .paths import (FbmPaths, conditional_lognormal, conditional_lognormal_sweep,
+                    conditional_mean_sweep, inner_fluctuations, trapezoid_weights)
 from .reports import range_report
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
@@ -67,18 +71,17 @@ class MalliavinProfile:
     meta: dict = field(default_factory=dict)
 
 
-def _kernel_column(table: KernelTable, j):
-    """Kernel values K(t_i, t_j) as a column; index 0 means the first-cell
-    average int_0^{t_1} K(t_i, r) dr / dt (pointwise K diverges at s = 0)."""
-    if j == 0:
-        return table.volterra_matrix[:, 0]
-    return table.values[:, j]
+def _kernel_columns(table: KernelTable, indices):
+    """Kernel values K(t_i, t_j), j in indices, as columns (n+1, m); index 0
+    means the first-cell average int_0^{t_1} K(t_i, r) dr / dt (pointwise K
+    diverges at s = 0)."""
+    return np.column_stack([table.volterra_matrix[:, 0] if j == 0 else table.values[:, j]
+                            for j in indices])
 
 
 def dx_bounds(table: KernelTable, params, indices):
     """Upper bounds sigma*K(T, theta_j) with the cell-average convention at 0."""
-    cols = np.array([_kernel_column(table, j)[-1] for j in indices])
-    return params.sigma * cols
+    return params.sigma * _kernel_columns(table, indices)[-1]
 
 
 def dx(paths: FbmPaths, table: KernelTable, params, indices=None):
@@ -90,7 +93,7 @@ def dx(paths: FbmPaths, table: KernelTable, params, indices=None):
     """
     if indices is None:
         indices = np.arange(table.n + 1)
-    K = np.column_stack([_kernel_column(table, j) for j in indices])
+    K = _kernel_columns(table, indices)
     return params.sigma * (LogFunctional(paths, params).weights @ K)
 
 
@@ -118,7 +121,7 @@ def d2x(paths: FbmPaths, table: KernelTable, params, indices=None):
     if indices is None:
         indices = np.arange(1, table.n + 1)
     w = LogFunctional(paths, params).weights
-    K = np.column_stack([_kernel_column(table, j) for j in indices])
+    K = _kernel_columns(table, indices)
     out = np.empty((paths.n_paths, K.shape[1], K.shape[1]))
     for _, start, stop in rng.batch_ranges(paths.n_paths, max(1, 2 ** 18 // K.size)):
         C = K - (w[start:stop] @ K)[:, None, :]              # (c, n+1, m)
@@ -130,7 +133,7 @@ def d2x(paths: FbmPaths, table: KernelTable, params, indices=None):
 
 def d2x_bounds(table: KernelTable, params, indices):
     """2 sigma^2 K(T,theta) K(T,r) on the same index convention."""
-    cols = np.array([_kernel_column(table, j)[-1] for j in indices])
+    cols = _kernel_columns(table, indices)[-1]
     return 2.0 * params.sigma ** 2 * cols[:, None] * cols[None, :]
 
 
@@ -138,10 +141,10 @@ def d2x_bounds(table: KernelTable, params, indices):
 # singular product quadrature in theta
 # ---------------------------------------------------------------------------
 
-def phi_subgrid(n, stride=4, head=(1, 2, 3)):
-    """Evaluation indices for the theta-integral: a few nodes near zero to
-    resolve the theta^(1-2H) mass, then every stride-th node up to n."""
-    idx = sorted(set(h for h in head if 0 < h < n) | set(range(stride, n + 1, stride)) | {n})
+def phi_subgrid(n, stride=4):
+    """Evaluation indices for the theta-integral: the nodes 1, 2, 3 near zero
+    to resolve the theta^(1-2H) mass, then every stride-th node up to n."""
+    idx = sorted({h for h in (1, 2, 3) if h < n} | set(range(stride, n + 1, stride)) | {n})
     return np.array(idx, dtype=int)
 
 
@@ -191,28 +194,33 @@ def _pair_stats(x):
     return pair.mean(axis=-1), pair.std(axis=-1, ddof=1) / np.sqrt(half)
 
 
-def _nested_at(paths: FbmPaths, table: KernelTable, params, k, n_inner, seed,
-               stage, Kcols=None):
-    """Factorised nested estimates at node k for every path.
+def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
+            stage, Kcols=None):
+    """Factorised nested estimates at the grid nodes idx for every path.
 
-    Returns (est, se) of E[D_{t_k} X | F_{t_k}], each (P,), and (est2, se2)
-    of E[D_s D_{t_k} X | F_{t_k}] for s over the columns of Kcols (kernel
-    columns on the full grid), each (P, ms); ms = 0 without Kcols.
+    Returns (est, se) of E[D_{t_k} X | F_{t_k}], each (P, m) over the nodes
+    k of idx, and (est2, se2) of E[D_s D_{t_k} X | F_{t_k}] for s over the
+    columns of Kcols (kernel columns on the full grid), each (P, ms, m);
+    ms = 0 without Kcols. Every estimate at k = n is 0.
 
-    Inner path q of outer path p is N_p + Z_q (conditional mean plus a
-    fluctuation shared by the block), so its integrand factors as
-    exp(a t_i + sigma N_{p,i}) exp(sigma Z_{q,i}) = A_{p,i} B_{q,i}. Every
-    inner sum over i is then sum_i A_{p,i} c_i B_{q,i}: one GEMM per block
-    over the columns c = [1, K(., t_k), K(., s), K(., t_k) K(., s)]. A is
-    scaled by the largest exponent of its path and B by that of its draw,
-    which cancels in every ratio and keeps both factors <= 1.
+    Block-major: each block of CHUNK_OUTER paths walks
+    paths.conditional_mean_sweep over its increments up to the last node of
+    idx below n, and at each node of idx reads the conditional means N there.
+    Inner path q of outer path p is N_p + Z_q (a fluctuation shared by the
+    block), so its integrand factors as exp(a t_i + sigma N_{p,i})
+    exp(sigma Z_{q,i}) = A_{p,i} B_{q,i}. Every inner sum over i is then
+    sum_i A_{p,i} c_i B_{q,i}: one GEMM per block and node over the columns
+    c = [1, K(., t_k), K(., s), K(., t_k) K(., s)]. A is scaled by the
+    largest exponent of its path and B by that of its draw, which cancels in
+    every ratio and keeps both factors <= 1.
     """
     paths.require_increments()
-    P = paths.n_paths
+    P, n, m = paths.n_paths, table.n, len(idx)
     ms = 0 if Kcols is None else Kcols.shape[1]
-    est, se = np.zeros(P), np.zeros(P)
-    est2, se2 = np.zeros((P, ms)), np.zeros((P, ms))
-    if k == table.n:
+    est, se = np.zeros((P, m)), np.zeros((P, m))
+    est2, se2 = np.zeros((P, ms, m)), np.zeros((P, ms, m))
+    col_of = {int(k): c for c, k in enumerate(idx) if k < n}
+    if not col_of:
         return est, se, est2, se2
     if n_inner < 50:
         raise ValueError("n_inner must be >= 50")
@@ -220,35 +228,38 @@ def _nested_at(paths: FbmPaths, table: KernelTable, params, k, n_inner, seed,
     grid = table.grid
     tau = trapezoid_weights(grid)
     sigma = params.sigma
-    kcol = _kernel_column(table, k)[:, None]
-    cols = [np.ones_like(kcol), kcol]
-    if ms:
-        cols += [Kcols, kcol * Kcols]
-    tauK = tau[:, None] * np.hstack(cols)           # (n+1, 2 + 2 ms)
-    log_mean = params.a * grid[None, :] + sigma * conditional_law(
-        paths, table, grid[k]).means
+    K = _kernel_columns(table, idx)
 
     for blk, start, stop in _inner_blocks(P):
-        gen = rng.stream(seed, rng.INNER, stage, k, blk)
-        logB = sigma * inner_fluctuations(table, k, n_inner, gen)    # (Q, m)
-        logB_max = logB.max(axis=1)
-        B = np.exp(logB - logB_max[:, None])
-        logA = log_mean[start:stop]
-        A = np.exp(logA - logA.max(axis=1, keepdims=True))           # (C, n+1)
-        C = stop - start
-        G = A[:, None, k:] * tauK[k:].T[None]                       # (C, c, m)
-        S = (G.reshape(-1, G.shape[2]) @ B.T).reshape(C, -1, n_inner)
-        # rows i < k are the frozen past (fluctuation 0, so B = exp(-logB_max));
-        # there K(t_i, t_k) = 0, so only the F and K(., s) columns get a term
-        S += (A[:, :k] @ tauK[:k])[:, :, None] * np.exp(-logB_max)
-        r = 1.0 / S[:, 0]                                            # (C, Q)
-        Dth = S[:, 1] * r
-        est[start:stop], se[start:stop] = _pair_stats(sigma * Dth)
-        if ms:
-            A_all = S[:, 2:2 + ms] * r[:, None]
-            T1 = S[:, 2 + ms:] * r[:, None]
-            d2 = sigma ** 2 * (T1 - A_all * Dth[:, None])            # (C, ms, Q)
-            est2[start:stop], se2[start:stop] = _pair_stats(d2)
+        sweep = conditional_mean_sweep(table, paths.increments[start:stop])
+        for k, N in islice(sweep, max(col_of) + 1):
+            if k not in col_of:
+                continue
+            c = col_of[k]
+            kcol = K[:, c:c + 1]
+            cols = [np.ones_like(kcol), kcol]
+            if ms:
+                cols += [Kcols, kcol * Kcols]
+            tauK = tau[:, None] * np.hstack(cols)                        # (n+1, 2 + 2 ms)
+            gen = rng.stream(seed, rng.INNER, stage, k, blk)
+            logB = sigma * inner_fluctuations(table, k, n_inner, gen)    # (Q, n-k+1)
+            logB_max = logB.max(axis=1)
+            B = np.exp(logB - logB_max[:, None])
+            logA = params.a * grid + sigma * N
+            A = np.exp(logA - logA.max(axis=1, keepdims=True))           # (C, n+1)
+            G = A[:, None, k:] * tauK[k:].T[None]                        # (C, c, n-k+1)
+            S = (G.reshape(-1, G.shape[2]) @ B.T).reshape(stop - start, -1, n_inner)
+            # rows i < k are the frozen past (fluctuation 0, so B = exp(-logB_max));
+            # there K(t_i, t_k) = 0, so only the F and K(., s) columns get a term
+            S += (A[:, :k] @ tauK[:k])[:, :, None] * np.exp(-logB_max)
+            r = 1.0 / S[:, 0]                                            # (C, Q)
+            Dth = S[:, 1] * r
+            est[start:stop, c], se[start:stop, c] = _pair_stats(sigma * Dth)
+            if ms:
+                A_all = S[:, 2:2 + ms] * r[:, None]
+                T1 = S[:, 2 + ms:] * r[:, None]
+                d2 = sigma ** 2 * (T1 - A_all * Dth[:, None])            # (C, ms, Q)
+                est2[start:stop, :, c], se2[start:stop, :, c] = _pair_stats(d2)
     return est, se, est2, se2
 
 
@@ -262,8 +273,8 @@ def conditional_dx_at(paths: FbmPaths, table: KernelTable, params, k, n_inner,
     inner standard error), both (P,). `stage` separates the inner streams of
     independent nested runs sharing a root seed.
     """
-    est, se, _, _ = _nested_at(paths, table, params, k, n_inner, seed, stage)
-    return est, se
+    est, se, _, _ = _nested(paths, table, params, [k], n_inner, seed, stage)
+    return est[:, 0], se[:, 0]
 
 
 def block_mean_se(values):
@@ -296,11 +307,7 @@ def phi_x_batch(paths: FbmPaths, table: KernelTable, params, n_inner, seed,
     idx = phi_subgrid(table.n, stride=stride)
     omega = singular_quad_weights(table.grid, table.H, idx)
     D = dx(paths, table, params, indices=idx)
-    cond = np.empty_like(D)
-    cond_se = np.empty_like(D)
-    for col, k in enumerate(idx):
-        cond[:, col], cond_se[:, col] = conditional_dx_at(
-            paths, table, params, int(k), n_inner, seed)
+    cond, cond_se, _, _ = _nested(paths, table, params, idx, n_inner, seed, 0)
     phi = (D * cond) @ omega
     phi_se = np.sqrt(((omega * D * cond_se) ** 2).sum(axis=1))
     return MalliavinProfile(
@@ -417,24 +424,16 @@ def dphi_bound_check(paths: FbmPaths, table: KernelTable, params, n_inner,
     if max_paths is not None and P_all > max_paths:
         coverage = max_paths / P_all
         paths = paths.subset(slice(0, max_paths))
-    P = paths.n_paths
 
     idx = phi_subgrid(table.n, stride=stride)
-    m = len(idx)
     omega = singular_quad_weights(table.grid, table.H, idx)
     sigma = params.sigma
-    Kcols = np.column_stack([_kernel_column(table, j) for j in idx])
+    Kcols = _kernel_columns(table, idx)
 
     D = dx(paths, table, params, indices=idx)
     D2 = d2x(paths, table, params, indices=idx)
-
-    cond = np.empty((P, m))
-    cond_se = np.empty((P, m))
-    cond2 = np.empty((P, m, m))       # [p, s, theta]
-    cond2_se = np.empty((P, m, m))
-    for col, k in enumerate(idx):
-        cond[:, col], cond_se[:, col], cond2[:, :, col], cond2_se[:, :, col] = \
-            _nested_at(paths, table, params, int(k), n_inner, seed, 1, Kcols)
+    cond, cond_se, cond2, cond2_se = _nested(paths, table, params, idx, n_inner,
+                                             seed, 1, Kcols)      # cond2[p, s, theta]
 
     term_a = np.einsum("t,pst,pt->ps", omega, D2, cond)
     term_b = np.einsum("t,pt,pst->ps", omega, D, cond2)

@@ -150,19 +150,6 @@ def sample_fbm_volterra(table: KernelTable, n_paths, seed, purpose=rng.OUTER):
     return fbm_from_bm(table, incr, seed=seed)
 
 
-def fbm_batches(table: KernelTable, n_paths, seed, purpose=rng.OUTER):
-    """Yield (start, stop, FbmPaths) for each batch of rng.batch_ranges.
-
-    The paths of sample_fbm_volterra(table, n_paths, seed, purpose), bit for
-    bit, one batch at a time: a batch is a whole number of Volterra-map
-    blocks, so the map rounds path p alike either way.
-    """
-    for b, start, stop in rng.batch_ranges(n_paths):
-        incr = draw_increments(table.grid, seed, purpose, b,
-                               np.empty((stop - start, table.n)))
-        yield start, stop, fbm_from_bm(table, incr, seed=seed)
-
-
 def cholesky_factor(H, grid):
     """Lower Cholesky factor of the exact covariance at grid[1:]."""
     t = np.asarray(grid)[1:]

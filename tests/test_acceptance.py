@@ -17,6 +17,7 @@ from expfbm import functional as fn
 from expfbm import kernel as kn
 from expfbm import malliavin as ml
 from expfbm import paths as pth
+from expfbm import rng
 from expfbm.functional import ModelParams
 from expfbm.kernel import HurstParams
 
@@ -47,7 +48,10 @@ def pathlaw(table256):
     F = np.empty(n_paths)
     col_values = np.empty((n_paths, len(cols)))
     t0 = time.time()
-    for start, stop, batch in pth.fbm_batches(table256, n_paths, SEED):
+    for b, start, stop in rng.batch_ranges(n_paths):
+        incr = pth.draw_increments(table256.grid, SEED, rng.OUTER, b,
+                                   np.empty((stop - start, table256.n)))
+        batch = pth.fbm_from_bm(table256, incr)
         F[start:stop] = fn.functional_F(batch, params)
         col_values[start:stop] = batch.values[:, cols]
     return {"F": F, "cols": cols, "col_of": col_of, "values": col_values,

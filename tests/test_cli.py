@@ -61,7 +61,7 @@ class TestConfig:
         ("inner_paths", 48), ("subgrid_stride", 0), ("centering_paths", -1),
         ("nested_paths", -1), ("kde_bootstrap", -1), ("seed", -1),
         ("seed", "1"), ("tol_identity", float("inf")), ("suites", ["tail", "nope"]),
-        ("centering_paths", 500),
+        ("centering_paths", 500), ("outer_paths", 1),
     ])
     def test_invalid_field_is_config_error(self, tmp_path, capsys, field, value):
         bad = tmp_path / "bad.json"
@@ -270,6 +270,18 @@ class TestBounds:
         assert main(["--config", str(cfg), "bounds"]) == EXIT_OK
         payload = json.loads((tmp_path / "run" / "bounds.json").read_text())
         assert payload["reports"][0]["rhs"] == [0.0] * 4
+
+    @pytest.mark.parametrize("nested_paths", [0, 1])
+    def test_clark_ocone_needs_two_paths(self, tmp_path, capsys, nested_paths):
+        # the residual's SE needs two paths: fewer is a configuration error,
+        # not a nan tolerance counted as a violation
+        cfg = tmp_path / "co.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+            "nested_paths": nested_paths, "suites": ["clark_ocone"],
+            "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "bounds"]) == EXIT_CONFIG
+        assert "nested_paths" in capsys.readouterr().err
 
     def test_nested_paths_drawn_once(self, small_config, tmp_path, capsys, monkeypatch):
         path, _ = small_config

@@ -118,8 +118,10 @@ def reference_estimate_mean_lnF(params, table, n_paths, seed):
     per batch in batch order."""
     total = 0.0
     total_sq = 0.0
-    for _, _, batch in pth.fbm_batches(table, n_paths, seed, rng.CENTERING):
-        lnF = fn.LogFunctional(batch, params).lnF
+    for b, start, stop in rng.batch_ranges(n_paths):
+        incr = pth.draw_increments(table.grid, seed, rng.CENTERING, b,
+                                   np.empty((stop - start, table.n)))
+        lnF = fn.LogFunctional(pth.fbm_from_bm(table, incr), params).lnF
         total += lnF.sum()
         total_sq += (lnF ** 2).sum()
     mean = total / n_paths
@@ -179,14 +181,14 @@ class TestRefinement:
     def test_diffs_decrease(self, params):
         grid = np.linspace(0.0, 1.0, 513)
         fine = pth.sample_fbm_cholesky(0.7, grid, 1, seed=2)
-        diffs = fn.refinement_diffs(fine.values[0], grid, params, levels=3)
+        diffs = fn.refinement_diffs(fine.values[0], grid, params)
         assert diffs[0] > diffs[-1]
         assert diffs[-1] < 1e-3
 
     def test_requires_divisible_grid(self, params):
         grid = np.linspace(0.0, 1.0, 101)
         with pytest.raises(ValueError):
-            fn.refinement_diffs(np.zeros(101), grid, params, levels=3)
+            fn.refinement_diffs(np.zeros(101), grid, params)
 
 
 class TestSamplesCsv:

@@ -20,7 +20,7 @@ def reference_nested_at(paths, table, params, k, n_inner, seed, stage, Kcols=Non
 
     Draws one antithetic inner set per outer path (stream key (seed, INNER,
     stage, k, block), as in the package) and exponentiates every inner path.
-    A drop-in for malliavin._nested_at: returns (est, se, est2, se2).
+    Returns (est, se, est2, se2) at node k, each over the paths.
     """
     P = paths.n_paths
     ms = 0 if Kcols is None else Kcols.shape[1]
@@ -30,7 +30,7 @@ def reference_nested_at(paths, table, params, k, n_inner, seed, stage, Kcols=Non
     tau = pth.trapezoid_weights(grid)
     a, sigma = params.a, params.sigma
     drift = a * grid
-    kcol = ml._kernel_column(table, k)
+    kcol = ml._kernel_columns(table, [k])[:, 0]
     Vfut = table.volterra_matrix[k:, k:]
     mm, half = table.n - k, n_inner // 2
     E_out = np.exp(drift[None, :] + sigma * paths.values)
@@ -62,6 +62,14 @@ def reference_nested_at(paths, table, params, k, n_inner, seed, stage, Kcols=Non
             est2[start:stop] = pair2.mean(axis=1)
             se2[start:stop] = pair2.std(axis=1, ddof=1) / np.sqrt(half)
     return est, se, est2, se2
+
+
+def reference_nested(paths, table, params, idx, n_inner, seed, stage, Kcols=None):
+    """A drop-in for malliavin._nested: reference_nested_at at each node of
+    idx, stacked on a last axis."""
+    per_node = [reference_nested_at(paths, table, params, int(k), n_inner, seed,
+                                    stage, Kcols) for k in idx]
+    return tuple(np.stack(x, axis=-1) for x in zip(*per_node))
 
 
 def reference_phi_lower_bound_terms(paths, table, params):
@@ -276,6 +284,30 @@ class TestConditionalDx:
         with pytest.raises(ValueError):
             ml.conditional_dx_at(chol, table64, params, k, 200, seed=1)
 
+    def test_matches_phi_column(self, table64, params):
+        # one node alone gives the bits of that node's column of the subgrid
+        paths = pth.sample_fbm_volterra(table64, 300, seed=13)
+        prof = ml.phi_x_batch(paths, table64, params, 50, seed=4, stride=16)
+        for col, k in enumerate(prof.meta["indices"]):
+            est, se = ml.conditional_dx_at(paths, table64, params, int(k), 50, seed=4)
+            assert np.array_equal(est, prof.cond_dX[:, col])
+            assert np.array_equal(se, prof.cond_se[:, col])
+
+    def test_means_come_from_the_sweep(self, table64, params, monkeypatch):
+        # the nested estimates never form the conditional law node by node
+        def fail(*args, **kwargs):
+            raise AssertionError("conditional_law called")
+
+        for module in (pth, ml):
+            if hasattr(module, "conditional_law"):
+                monkeypatch.setattr(module, "conditional_law", fail)
+        paths = pth.sample_fbm_volterra(table64, 200, seed=14)
+        prof = ml.phi_x_batch(paths, table64, params, 50, seed=5, stride=16)
+        out = ml.dphi_bound_check(paths, table64, params, 50, seed=5, stride=16)
+        est, _ = ml.conditional_dx_at(paths, table64, params, 16, 50, seed=5)
+        assert np.all(np.isfinite(prof.phi)) and np.all(np.isfinite(out["dphi"]))
+        assert np.all(np.isfinite(est))
+
 
 class TestFactorisedNested:
     """The factorised estimators against the per-path reference at n=16.
@@ -298,7 +330,7 @@ class TestFactorisedNested:
     def test_conditional_dx_matches_reference(self, setup16, params, monkeypatch):
         table, paths = setup16
         new = ml.phi_x_batch(paths, table, params, 100, seed=42)
-        monkeypatch.setattr(ml, "_nested_at", reference_nested_at)
+        monkeypatch.setattr(ml, "_nested", reference_nested)
         old = ml.phi_x_batch(paths, table, params, 100, seed=42)
         z_phi, _ = agreement_z(new.phi, new.phi_se, old.phi, old.phi_se)
         assert np.all(np.abs(z_phi) < 4.0)
@@ -310,7 +342,7 @@ class TestFactorisedNested:
     def test_dphi_matches_reference(self, setup16, params, monkeypatch):
         table, paths = setup16
         new = ml.dphi_bound_check(paths, table, params, 100, seed=43)
-        monkeypatch.setattr(ml, "_nested_at", reference_nested_at)
+        monkeypatch.setattr(ml, "_nested", reference_nested)
         old = ml.dphi_bound_check(paths, table, params, 100, seed=43)
         comb = np.sqrt(new["dphi_se"] ** 2 + old["dphi_se"] ** 2)
         assert np.all(np.abs(new["dphi"] - old["dphi"]) <= 4.0 * comb)
@@ -487,6 +519,26 @@ class TestConditionalMeanSweep:
                 assert np.allclose(M, M_all[-1], rtol=1e-13, atol=0), (a, sigma, k)
             _, terms = ml.phi_lower_bound_terms(paths, table64, params)
             assert np.allclose(terms["maxM"], np.max(M_all, axis=0), rtol=1e-13, atol=0)
+
+    def test_nested_matches_law_means(self, table64, params, monkeypatch):
+        # the nested driver on the sweep against the same driver fed
+        # conditional_law's means, the per-node product it replaced: only the
+        # summation order of N differs
+        paths = pth.sample_fbm_volterra(table64, 200, seed=34)
+        idx = ml.phi_subgrid(table64.n, stride=16)
+        Kcols = ml._kernel_columns(table64, idx)
+        swept = ml._nested(paths, table64, params, idx, 50, 6, 1, Kcols)
+
+        def law_sweep(table, increments):
+            block = pth.FbmPaths(table.grid, np.zeros((len(increments), table.n + 1)),
+                                 increments, None, "volterra")
+            for k in range(table.n + 1):
+                yield k, pth.conditional_law(block, table, table.grid[k]).means
+
+        monkeypatch.setattr(ml, "conditional_mean_sweep", law_sweep)
+        per_node = ml._nested(paths, table64, params, idx, 50, 6, 1, Kcols)
+        for x, y in zip(swept, per_node):
+            assert np.allclose(x, y, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("H", [0.55, 0.9])
     @pytest.mark.parametrize("n", [16, 64])

@@ -29,7 +29,10 @@ class TestIncrements:
     def test_batches_match_whole_draw(self, table64):
         whole = pth.sample_fbm_volterra(table64, 9000, 5, purpose=rng.CENTERING)
         starts = []
-        for start, stop, batch in pth.fbm_batches(table64, 9000, 5, rng.CENTERING):
+        for b, start, stop in rng.batch_ranges(9000):
+            incr = pth.draw_increments(table64.grid, 5, rng.CENTERING, b,
+                                       np.empty((stop - start, table64.n)))
+            batch = pth.fbm_from_bm(table64, incr)
             starts.append(start)
             assert np.array_equal(batch.increments, whole.increments[start:stop])
             assert np.array_equal(batch.values, whole.values[start:stop])
