@@ -432,6 +432,8 @@ def _suite_envelopes(cfg, table, ctx):
 
 
 def _suite_derivatives(cfg, table, ctx):
+    if cfg.nested_paths < 1:
+        raise ValueError("derivatives needs nested_paths >= 1")
     nested = _nested_run(cfg, table, ctx)
     params = cfg.model_params()
     idx = nested["indices"].astype(int)
@@ -505,6 +507,8 @@ def _suite_w(cfg, table, ctx):
 def _suite_dphi(cfg, table, ctx):
     # doubly nested and expensive: runs on the first 2000 nested paths, and
     # the reports carry the covered fraction
+    if cfg.nested_paths < 1:
+        raise ValueError("dphi needs nested_paths >= 1")
     out = ml.dphi_bound_check(_nested_paths(cfg, table, ctx), table, cfg.model_params(),
                               cfg.inner_paths, cfg.seed, stride=cfg.subgrid_stride,
                               max_paths=2_000)

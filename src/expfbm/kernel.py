@@ -15,7 +15,9 @@ w = (u-s)^(H-1/2) removes it exactly:
 with W = (t-s)^(H-1/2) and a smooth integrand, which composite Gauss-Legendre
 panels (geometrically refined toward both panel ends) integrate to ~1e-12.
 Outer integrals in s use power substitutions that absorb the s^(1/2-H)
-prefactor before handing the remainder to adaptive quadrature.
+prefactor; the bounded remainder keeps fractional powers at both ends, and
+the same graded rule, refined to panels of width 2^-QUAD_DEPTH, integrates
+it with one vectorised call over all its nodes (graded_quad).
 
 The discrete table does not run the panel rule at every (row, node) pair.
 At a node r of cell j it takes I(t_{j+1}, r) from the panel rule once, then
@@ -25,9 +27,8 @@ width outside cell m, so that rule converges like rho^-24 with
 rho >= 3 + sqrt(8) (error below 1e-18). On the uniform grid, u - r depends
 only on the offset m - j, so every power is tabulated once.
 
-The table takes c_H from its closed form. SciPy is imported inside the
-functions that run adaptive quadrature, so building or using a table does
-not load it.
+The table takes c_H from its closed form; calibrate_ch, the graded-rule
+quadrature of the unit-energy condition, cross-checks it.
 """
 from __future__ import annotations
 
@@ -81,6 +82,33 @@ def _composite_unit_rule(nodes_per_panel=12, depth=14):
 
 
 _UX, _UW = _composite_unit_rule()
+
+# Depth of the graded rule in the continuous quadratures (the kernel
+# identities here and the analytic moments of F): its end panels have width
+# 2^-QUAD_DEPTH, so the fractional-power endpoint behaviour of the integrands
+# leaves ~1e-15 relative. calibrate_ch cross-checks it at CHECK_DEPTH.
+QUAD_DEPTH = 40
+CHECK_DEPTH = 24
+
+
+def graded_rule(upper, depth):
+    """Nodes and weights of the graded rule at `depth` on [0, upper]."""
+    x, w = _composite_unit_rule(depth=depth)
+    return upper * x, upper * w
+
+
+def graded_quad(f, upper, depth):
+    """int_0^upper f(x) dx by the graded rule at `depth`, with one call of
+    the vectorised f on all nodes. Returns (value, error estimate): the
+    estimate is the change from the rule at depth - 1, which shares every
+    panel but the end panels, where the endpoint singularities leave the error.
+    """
+    x, w = graded_rule(upper, depth)
+    xc, wc = graded_rule(upper, depth - 1)
+    nodes, where = np.unique(np.concatenate([x, xc]), return_inverse=True)
+    fx = f(nodes)[where]
+    value = fx[:len(x)] @ w
+    return float(value), float(abs(value - fx[len(x):] @ wc))
 
 
 def _gauss_legendre_01(n):
@@ -170,9 +198,6 @@ def covariance(H, t, s):
 # normalization constant
 # ---------------------------------------------------------------------------
 
-# adaptive-quadrature subintervals of calibrate_ch's first pass
-CALIBRATION_SUBINTERVALS = 256
-
 def ch_closed_form(H):
     """Classical closed form c_H = sqrt(H(2H-1) / B(2-2H, H-1/2)), with the
     Beta function from math.lgamma."""
@@ -180,42 +205,33 @@ def ch_closed_form(H):
     return math.sqrt(H * (2.0 * H - 1.0)) * math.exp(-0.5 * log_beta)
 
 
-def _sq_energy_unnormalized(H, t, epsrel=1e-11, limit=200):
+def _sq_energy_unnormalized(H, t, depth):
     """int_0^t [s^(1/2-H) I(t,s)]^2 ds via the substitution z = s^(2-2H).
 
     The substitution absorbs the s^(1-2H) prefactor of the squared kernel, so
-    the remaining integrand is bounded and adaptive quadrature converges fast.
-    Returns (value, quad error estimate).
+    the remaining integrand is bounded, with fractional powers at z = 0 and
+    z = t^(2-2H) that the graded rule at `depth` resolves (I vanishes for
+    s >= t). Returns (value, error estimate of graded_quad).
     """
-    from scipy.integrate import quad
-
     p = 2.0 - 2.0 * H
-
-    def integrand(z):
-        s = z ** (1.0 / p)
-        if s >= t:
-            return 0.0
-        return float(_inner_integral(H, t, s)) ** 2
-
-    val, err = quad(integrand, 0.0, t ** p, epsabs=0.0, epsrel=epsrel, limit=limit)
+    val, err = graded_quad(lambda z: _inner_integral(H, t, z ** (1.0 / p)) ** 2,
+                           t ** p, depth)
     return val / p, err / p
 
 
 def calibrate_ch(H):
-    """c_H such that int_0^1 K(1,s)^2 ds = 1, to ~1e-10 relative.
+    """c_H such that int_0^1 K(1,s)^2 ds = 1, to ~1e-15 relative.
 
-    Cross-validated internally by re-running the quadrature at a stricter
-    tolerance; raises CalibrationError with the achieved residual if the two
-    passes disagree beyond 1e-8 (1e-6 near the H -> 1/2 boundary).
+    Cross-validated internally by a first pass of the graded rule at
+    CHECK_DEPTH against the result at QUAD_DEPTH; raises CalibrationError
+    with the achieved residual if the two passes disagree beyond 1e-10.
     """
     if not 0.5 < H < 1.0:
         raise ValueError(f"H must lie strictly in (1/2, 1), got {H}")
-    J, _ = _sq_energy_unnormalized(H, 1.0, epsrel=1e-11, limit=CALIBRATION_SUBINTERVALS)
-    J2, _ = _sq_energy_unnormalized(H, 1.0, epsrel=1e-13,
-                                    limit=2 * CALIBRATION_SUBINTERVALS)
+    J, _ = _sq_energy_unnormalized(H, 1.0, CHECK_DEPTH)
+    J2, _ = _sq_energy_unnormalized(H, 1.0, QUAD_DEPTH)
     residual = abs(J / J2 - 1.0)
-    tol = 1e-6 if H < 0.52 else 1e-8
-    if not np.isfinite(J) or J <= 0 or residual > tol:
+    if not np.isfinite(J) or J <= 0 or residual > 1e-10:
         raise CalibrationError(
             f"normalization quadrature did not converge for H={H}", residual
         )
@@ -224,7 +240,7 @@ def calibrate_ch(H):
 
 def kernel_sq_integral(H, c_H, t):
     """Continuous quadrature of int_0^t K(t,s)^2 ds (identity value: t^2H)."""
-    J, _ = _sq_energy_unnormalized(H, t)
+    J, _ = _sq_energy_unnormalized(H, t, QUAD_DEPTH)
     return c_H ** 2 * J
 
 
@@ -258,23 +274,15 @@ def kernel_time_integral_continuous(H, c_H, theta, T):
     return out
 
 
-def time_integral_square_aggregate(H, c_H, T, epsrel=1e-10):
+def time_integral_square_aggregate(H, c_H, T):
     """int_0^T (int_theta^T K(s,theta) ds)^2 dtheta (identity: T^(2H+2)/(2H+2)).
 
-    Same z = theta^(2-2H) substitution as the energy integral; the squared
-    theta^(1/2-H) prefactor is absorbed exactly.
+    Same z = theta^(2-2H) substitution and graded rule as the energy
+    integral; the squared theta^(1/2-H) prefactor is absorbed exactly.
     """
-    from scipy.integrate import quad
-
     p = 2.0 - 2.0 * H
-
-    def integrand(z):
-        theta = z ** (1.0 / p)
-        if theta >= T:
-            return 0.0
-        return float(_time_integral_reduced(H, theta, T)) ** 2
-
-    val, _ = quad(integrand, 0.0, T ** p, epsabs=0.0, epsrel=epsrel, limit=200)
+    val, _ = graded_quad(lambda z: _time_integral_reduced(H, z ** (1.0 / p), T) ** 2,
+                         T ** p, QUAD_DEPTH)
     return c_H ** 2 * val / p
 
 

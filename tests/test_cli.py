@@ -283,6 +283,19 @@ class TestBounds:
         assert main(["--config", str(cfg), "bounds"]) == EXIT_CONFIG
         assert "nested_paths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["derivatives", "dphi"])
+    def test_nested_suites_need_a_path(self, tmp_path, capsys, suite):
+        # without nested paths the suite is a configuration error that names
+        # the field and the suite, not numpy's empty-reduction message
+        cfg = tmp_path / "np0.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+            "nested_paths": 0, "inner_paths": 50, "suites": [suite],
+            "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "bounds"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{suite} needs nested_paths >= 1" in err
+
     def test_nested_paths_drawn_once(self, small_config, tmp_path, capsys, monkeypatch):
         path, _ = small_config
         cfg = json.loads(path.read_text())
@@ -311,7 +324,8 @@ class TestBounds:
             assert reports[bound_id]["n_samples"] == 2000
 
     def test_cached_table_runs_without_scipy(self, small_config, tmp_path):
-        # quadrature (scipy) is needed to build the kernel table, not to use it
+        # no command loads scipy: kernel-verify's continuous quadratures run
+        # on the graded rule of kernel, and the others use a cached table
         cfg = json.loads(small_config[0].read_text())
         cfg.update(out_dir=str(tmp_path / "run"))
         p2 = tmp_path / "cfg.json"
@@ -328,7 +342,7 @@ class TestBounds:
                                  capture_output=True, text=True, check=True)
             return out.stdout.splitlines()[-1]
 
-        assert run("--config", str(p2), "kernel-verify") != "0 []"   # builds it
+        assert run("--config", str(p2), "kernel-verify") == "0 []"   # builds it
         assert run("--config", str(p2), "bounds") in ("0 []", "1 []")
         assert run() == "0 []"
 

@@ -3,11 +3,12 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad, quad
 
 from expfbm import functional as fn
 from expfbm import paths as pth
 from expfbm import rng
-from expfbm.kernel import HurstParams
+from expfbm.kernel import HurstParams, covariance
 
 # frozen from the adaptive-quadrature oracle (H=0.7, a=0, sigma=1, T=1)
 MEAN_F_REFERENCE = 1.2456640637639047
@@ -15,6 +16,29 @@ MEAN_F_REFERENCE = 1.2456640637639047
 
 def make_params(a=0.0, sigma=1.0, H=0.7, T=1.0):
     return fn.ModelParams(a=a, sigma=sigma, hurst=HurstParams(H, T))
+
+
+def reference_mean_F(params):
+    """E[F] by adaptive quadrature. Reference for fn.analytic_mean_F."""
+    a, sigma, H, T = params.a, params.sigma, params.H, params.T
+    val, _ = quad(lambda s: np.exp(a * s + 0.5 * sigma ** 2 * s ** (2.0 * H)),
+                  0.0, T, epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
+def reference_second_moment_F(params):
+    """E[F^2] by adaptive 2-D quadrature over the triangle s < t, the
+    bivariate Gaussian moment evaluated through the covariance. Reference for
+    fn.analytic_second_moment_F."""
+    a, sigma, H, T = params.a, params.sigma, params.H, params.T
+    h2 = 2.0 * H
+
+    def integrand(s, t):
+        var = s ** h2 + t ** h2 + 2.0 * covariance(H, t, s)
+        return np.exp(a * (s + t) + 0.5 * sigma ** 2 * var)
+
+    val, _ = dblquad(integrand, 0.0, T, 0.0, lambda t: t, epsabs=0.0, epsrel=1e-11)
+    return 2.0 * val
 
 
 class TestModelParams:
@@ -64,6 +88,16 @@ class TestFunctionalF:
 
 
 class TestAnalyticMoments:
+    @pytest.mark.parametrize("a, sigma, H, T", [
+        (0.0, 1.0, 0.7, 1.0), (1.0, 0.0, 0.7, 1.0), (-1.0, 2.0, 0.51, 1.0),
+        (0.3, 1.5, 0.99, 1.0), (0.0, 0.5, 0.9, 0.5)])
+    def test_match_adaptive_references(self, a, sigma, H, T):
+        params = make_params(a=a, sigma=sigma, H=H, T=T)
+        assert fn.analytic_mean_F(params) == pytest.approx(
+            reference_mean_F(params), rel=1e-12)
+        assert fn.analytic_second_moment_F(params) == pytest.approx(
+            reference_second_moment_F(params), rel=1e-12)
+
     def test_mean_deterministic_limit(self):
         assert fn.analytic_mean_F(make_params(a=1.0, sigma=0.0)) == pytest.approx(
             np.e - 1.0, rel=1e-12)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -55,6 +57,44 @@ def reference_build_kernel_table(H, T, n, c_H, cell_nodes=8):
     return values, row_w, row_w2
 
 
+def reference_sq_energy_unnormalized(H, t, epsrel=1e-11, limit=200):
+    """int_0^t [s^(1/2-H) I(t,s)]^2 ds by adaptive quadrature in z = s^(2-2H),
+    the panel rule of I called once per node. Reference for the graded rule
+    of kn._sq_energy_unnormalized."""
+    p = 2.0 - 2.0 * H
+
+    def integrand(z):
+        s = z ** (1.0 / p)
+        if s >= t:
+            return 0.0
+        return float(kn._inner_integral(H, t, s)) ** 2
+
+    val, _ = quad(integrand, 0.0, t ** p, epsabs=0.0, epsrel=epsrel, limit=limit)
+    return val / p
+
+
+def reference_calibrate_ch(H):
+    """c_H from the unit-energy condition by adaptive quadrature at relative
+    tolerance 1e-13. Reference for kn.calibrate_ch."""
+    return 1.0 / np.sqrt(reference_sq_energy_unnormalized(H, 1.0, epsrel=1e-13,
+                                                          limit=512))
+
+
+def reference_time_integral_square_aggregate(H, c_H, T, epsrel=1e-10):
+    """int_0^T (int_theta^T K(s,theta) ds)^2 dtheta by adaptive quadrature in
+    z = theta^(2-2H). Reference for kn.time_integral_square_aggregate."""
+    p = 2.0 - 2.0 * H
+
+    def integrand(z):
+        theta = z ** (1.0 / p)
+        if theta >= T:
+            return 0.0
+        return float(kn._time_integral_reduced(H, theta, T)) ** 2
+
+    val, _ = quad(integrand, 0.0, T ** p, epsabs=0.0, epsrel=epsrel, limit=200)
+    return c_H ** 2 * val / p
+
+
 def assert_matches_reference(table):
     ref = reference_build_kernel_table(table.H, table.T, table.n, table.c_H)
     for name, want in zip(("values", "row_weights", "sq_weights"), ref):
@@ -80,9 +120,9 @@ class TestRunningSumBuild:
 
 class TestCalibration:
     def test_matches_closed_form(self):
-        for H in (0.55, 0.6, 0.7, 0.75, 0.9):
+        for H in (0.501, 0.51, 0.55, 0.6, 0.7, 0.75, 0.9, 0.99, 0.999999):
             ch = kn.calibrate_ch(H)
-            assert abs(ch / kn.ch_closed_form(H) - 1.0) < 1e-8
+            assert abs(ch / kn.ch_closed_form(H) - 1.0) < 1e-12
 
     def test_closed_form_from_lgamma(self):
         # the stdlib form against the Beta function of scipy.special
@@ -118,6 +158,53 @@ class TestCalibration:
         with pytest.raises(kn.CalibrationError) as err:
             kn.calibrate_ch(0.7)
         assert err.value.residual == pytest.approx(abs(1.0 / 1.5 - 1.0), rel=1e-12)
+
+
+SWEEP_H = (0.501, 0.51, 0.55, 0.7, 0.9, 0.99)
+SWEEP_T = (0.5, 1.0, 2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_sweep(H):
+    """The adaptive-quadrature energies and time aggregates at the closed-form
+    c_H, for t in SWEEP_T."""
+    ch = kn.ch_closed_form(H)
+    return ([ch ** 2 * reference_sq_energy_unnormalized(H, t) for t in SWEEP_T]
+            + [reference_time_integral_square_aggregate(H, ch, t) for t in SWEEP_T])
+
+
+def sweep_miss(H):
+    """Largest relative difference of the graded-rule energies and time
+    aggregates from reference_sweep(H)."""
+    ch = kn.ch_closed_form(H)
+    got = ([kn.kernel_sq_integral(H, ch, t) for t in SWEEP_T]
+           + [kn.time_integral_square_aggregate(H, ch, t) for t in SWEEP_T])
+    return max(abs(g / r - 1.0) for g, r in zip(got, reference_sweep(H)))
+
+
+class TestGradedRule:
+    @pytest.mark.parametrize("H", SWEEP_H)
+    def test_matches_adaptive_references(self, H):
+        assert abs(kn.calibrate_ch(H) / reference_calibrate_ch(H) - 1.0) < 1e-12
+        assert sweep_miss(H) < 1e-12
+
+    def test_sweep_can_fail(self, monkeypatch):
+        # the rule at the table's depth of 14 is too shallow for the sweep,
+        # and calibrate_ch's cross-check at CHECK_DEPTH catches it
+        monkeypatch.setattr(kn, "QUAD_DEPTH", 14)
+        assert sweep_miss(0.51) > 1e-12
+        with pytest.raises(kn.CalibrationError) as err:
+            kn.calibrate_ch(0.51)
+        assert err.value.residual > 1e-10
+
+    def test_error_estimate(self):
+        # the change from depth - 1 bounds the miss of a shallow rule, and
+        # vanishes where the rule has converged
+        exact = 1.0 / 1.01
+        val, err = kn.graded_quad(lambda x: x ** 0.01, 1.0, 8)
+        assert 0.0 < abs(val - exact) <= err
+        val, err = kn.graded_quad(lambda x: x ** 0.01, 1.0, kn.QUAD_DEPTH)
+        assert abs(val - exact) < 1e-15 and err < 1e-14
 
 
 class TestHurstParams:
@@ -193,11 +280,11 @@ class TestCovariance:
 
 class TestEnergyIdentity:
     def test_continuous_identity(self):
-        for H in (0.55, 0.7, 0.9):
-            ch = kn.calibrate_ch(H)
+        for H in (0.501, 0.55, 0.7, 0.9, 0.999999):
+            ch = kn.ch_closed_form(H)
             for t in (0.5, 1.0, 2.0):
                 val = kn.kernel_sq_integral(H, ch, t)
-                assert abs(val / t ** (2 * H) - 1.0) < 1e-6
+                assert abs(val / t ** (2 * H) - 1.0) < 1e-12
 
     def test_near_singular_relaxed(self):
         ch = kn.calibrate_ch(0.51)
@@ -215,11 +302,11 @@ class TestTimeIntegral:
             kn.kernel_time_integral(table64, 0.0)
 
     def test_square_aggregate_identity(self):
-        for (H, T) in ((0.7, 1.0), (0.6, 2.0)):
+        for (H, T) in ((0.7, 1.0), (0.6, 2.0), (0.501, 0.5), (0.999999, 1.0)):
             ch = kn.calibrate_ch(H)
             lhs = kn.time_integral_square_aggregate(H, ch, T)
             rhs = T ** (2 * H + 2) / (2 * H + 2)
-            assert abs(lhs / rhs - 1.0) < 1e-4
+            assert abs(lhs / rhs - 1.0) < 1e-12
 
     def test_aggregate_against_covariance_double_integral(self):
         # independent route: the aggregate equals the double integral of the
