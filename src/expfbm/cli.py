@@ -11,7 +11,12 @@ one `reports.summarize` line per report, as report does. `--only` is a
 bounds option.
 
 Exit codes, the same for every command: 0 all selected suites pass, 1 bound
-violation, 2 configuration error, 3 resource/budget exceeded.
+violation, 2 configuration error, 3 resource/budget exceeded (also when a
+cache or output file cannot be written).
+
+Within a command, the sample and nested caches are deflated and moved into
+place on one writer thread (zlib releases the GIL, so this overlaps the
+command's other work); the command waits for them before it returns.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ import os
 import sys
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,7 +66,9 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 # 6: the nested cache holds the d2x_range summary.
 # 7: nested estimates take the conditional means from the sweep (differ in
 #    the last bits).
-CACHE_SCHEMA = 7
+# 8: nested estimates take the conditional means from one product per node
+#    (differ in the last bits).
+CACHE_SCHEMA = 8
 
 
 @dataclass
@@ -162,11 +170,25 @@ def _provenance(cfg: ExperimentConfig):
             "seed": cfg.seed, "batch_partition": rng.BATCH}
 
 
+class OutputError(Exception):
+    """A cache or output file could not be written (exit 3)."""
+
+
+@contextmanager
+def _writing(path):
+    """Raise an OSError of the block as an OutputError naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path, payload):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    with _writing(path):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +197,8 @@ def _write_json(path, payload):
 
 def _cache_dir(cfg):
     d = Path(cfg.out_dir) / "cache"
-    d.mkdir(parents=True, exist_ok=True)
+    with _writing(d):
+        d.mkdir(parents=True, exist_ok=True)
     return d
 
 
@@ -183,11 +206,63 @@ def _write_atomic(path, write):
     """Call write(tmp) on a temp file beside path, then move it into place, so
     a reader never sees a partly written cache."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    with _writing(path):
+        try:
+            write(tmp)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+
+class _Writer:
+    """Atomic cache writes on one thread, pending by path."""
+
+    def __init__(self):
+        self._pool = None
+        self._pending = {}
+
+    def submit(self, path, write):
+        if self._pool is None:
+            # imported on first use: a command that defers no write (the
+            # clark_ocone suite alone, say) skips its import time
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(max_workers=1,
+                                            thread_name_prefix="expfbm-writer")
+        self._pending[path] = self._pool.submit(_write_atomic, path, write)
+
+    def finish(self, *paths):
+        """Wait for the pending writes to paths (to every path if none is
+        given), then raise the first failure among them."""
+        futures = [self._pending.pop(p) for p in paths or list(self._pending)
+                   if p in self._pending]
+        errors = [f.exception() for f in futures]
+        for exc in errors:
+            if exc is not None:
+                raise exc
+
+    def close(self):
+        """finish(), then stop the thread."""
+        try:
+            self.finish()
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown()
+
+
+_writer = None          # the running command's _Writer; None: write in place
+
+
+@contextmanager
+def _writes_behind():
+    """Within the block, _cached hands the writes it is asked to defer to one
+    writer thread; on leaving it, wait for all of them."""
+    global _writer
+    _writer = _Writer()
     try:
-        write(tmp)
-        os.replace(tmp, path)
+        yield
     finally:
-        tmp.unlink(missing_ok=True)
+        writer, _writer = _writer, None
+        writer.close()
 
 
 def _savez(tmp, **arrays):
@@ -200,13 +275,18 @@ def _savez(tmp, **arrays):
 UNREADABLE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error)
 
 
-def _cached(path, load, build, save, allow_build=True):
+def _cached(path, load, build, save, allow_build=True, behind=False):
     """load(path) if it can be read; else build(), save(value, tmp) it
     atomically in place, and return it.
 
+    With behind, inside a command, the save runs on the writer thread: it
+    must not call a traced function, and the value must not change after
+    build(). A pending write to path ends before path is read.
     An unreadable file is a miss like a missing one, reported on stderr.
     Without allow_build (--no-simulate) a miss raises FileNotFoundError.
     """
+    if _writer is not None:
+        _writer.finish(path)
     if path.exists():
         try:
             return load(path)
@@ -217,7 +297,10 @@ def _cached(path, load, build, save, allow_build=True):
         raise FileNotFoundError(
             f"cache {path} missing or unreadable and simulation disabled (--no-simulate)")
     value = build()
-    _write_atomic(path, lambda tmp: save(value, tmp))
+    if behind and _writer is not None:
+        _writer.submit(path, lambda tmp: save(value, tmp))
+    else:
+        _write_atomic(path, lambda tmp: save(value, tmp))
     return value
 
 
@@ -253,7 +336,7 @@ def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
         _savez(tmp, lnF=batch.lnF, X=batch.X, meta=np.frombuffer(meta, dtype=np.uint8))
 
     return _cached(_cache_dir(cfg) / f"sim-{cfg.cache_key(SIM_FIELDS)}.npz",
-                   load, build, save, allow_simulate)
+                   load, build, save, allow_simulate, behind=True)
 
 
 def _once(ctx, key, make):
@@ -297,7 +380,7 @@ def _nested_run(cfg, table, ctx):
 
     return _once(ctx, "nested", lambda: _cached(
         _cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz", load, build,
-        lambda out, tmp: _savez(tmp, **out), ctx["allow_simulate"]))
+        lambda out, tmp: _savez(tmp, **out), ctx["allow_simulate"], behind=True))
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +456,20 @@ def cmd_simulate(cfg, args):
     table = _table_for(cfg)
     params = cfg.model_params()
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"samples-{cfg.sim_hash()}.csv"
 
     if cfg.outer_paths == 0:
         centering = fn.CenteringEstimate(0.0, 0.0, 0, cfg.seed)
-        fn.write_samples_csv(csv_path, np.empty(0), np.empty(0), np.empty(0),
-                             params, centering, header_meta=_csv_meta(cfg))
+        with _writing(csv_path):
+            fn.write_samples_csv(csv_path, np.empty(0), np.empty(0), np.empty(0),
+                                 params, centering, header_meta=_csv_meta(cfg))
         print(f"wrote {csv_path} (empty batch)")
         return EXIT_OK
 
     batch = _sim_batch(cfg, table)
-    fn.write_samples_csv(csv_path, batch.F, batch.lnF, batch.X, params,
-                         batch.centering, header_meta=_csv_meta(cfg))
+    with _writing(csv_path):
+        fn.write_samples_csv(csv_path, batch.F, batch.lnF, batch.X, params,
+                             batch.centering, header_meta=_csv_meta(cfg))
 
     fine = pth.sample_fbm_cholesky(cfg.hurst_H,
                                    np.linspace(0, cfg.horizon_T, 513), 1, cfg.seed)
@@ -581,7 +665,9 @@ def _run_suites(cfg, args, command, names, only=None, finish=None):
                    summary={r.bound_id: r.description for r in reports})
     _write_json(out_dir / f"{command}.json", payload)
     for r in reports:
-        r.write_csv(out_dir / f"bound-{r.bound_id}.csv")
+        path = out_dir / f"bound-{r.bound_id}.csv"
+        with _writing(path):
+            r.write_csv(path)
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -599,7 +685,8 @@ def _malliavin_profile(cfg, table, ctx):
     nested = _nested_run(cfg, table, ctx)
     idx = nested["indices"].astype(int)
     bounds = ml.dx_bounds(table, cfg.model_params(), idx)
-    with open(Path(cfg.out_dir) / "malliavin-profile.csv", "w", newline="") as fh:
+    path = Path(cfg.out_dir) / "malliavin-profile.csv"
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "mean_dX", "bound_sigma_K", "margin",
                          "mean_cond_dX", "mean_inner_se"])
@@ -623,7 +710,8 @@ def _density_fields(cfg, table, ctx):
     """density.csv, and the KDE of rho_X and its image rho_F for the JSON."""
     dens = ctx["density"]
     densF = dn.induced_density_F(dens, _batch(cfg, table, ctx).centering)
-    with open(Path(cfg.out_dir) / "density.csv", "w", newline="") as fh:
+    path = Path(cfg.out_dir) / "density.csv"
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "density", "se", "x_F", "density_F"])
         for i in range(len(dens.x)):
@@ -660,7 +748,8 @@ def cmd_report(cfg, args):
         return EXIT_CONFIG
     text = "\n".join(lines)
     print(text)
-    (out_dir / "report.txt").write_text(text + "\n")
+    with _writing(out_dir / "report.txt"):
+        (out_dir / "report.txt").write_text(text + "\n")
     return EXIT_OK
 
 
@@ -729,7 +818,11 @@ def main(argv=None):
         "report": cmd_report,
     }
     try:
-        return handlers[args.command](cfg, args)
+        with _writes_behind():
+            return handlers[args.command](cfg, args)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except FileNotFoundError as exc:        # a cache --no-simulate may not rebuild
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,10 +16,10 @@ law is exactly the conditional law of the outer discrete model.
 The nested estimates are factorised. An inner path is the outer path's
 conditional mean N_p plus a fluctuation Z_q that does not depend on the
 past, so exp(a t_i + sigma (N_{p,i} + Z_{q,i})) = A_{p,i} B_{q,i}. One driver,
-_nested, runs block-major: each block of CHUNK_OUTER paths walks
-paths.conditional_mean_sweep (a rank-1 update of N per node) up to the last
-node it needs, and at each subgrid node draws one inner set Z for the block
-and forms every inner sum as a GEMM of A with B^T. Per-path estimates and
+_nested: at each subgrid node and each block of CHUNK_OUTER paths it forms N
+as one product of the block's past increments with the Volterra columns
+(paths.conditional_means), draws one inner set Z for the block and forms
+every inner sum as a GEMM of A with B^T. Per-path estimates and
 their inner SEs keep their law, but the paths of one block share inner
 noise: the SE of a mean over paths must come from block means
 (block_mean_se).
@@ -43,7 +43,6 @@ the integrand instead of truncating it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from . import rng
 from .functional import LogFunctional
 from .kernel import KernelTable
 from .paths import (FbmPaths, conditional_lognormal, conditional_lognormal_sweep,
-                    conditional_mean_sweep, inner_fluctuations, trapezoid_weights)
+                    conditional_means, inner_fluctuations, trapezoid_weights)
 from .reports import range_report
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
@@ -188,39 +187,50 @@ def _inner_blocks(n_paths):
 
 def _pair_stats(x):
     """Mean and standard error over the last (inner) axis, from the means of
-    the antithetic pairs (q, q + Q/2)."""
+    the antithetic pairs (q, q + Q/2).
+
+    The ufuncs of pair.mean(axis=-1) and pair.std(axis=-1, ddof=1) in their
+    order, so the bits are theirs, without the passes of their wrappers.
+    """
     half = x.shape[-1] // 2
-    pair = 0.5 * (x[..., :half] + x[..., half:])
-    return pair.mean(axis=-1), pair.std(axis=-1, ddof=1) / np.sqrt(half)
+    pair = x[..., :half] + x[..., half:]
+    pair *= 0.5
+    mean = np.add.reduce(pair, axis=-1, keepdims=True)
+    mean /= half
+    dev = np.subtract(pair, mean, out=pair)
+    dev *= dev
+    var = np.add.reduce(dev, axis=-1)
+    var /= half - 1
+    return mean[..., 0], np.sqrt(var, out=var) / np.sqrt(half)
 
 
 def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
-            stage, Kcols=None):
+            stage, s_idx=None):
     """Factorised nested estimates at the grid nodes idx for every path.
 
     Returns (est, se) of E[D_{t_k} X | F_{t_k}], each (P, m) over the nodes
-    k of idx, and (est2, se2) of E[D_s D_{t_k} X | F_{t_k}] for s over the
-    columns of Kcols (kernel columns on the full grid), each (P, ms, m);
-    ms = 0 without Kcols. Every estimate at k = n is 0.
+    k of idx, and (est2, se2) of E[D_s D_{t_k} X | F_{t_k}] 1{s <= t_k} for s
+    over the sorted grid nodes s_idx, each (P, ms, m); ms = 0 without s_idx.
+    Every estimate at k = n is 0, and so is every entry with s > t_k.
 
-    Block-major: each block of CHUNK_OUTER paths walks
-    paths.conditional_mean_sweep over its increments up to the last node of
-    idx below n, and at each node of idx reads the conditional means N there.
-    Inner path q of outer path p is N_p + Z_q (a fluctuation shared by the
-    block), so its integrand factors as exp(a t_i + sigma N_{p,i})
-    exp(sigma Z_{q,i}) = A_{p,i} B_{q,i}. Every inner sum over i is then
-    sum_i A_{p,i} c_i B_{q,i}: one GEMM per block and node over the columns
-    c = [1, K(., t_k), K(., s), K(., t_k) K(., s)]. A is scaled by the
-    largest exponent of its path and B by that of its draw, which cancels in
-    every ratio and keeps both factors <= 1.
+    At each node k of idx and each block of CHUNK_OUTER paths, the
+    conditional means N come from one product of the block's increments
+    before t_k with the Volterra columns (paths.conditional_means). Inner
+    path q of outer path p is N_p + Z_q (a fluctuation shared by the block),
+    so its integrand factors as exp(a t_i + sigma N_{p,i}) exp(sigma Z_{q,i})
+    = A_{p,i} B_{q,i}. Every inner sum over i is then sum_i A_{p,i} c_i B_{q,i}:
+    one GEMM per block and node over the columns c = [1, K(., t_k), K(., s),
+    K(., t_k) K(., s)], with only the columns s <= t_k (a prefix of s_idx).
+    A is scaled by the largest exponent of its path and B by that of its
+    draw, which cancels in every ratio and keeps both factors <= 1.
     """
     paths.require_increments()
     P, n, m = paths.n_paths, table.n, len(idx)
-    ms = 0 if Kcols is None else Kcols.shape[1]
+    ms = 0 if s_idx is None else len(s_idx)
     est, se = np.zeros((P, m)), np.zeros((P, m))
     est2, se2 = np.zeros((P, ms, m)), np.zeros((P, ms, m))
-    col_of = {int(k): c for c, k in enumerate(idx) if k < n}
-    if not col_of:
+    nodes = [(c, int(k)) for c, k in enumerate(idx) if k < n]
+    if not nodes:
         return est, se, est2, se2
     if n_inner < 50:
         raise ValueError("n_inner must be >= 50")
@@ -229,37 +239,37 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
     tau = trapezoid_weights(grid)
     sigma = params.sigma
     K = _kernel_columns(table, idx)
+    Ks = _kernel_columns(table, s_idx) if ms else None
 
-    for blk, start, stop in _inner_blocks(P):
-        sweep = conditional_mean_sweep(table, paths.increments[start:stop])
-        for k, N in islice(sweep, max(col_of) + 1):
-            if k not in col_of:
-                continue
-            c = col_of[k]
-            kcol = K[:, c:c + 1]
-            cols = [np.ones_like(kcol), kcol]
-            if ms:
-                cols += [Kcols, kcol * Kcols]
-            tauK = tau[:, None] * np.hstack(cols)                        # (n+1, 2 + 2 ms)
+    for c, k in nodes:
+        ns = int(np.searchsorted(s_idx, k, side="right")) if ms else 0
+        kcol = K[:, c:c + 1]
+        cols = [np.ones_like(kcol), kcol]
+        if ns:
+            cols += [Ks[:, :ns], kcol * Ks[:, :ns]]
+        tauK = tau[:, None] * np.hstack(cols)                            # (n+1, 2 + 2 ns)
+        W = np.ascontiguousarray(tauK[k:].T)                             # (2 + 2 ns, n-k+1)
+        for blk, start, stop in _inner_blocks(P):
             gen = rng.stream(seed, rng.INNER, stage, k, blk)
             logB = sigma * inner_fluctuations(table, k, n_inner, gen)    # (Q, n-k+1)
             logB_max = logB.max(axis=1)
             B = np.exp(logB - logB_max[:, None])
-            logA = params.a * grid + sigma * N
+            logA = params.a * grid + sigma * conditional_means(
+                table, paths.increments[start:stop], k)
             A = np.exp(logA - logA.max(axis=1, keepdims=True))           # (C, n+1)
-            G = A[:, None, k:] * tauK[k:].T[None]                        # (C, c, n-k+1)
-            S = (G.reshape(-1, G.shape[2]) @ B.T).reshape(stop - start, -1, n_inner)
+            G = np.ascontiguousarray(A[:, k:])[:, None, :] * W[None]     # (C, c, n-k+1)
+            S = (G.reshape(-1, n - k + 1) @ B.T).reshape(stop - start, -1, n_inner)
             # rows i < k are the frozen past (fluctuation 0, so B = exp(-logB_max));
             # there K(t_i, t_k) = 0, so only the F and K(., s) columns get a term
             S += (A[:, :k] @ tauK[:k])[:, :, None] * np.exp(-logB_max)
             r = 1.0 / S[:, 0]                                            # (C, Q)
             Dth = S[:, 1] * r
             est[start:stop, c], se[start:stop, c] = _pair_stats(sigma * Dth)
-            if ms:
-                A_all = S[:, 2:2 + ms] * r[:, None]
-                T1 = S[:, 2 + ms:] * r[:, None]
-                d2 = sigma ** 2 * (T1 - A_all * Dth[:, None])            # (C, ms, Q)
-                est2[start:stop, :, c], se2[start:stop, :, c] = _pair_stats(d2)
+            if ns:
+                A_all = S[:, 2:2 + ns] * r[:, None]
+                T1 = S[:, 2 + ns:] * r[:, None]
+                d2 = sigma ** 2 * (T1 - A_all * Dth[:, None])            # (C, ns, Q)
+                est2[start:stop, :ns, c], se2[start:stop, :ns, c] = _pair_stats(d2)
     return est, se, est2, se2
 
 
@@ -410,9 +420,11 @@ def dphi_bound_check(paths: FbmPaths, table: KernelTable, params, n_inner,
     """Estimate D_s Phi_X and verify its displayed bounds.
 
     D_s Phi_X = int D_s D_theta X * E[D_theta X|F_theta] dtheta
-              + int D_theta X * E[D_s D_theta X|F_theta] dtheta
+              + int_s^T D_theta X * E[D_s D_theta X|F_theta] dtheta
 
     Both conditional factors come from the same inner draws per theta.
+    E[D_theta X|F_theta] is F_theta-measurable, so its D_s is
+    E[D_s D_theta X|F_theta] 1{s <= theta} (Nualart 2006, Prop. 1.2.8).
     Checks 0 <= D_s Phi_X <= 4 sigma^3 K(T,s) T^2H and
     0 <= int D_s Phi_X E[D_s X|F_s] ds <= 4 sigma^4 T^4H within combined
     inner-MC error. Honors a path budget; the report carries the coverage
@@ -433,7 +445,7 @@ def dphi_bound_check(paths: FbmPaths, table: KernelTable, params, n_inner,
     D = dx(paths, table, params, indices=idx)
     D2 = d2x(paths, table, params, indices=idx)
     cond, cond_se, cond2, cond2_se = _nested(paths, table, params, idx, n_inner,
-                                             seed, 1, Kcols)      # cond2[p, s, theta]
+                                             seed, 1, idx)        # cond2[p, s, theta]
 
     term_a = np.einsum("t,pst,pt->ps", omega, D2, cond)
     term_b = np.einsum("t,pt,pst->ps", omega, D, cond2)

@@ -182,13 +182,19 @@ def conditional_law(paths: FbmPaths, table: KernelTable, theta) -> ConditionalLa
     """Conditional Gaussian law of the paths given the driving BM up to theta."""
     paths.require_increments()
     k = table.index_of(theta)
-    V = table.volterra_matrix
-    if k == 0:
-        means = np.zeros_like(paths.values)
-    else:
-        means = paths.increments[:, :k] @ V[:, :k].T
-    return ConditionalLaw(theta_index=k, theta=table.grid[k], means=means,
+    return ConditionalLaw(theta_index=k, theta=table.grid[k],
+                          means=conditional_means(table, paths.increments, k),
                           variances=table.conditional_variances(k))
+
+
+def conditional_means(table: KernelTable, increments, k):
+    """N[p, i] = E[B^H_{t_i} | F_{t_k}], (P, n+1): one product of the
+    increments before t_k with their Volterra columns. N holds the realized
+    value for i <= k and the conditional mean of the future for i > k."""
+    increments = np.atleast_2d(increments)
+    if k == 0:
+        return np.zeros((increments.shape[0], table.n + 1))
+    return increments[:, :k] @ table.volterra_matrix[:, :k].T
 
 
 def conditional_mean_sweep(table: KernelTable, increments):
@@ -227,8 +233,8 @@ def inner_fluctuations(table: KernelTable, k, n_inner, gen):
     if n_inner % 2:
         raise ValueError("antithetic inner sampling needs an even n_inner")
     z = gen.standard_normal((n_inner // 2, table.n - k)) * np.sqrt(table.dt)
-    z = np.concatenate([z, -z])
-    return z @ table.volterra_matrix[k:, k:].T     # rows t_k..T, future cells
+    zV = z @ table.volterra_matrix[k:, k:].T       # rows t_k..T, future cells
+    return np.concatenate([zV, -zV])               # exact antithetic pairs
 
 
 def conditional_lognormal(table: KernelTable, params, k, N, start=0, out=None):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -23,6 +24,17 @@ def small_config(tmp_path_factory):
     path = out / "config.json"
     path.write_text(json.dumps(cfg))
     return path, out
+
+
+@pytest.fixture
+def cached_run(tmp_path):
+    """A bounds run that writes (then reads) every cache: table, sample and nested."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+        "nested_paths": 300, "inner_paths": 50, "seed": 5,
+        "suites": ["tail", "derivatives"], "out_dir": str(tmp_path / "run")}))
+    return ["--config", str(cfg), "bounds"], tmp_path / "run"
 
 
 def sigma_zero_config(tmp_path, **fields):
@@ -112,16 +124,6 @@ class TestCaches:
         assert len(list((tmp_path / "cache").glob("sim-*.npz"))) == 2
         assert not list((tmp_path / "cache").glob("*.tmp"))
 
-    @pytest.fixture
-    def cached_run(self, tmp_path):
-        """A bounds run that reads every cache: table, sample and nested."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
-            "nested_paths": 300, "inner_paths": 50, "seed": 5,
-            "suites": ["tail", "derivatives"], "out_dir": str(tmp_path / "run")}))
-        return ["--config", str(cfg), "bounds"], tmp_path / "run"
-
     @staticmethod
     def outputs(run):
         return {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()}
@@ -160,6 +162,45 @@ class TestCaches:
             assert main(["--out", str(tmp_path), "--grid", "16", "--seed", seed,
                          "kernel-verify"]) == EXIT_OK
         assert len(list((tmp_path / "cache").glob("table-*.npz"))) == 1
+
+
+class TestWriteFailures:
+    """A file that cannot be written is a resource error (exit 3) with one
+    stderr line naming it, never a traceback, and leaves no temp file."""
+
+    @pytest.mark.parametrize("command", ["kernel-verify", "bounds"])
+    def test_blocked_cache_dir(self, cached_run, capsys, command):
+        argv, run = cached_run
+        run.mkdir()
+        (run / "cache").write_text("a file where the cache directory goes")
+        assert main(argv[:-1] + [command]) == cli.EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"cannot write {run / 'cache'}:" in err
+        assert not list(run.rglob("*.tmp"))
+
+    def test_blocked_output_file(self, cached_run, capsys):
+        argv, run = cached_run
+        (run / "bounds.json").mkdir(parents=True)
+        assert main(argv) == cli.EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"cannot write {run / 'bounds.json'}:" in err
+
+    def test_failed_cache_write_on_the_writer_thread(self, cached_run, capsys,
+                                                     monkeypatch):
+        argv, run = cached_run
+
+        def disk_full(tmp, **arrays):
+            tmp.write_bytes(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_savez", disk_full)
+        assert main(argv) == cli.EXIT_BUDGET
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: cannot write {run / 'cache' / 'sim-'}")
+        assert line.endswith(".npz: No space left on device")
+        assert not list(run.rglob("*.tmp"))
+        assert [p.name[:6] for p in (run / "cache").iterdir()] == ["table-"]
 
 
 class TestKernelVerify:

@@ -138,6 +138,20 @@ class TestInnerFluctuations:
         with pytest.raises(ValueError):
             pth.inner_fluctuations(table64, k, 7, gen)
 
+    def test_maps_the_half_draw_once(self, table64, table256):
+        # [zV, -zV]: the pairs are exact negatives, and the values are those of
+        # mapping the concatenated [z, -z] up to the GEMM's rounding, which
+        # depends on its row count (so the bits are not kept)
+        for table in (table64, table256):
+            for k in (0, 1, table.n // 3, table.n - 1):
+                for n_inner in (50, 200):
+                    Z = pth.inner_fluctuations(table, k, n_inner, rng.stream(7, k))
+                    z = rng.stream(7, k).standard_normal((n_inner // 2, table.n - k))
+                    z *= np.sqrt(table.dt)
+                    old = np.concatenate([z, -z]) @ table.volterra_matrix[k:, k:].T
+                    assert np.array_equal(Z[: n_inner // 2], -Z[n_inner // 2:])
+                    assert np.abs(Z - old).max() <= 1e-14, (table.n, k, n_inner)
+
     def test_conditional_moments(self, table64):
         paths = pth.sample_fbm_volterra(table64, 1, seed=4)
         gen = np.random.Generator(np.random.Philox(2))

@@ -41,9 +41,9 @@ def test_traced_names_resolve():
     assert set(trace_cli.RATES) <= traced
 
 
-def test_spans_open_on_the_main_thread(table64, params, monkeypatch):
-    # the tracer's span stack is not thread-safe: the worker threads of the
-    # ln F draw must call no traced function
+def install_thread_tracer(monkeypatch):
+    """Install perfbench's wrappers with a tracer that records, for each
+    traced call, its name and thread; return that list."""
     trace_cli = load_perfbench("trace_cli")
     opened = []
 
@@ -59,11 +59,44 @@ def test_spans_open_on_the_main_thread(table64, params, monkeypatch):
     # binding is undone after the test
     monkeypatch.setattr(trace_cli, "setattr", monkeypatch.setattr, raising=False)
     trace_cli.install(ThreadTracer())
+    return opened
+
+
+def test_spans_open_on_the_main_thread(table64, params, monkeypatch):
+    # the tracer's span stack is not thread-safe: the worker threads of the
+    # ln F draw must call no traced function
+    opened = install_thread_tracer(monkeypatch)
     monkeypatch.setattr(fn, "_workers", lambda n_batches: 3)
     centering = fn.estimate_mean_lnF(params, table64, 2 * rng.BATCH + 1, 3)
     dn.sample_X_batch(params, table64, 3 * rng.BATCH + 1, 4, centering)
     names = [name for name, _ in opened]
     assert names == ["functional.estimate_mean_lnF", "density.sample_X_batch"]
+    assert {ident for _, ident in opened} == {threading.main_thread().ident}
+
+
+def test_cache_writer_opens_no_span(tmp_path, monkeypatch):
+    # the sample and nested caches are deflated on the writer thread, which
+    # must call no traced function either
+    opened = install_thread_tracer(monkeypatch)
+    saved = []
+    savez = cli._savez
+
+    def recording_savez(tmp, **arrays):
+        saved.append(threading.get_ident())
+        savez(tmp, **arrays)
+
+    monkeypatch.setattr(cli, "_savez", recording_savez)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+        "nested_paths": 300, "inner_paths": 50, "seed": 5,
+        "suites": ["tail", "derivatives"], "out_dir": str(tmp_path)}))
+    assert cli.main(["--config", str(cfg_path), "bounds"]) == 0
+    assert sorted(p.name[:4] for p in (tmp_path / "cache").iterdir()) == [
+        "mal-", "sim-", "tabl"]
+    assert len(saved) == 2 and threading.main_thread().ident not in saved
+    names = {name for name, _ in opened}
+    assert {"cli.main", "kernel.save_table", "malliavin.phi_x_batch"} <= names
     assert {ident for _, ident in opened} == {threading.main_thread().ident}
 
 
