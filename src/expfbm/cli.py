@@ -3,7 +3,8 @@
 Subcommands: kernel-verify, simulate, density, bounds, malliavin, report.
 A run is a pure function of its configuration: the effective config (all
 defaults resolved), its hash, the seed and the code version are embedded in
-every output file, and identical configs produce byte-identical CSV/JSON.
+every output file (the BLAS setup and worker count in the JSON files), and
+identical configs produce byte-identical CSV/JSON at one BLAS thread count.
 
 bounds, malliavin and density share one runner: each writes <command>.json
 (provenance, reports, summary) and a bound-<id>.csv per report, and prints
@@ -152,11 +153,14 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def cache_key(self, fields):
-        """Hash of the given fields, the code version and the cache schema."""
+        """Hash of the given fields, the code version, the cache schema and
+        the BLAS thread count (the last bits of a GEMM can depend on it)."""
         d = self.effective()
         blob = json.dumps({"fields": {k: d[k] for k in fields},
                            "code_version": __version__,
-                           "cache_schema": CACHE_SCHEMA}, sort_keys=True)
+                           "cache_schema": CACHE_SCHEMA,
+                           "blas_threads": fn.blas_setup()["threads"]},
+                          sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def model_params(self):
@@ -167,7 +171,8 @@ class ExperimentConfig:
 def _provenance(cfg: ExperimentConfig):
     return {"config": cfg.effective(), "config_hash": cfg.hash(),
             "sim_hash": cfg.sim_hash(), "code_version": __version__,
-            "seed": cfg.seed, "batch_partition": rng.BATCH}
+            "seed": cfg.seed, "batch_partition": rng.BATCH,
+            "blas": fn.blas_setup(), "workers": fn._workers(fn.MAX_WORKERS)}
 
 
 class OutputError(Exception):

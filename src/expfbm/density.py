@@ -221,12 +221,12 @@ def verify_mgf(X, params: ModelParams) -> BoundReport:
 
 def _thirds_rule(y, c, se, resolved):
     """Non-explosion test on one tail: outer-third max <= 1.5 * inner-third max
-    beyond 3 SE. y must be ordered from the center outward. An empty info
-    dict means too few resolved points for a verdict: every point of the
-    report is then inconclusive."""
+    beyond 3 SE, on the resolved points with a finite c. y must be ordered
+    from the center outward. Returns (violations, info); an empty info dict
+    means too few such points for a verdict (see _inconclusive)."""
     ok = resolved & np.isfinite(c)
     if ok.sum() < 6:
-        return 0, True, {}
+        return 0, {}
     yi = np.abs(y[ok])
     ci = c[ok]
     si = se[ok]
@@ -235,14 +235,22 @@ def _thirds_rule(y, c, se, resolved):
     outer_mask = yi >= edges[1]
     outer = ci[outer_mask]
     if len(inner) == 0 or len(outer) == 0:
-        return 0, True, {}
+        return 0, {}
     max_inner = float(inner.max())
     j = int(np.argmax(outer))
     max_outer = float(outer[j])
     slack = 3.0 * float(si[outer_mask][j])
     violated = max_outer > 1.5 * max_inner + slack
     info = {"max_inner": max_inner, "max_outer": max_outer, "slack_3se": slack}
-    return (1 if violated else 0), not violated, info
+    return int(violated), info
+
+
+def _inconclusive(resolved, c, info):
+    """The points of a thirds-rule report that count neither way: the
+    unresolved ones and, when the rule reached no verdict, the finite ones.
+    A resolved point whose implied constant is not finite always counts, so
+    the report makes it a violation (BoundReport)."""
+    return ~resolved | ((not info) & np.isfinite(c))
 
 
 def verify_envelopes(dens: DensityEstimate, params: ModelParams,
@@ -273,7 +281,7 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
         grow = np.exp(y[mask] ** 2 / (k * s2))
         c = rho[mask] * grow
         c_se = se[mask] * grow
-        viol, passed, info = _thirds_rule(y[mask], c, c_se, resolved[mask])
+        viol, info = _thirds_rule(y[mask], c, c_se, resolved[mask])
         reports.append(BoundReport(
             bound_id=bound_id,
             description=(f"rho_X(y) <= c exp(-y^2/({k:g} sigma^2 T^2H)) on the "
@@ -282,7 +290,8 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
             points=y[mask], lhs=c, rhs=np.full(mask.sum(), info.get("max_inner", np.nan)),
             se=c_se, tolerance=np.full(mask.sum(), info.get("slack_3se", np.nan)),
             violations=viol, n_samples=dens.n_samples,
-            implied_constant=c, inconclusive=~resolved[mask] | (not info), meta=info))
+            implied_constant=c, inconclusive=_inconclusive(resolved[mask], c, info),
+            meta=info))
 
     # right-tail slope: -d/dy ln rho >= y / s2 - 3 SE on the resolved range
     dy = y[1] - y[0]
@@ -315,9 +324,15 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
         c_se = densF.se[mask] * grow
         # order from E[F] outward (toward x = 0): reverse so |y| grows outward
         order = np.argsort(sample_mean_F - xF[mask])
-        viol, passed, info = _thirds_rule(
+        viol, info = _thirds_rule(
             (sample_mean_F - xF[mask])[order], c[order], c_se[order],
             resolved[mask][order])
+        inconclusive = _inconclusive(resolved[mask], c, info)
+        if not (np.isfinite(sample_mean_F) and np.isfinite(sample_var_F)):
+            # F overflowed: the envelope's centre or scale is unknown
+            viol += 1
+            info = dict(info, sample_mean_F=float(sample_mean_F),
+                        sample_var_F=float(sample_var_F))
         reports.append(BoundReport(
             bound_id="gaussian_left_envelope_F",
             description=("rho_F(x) <= c exp(-(x-E F)^2/(8 Var F)) for "
@@ -326,7 +341,7 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
             rhs=np.full(int(mask.sum()), info.get("max_inner", np.nan)),
             se=c_se, tolerance=np.full(int(mask.sum()), info.get("slack_3se", np.nan)),
             violations=viol, n_samples=dens.n_samples,
-            implied_constant=c, inconclusive=~resolved[mask] | (not info), meta=info))
+            implied_constant=c, inconclusive=inconclusive, meta=info))
 
     return reports
 

@@ -16,9 +16,9 @@ of K(., theta) and K(., r) under w (see malliavin). Both stay finite at any
 sigma >= 0, where F itself may overflow.
 
 sample_lnF is the ln F of a whole sample (the outer batch and the centering
-paths): rng batches on a few worker threads, each streamed from its
-increments through the Volterra map to ln F block by block, with the bits of
-LogFunctional on the whole path array and no such array formed.
+paths): rng batches on a few worker threads (run_blocks), each streamed from
+its increments through the Volterra map to ln F block by block, with the
+bits of LogFunctional on the whole path array and no such array formed.
 """
 from __future__ import annotations
 
@@ -31,13 +31,16 @@ import numpy as np
 
 from . import rng
 from .kernel import QUAD_DEPTH, HurstParams, graded_quad, graded_rule
-from .paths import (MAP_BLOCK, FbmPaths, draw_increments, map_block,
+from .paths import (MAP_BLOCK, FbmPaths, increment_stream, map_block,
                     trapezoid_weights)
 
-# Threads of sample_lnF. Each holds one (rng.BATCH, n) increment buffer, so
-# three keep the draw within the three batch-sized arrays (increments,
-# values, exponentials) that one batch mapped whole would hold.
+# Most threads of run_blocks.
 MAX_WORKERS = 3
+
+# The variables each BLAS reads for its thread count, first to last (any
+# other BLAS: all three).
+BLAS_THREAD_VARS = {"openblas": ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"),
+                    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS")}
 
 
 @dataclass(frozen=True)
@@ -153,54 +156,99 @@ def deterministic_lnF(params: ModelParams) -> float:
     return float(np.log(np.expm1(a * T) / a))      # exp(aT) - 1 is 0 for tiny a
 
 
-def _workers(n_batches):
-    """Threads for a draw of n_batches batches: one per usable CPU, at most
-    one per batch and MAX_WORKERS, at least one."""
-    return max(1, min(len(os.sched_getaffinity(0)), n_batches, MAX_WORKERS))
+def blas_setup():
+    """Name and version of the BLAS that numpy was built with, and the
+    thread count it runs with in this process: the first of its variables in
+    BLAS_THREAD_VARS set to a positive integer, else one thread per usable
+    CPU, and never more than that (OpenBLAS caps it there)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    name = str(blas.get("name")).lower()
+    names = next((v for k, v in BLAS_THREAD_VARS.items() if k in name),
+                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    cpus = len(os.sched_getaffinity(0))
+    values = (os.environ.get(var, "").strip() for var in names)
+    threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus)
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "threads": min(threads, cpus)}
+
+
+def _workers(n_blocks):
+    """Threads for a pass of n_blocks blocks: one per usable CPU that the
+    BLAS threads leave free, at most one per block and MAX_WORKERS, at least
+    one. Worker threads that share a CPU with BLAS threads make the passes
+    slower (README, Threads)."""
+    free = len(os.sched_getaffinity(0)) // blas_setup()["threads"]
+    return max(1, min(free, n_blocks, MAX_WORKERS))
+
+
+def run_blocks(work, n, block=rng.BATCH):
+    """Call work(b, start, stop) for every block of rng.batch_ranges(n,
+    block), on _workers threads (this one among them), or in order on this
+    thread when there is one.
+
+    The blocks must be independent: each writes only its own rows, and any
+    stream it draws is keyed by its block, so the result is bit-identical for
+    any worker count. numpy releases the GIL in its large array operations,
+    so the threads overlap. work must call no function that perfbench
+    traces: its span stack belongs to the main thread. The first exception
+    of a block is raised here once every thread has stopped.
+    """
+    blocks = list(rng.batch_ranges(n, block))
+    workers = _workers(len(blocks))
+    if workers == 1:
+        for blk in blocks:
+            work(*blk)
+        return
+    todo = iter(blocks)
+    lock = threading.Lock()
+    errors = []
+
+    def take():
+        while not errors:
+            with lock:                  # two threads must not take one block
+                blk = next(todo, None)
+            if blk is None:
+                return
+            try:
+                work(*blk)
+            except BaseException as exc:        # raised on the calling thread
+                errors.append(exc)
+
+    threads = [threading.Thread(target=take) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    take()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def sample_lnF(params: ModelParams, table, n_paths, seed, purpose=rng.OUTER):
     """ln F of every path: LogFunctional(sample_fbm_volterra(table, n_paths,
     seed, purpose), params).lnF, bit for bit, without the path array.
 
-    Each batch of rng.batch_ranges has its own Philox substream, so the
-    batches are independent: worker threads take them in any order and the
-    bits do not depend on which thread draws which. A worker draws a batch
-    into its one reused (rng.BATCH, n) buffer, maps it in the MAP_BLOCK-row
-    blocks of fbm_from_bm and reduces each block to ln F at once. numpy
-    releases the GIL in the draw, the GEMM and exp, so the threads overlap.
+    The batches of rng.batch_ranges run on run_blocks. A worker draws its
+    batch from the batch's stream MAP_BLOCK rows at a time, straight into one
+    (MAP_BLOCK, n) scratch, maps each block as fbm_from_bm does and reduces
+    it to ln F at once.
     """
     n = table.n
     Vt = table.volterra_matrix.T
     lnF = np.empty(n_paths)
-    batches = list(rng.batch_ranges(n_paths))
-    todo = iter(batches)
-    lock = threading.Lock()
 
-    def work():
-        incr = np.empty((rng.BATCH, n))
+    def work(b, start, stop):
+        draw = increment_stream(table.grid, seed, purpose, b)
         block = np.empty((MAP_BLOCK, n))
         out = np.empty((MAP_BLOCK, n + 1))
-        while True:
-            with lock:                  # two threads must not take one batch
-                b, start, stop = next(todo, (None, 0, 0))
-            if b is None:
-                return
-            batch = draw_increments(table.grid, seed, purpose, b,
-                                    incr[:stop - start])
-            for lo in range(0, stop - start, MAP_BLOCK):
-                values = map_block(Vt, batch, lo, block, out)
-                paths = FbmPaths(table.grid, values, None, seed, "volterra")
-                lnF[start + lo:start + lo + len(values)] = \
-                    LogFunctional(paths, params).lnF
+        for lo in range(start, stop, MAP_BLOCK):
+            rows = min(MAP_BLOCK, stop - lo)
+            draw(block[:rows])
+            values = map_block(Vt, block, rows, out)
+            paths = FbmPaths(table.grid, values, None, seed, "volterra")
+            lnF[lo:lo + rows] = LogFunctional(paths, params).lnF
 
-    # imported here: commands that draw no sample skip its import (~6 ms)
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = _workers(len(batches))
-    with ThreadPoolExecutor(workers) as pool:
-        for future in [pool.submit(work) for _ in range(workers)]:
-            future.result()
+    run_blocks(work, n_paths)
     return lnF
 
 

@@ -253,14 +253,37 @@ def _time_integral_reduced(H, theta, T):
 
     int_theta^T K(s,theta) ds collapses to a single u-integral because the
     s-integration of the indicator {u <= s} contributes the factor (T - u).
+    Split at u = 2 theta as in _inner_integral, so both pieces stay
+    resolvable by fixed panels as H -> 1/2:
+
+      [theta, 2 theta]  u = theta (1 + xi), T - u = (T - theta) - theta xi:
+                        theta^(2H-1) [(T - theta) int xi^(H-3/2) (1+xi)^(H-1/2)
+                        - theta int xi^(H-1/2) (1+xi)^(H-1/2)] dxi, the first
+                        in the unit form of _inner_integral (w = xi^(H-1/2)),
+                        the second in v = xi^(H+1/2), where its integrand
+                        (1 + v^(1/(H+1/2)))^(H-1/2) is nearly flat.
+      [2 theta, T]      w = (u - theta)^(H-1/2) directly.
     """
     theta = np.asarray(theta, dtype=float)
     alpha = H - 0.5
-    W = np.power(np.maximum(T - theta, 0.0), alpha)
-    w = W[..., None] * _UX
-    ub = w ** (1.0 / alpha)
-    integrand = np.power(theta[..., None] + ub, alpha) * (T - theta[..., None] - ub)
-    return (W / alpha) * (integrand @ _UW)
+    cut = np.minimum(2.0 * theta, T)
+
+    # inner piece on [theta, cut]
+    xi_max = np.maximum(cut / np.maximum(theta, 1e-300) - 1.0, 0.0)
+    W1 = np.power(xi_max, alpha)
+    f1 = np.power(1.0 + np.power(W1[..., None] * _UX, 1.0 / alpha), alpha)
+    V1 = np.power(xi_max, 1.0 + alpha)
+    g1 = np.power(1.0 + np.power(V1[..., None] * _UX, 1.0 / (1.0 + alpha)), alpha)
+    out = np.power(theta, 2.0 * H - 1.0) * (
+        (T - theta) * (W1 / alpha) * (f1 @ _UW)
+        - theta * (V1 / (1.0 + alpha)) * (g1 @ _UW))
+
+    # outer piece on [cut, T], empty where T <= 2 theta
+    wlo = np.power(np.maximum(cut - theta, 0.0), alpha)
+    span = np.maximum(np.power(np.maximum(T - theta, 0.0), alpha) - wlo, 0.0)
+    ub = theta[..., None] + np.power(wlo[..., None] + span[..., None] * _UX, 1.0 / alpha)
+    f2 = np.power(ub, alpha) * (T - ub)
+    return out + (span / alpha) * (f2 @ _UW)
 
 
 def kernel_time_integral_continuous(H, c_H, theta, T):
@@ -343,7 +366,7 @@ class KernelTable:
     def conditional_variances(self, k):
         """v_i(k) = Var(B^H_{t_i} | F_{t_k}) = sum_{l >= k} V[i, l]^2 dt, drawn by
         the cells after t_k: 0 for i <= k, map_variances at k = 0. Row k of
-        one cached reverse cumulative sum (read-only)."""
+        one cached reverse cumulative sum (read-only; a slice k gives rows)."""
         if "_future_var" not in self.__dict__:
             fv = np.zeros((self.n + 1, self.n + 1))
             fv[:-1] = np.cumsum((self.volterra_matrix.T ** 2 * self.dt)[::-1], axis=0)[::-1]

@@ -5,11 +5,11 @@ Two generators:
   * Volterra map (default): draws Brownian increments and applies the
     cell-integrated kernel weights. Keeps the increments, so conditional
     means, nested resampling and Clark-Ocone sums are available. The
-    increments of a batch are drawn in one place (draw_increments, one Philox
-    substream per batch) and mapped in one place (map_block, fixed-size
-    zero-padded GEMMs), so a path's values do not depend on the path count,
-    on the batch it is drawn in or on the thread that draws it
-    (functional.sample_lnF streams batches through both on worker threads).
+    increments of a batch are drawn in one place (increment_stream, one
+    Philox substream per batch) and mapped in one place (map_block,
+    fixed-size zero-padded GEMMs), so a path's values do not depend on the
+    path count, on the batch it is drawn in or on the thread that draws it
+    (functional.sample_lnF streams blocks through both on worker threads).
   * Cholesky factorization of the exact covariance: unbiased joint law at the
     grid nodes, used as the referee for the Volterra map's discretization bias.
     No driving increments, so conditional operations reject these paths.
@@ -84,17 +84,31 @@ class ConditionalLaw:
     variances: np.ndarray
 
 
-def draw_increments(grid, seed, purpose, b, out):
-    """Fill out (rows, n) with the i.i.d. N(0, dt) increments of batch b and
-    return it: the one draw of outer and centering increments.
+def increment_stream(grid, seed, purpose, b):
+    """The draw of batch b: a function that fills out (rows, n) with the
+    batch's next rows of i.i.d. N(0, dt) increments and returns it.
 
     Batch b of rng.batch_ranges comes from its own Philox substream
     rng.stream(seed, purpose, b), so the increments of global path p never
-    depend on the path count, and batches can be drawn in any order.
+    depend on the path count, and batches can be drawn in any order. The
+    stream fills rows in order, so a batch drawn in pieces has the bits of
+    the batch drawn whole.
     """
-    rng.stream(seed, purpose, b).standard_normal(out=out)
-    out *= np.sqrt(grid[1] - grid[0])
-    return out
+    gen = rng.stream(seed, purpose, b)
+    scale = np.sqrt(grid[1] - grid[0])
+
+    def draw(out):
+        gen.standard_normal(out=out)
+        out *= scale
+        return out
+
+    return draw
+
+
+def draw_increments(grid, seed, purpose, b, out):
+    """Fill out (rows, n) with the first rows of batch b and return it: the
+    one draw of outer and centering increments (increment_stream)."""
+    return increment_stream(grid, seed, purpose, b)(out)
 
 
 def sample_bm_increments(grid, seed, n_paths, purpose=rng.OUTER):
@@ -105,18 +119,15 @@ def sample_bm_increments(grid, seed, n_paths, purpose=rng.OUTER):
     return out
 
 
-def map_block(Vt, increments, start, block, out):
-    """The Volterra map (Vt = table.volterra_matrix.T) of rows
-    start..start+MAP_BLOCK of increments.
+def map_block(Vt, block, rows, out):
+    """The Volterra map (Vt = table.volterra_matrix.T) of the first rows of
+    block (MAP_BLOCK, n).
 
-    The rows are copied into block (MAP_BLOCK, n), zero-padded past the last
-    row, and mapped by one GEMM into out (MAP_BLOCK, n+1); returns the view of
-    out holding the mapped rows. A GEMM may round by its row count, so every
-    map runs in these blocks: the values of path p then do not depend on how
-    many paths are mapped with it.
+    The rows past them are zeroed, and the block is mapped by one GEMM into
+    out (MAP_BLOCK, n+1); returns the view of out holding the mapped rows. A
+    GEMM may round by its row count, so every map runs in these blocks: the
+    values of path p then do not depend on how many paths are mapped with it.
     """
-    rows = min(MAP_BLOCK, len(increments) - start)
-    block[:rows] = increments[start:start + rows]
     block[rows:] = 0.0
     np.matmul(block, Vt, out=out)
     return out[:rows]
@@ -138,8 +149,9 @@ def fbm_from_bm(table: KernelTable, increments, seed=None):
     block = np.empty((MAP_BLOCK, n))
     out = np.empty((MAP_BLOCK, n + 1))
     for start in range(0, n_paths, MAP_BLOCK):
-        mapped = map_block(Vt, increments, start, block, out)
-        values[start:start + len(mapped)] = mapped
+        rows = min(MAP_BLOCK, n_paths - start)
+        block[:rows] = increments[start:start + rows]
+        values[start:start + rows] = map_block(Vt, block, rows, out)
     return FbmPaths(grid=table.grid, values=values, increments=increments,
                     seed=seed, method="volterra")
 
@@ -237,6 +249,20 @@ def inner_fluctuations(table: KernelTable, k, n_inner, gen):
     return np.concatenate([zV, -zV])               # exact antithetic pairs
 
 
+def _lognormal_shift(table: KernelTable, params, k):
+    """a t_i + sigma^2 v_i(k) / 2 at every node i: the part of the
+    conditional lognormal exponent that no path changes. k is a node, or a
+    slice of nodes for one row per node."""
+    return params.a * table.grid + 0.5 * params.sigma ** 2 * table.conditional_variances(k)
+
+
+def _exp_affine(N, sigma, shift, out=None):
+    """exp(sigma N + shift), written into out if given."""
+    C = np.multiply(N, sigma, out=out)
+    C += shift
+    return np.exp(C, out=C)
+
+
 def conditional_lognormal(table: KernelTable, params, k, N, start=0, out=None):
     """E[exp(a t_i + sigma B^H_{t_i}) | F_{t_k}] at the rows i >= start.
 
@@ -245,22 +271,22 @@ def conditional_lognormal(table: KernelTable, params, k, N, start=0, out=None):
     i <= k it is the realized integrand. The result is laid out like
     N[:, start:], written into out if given.
     """
-    C = np.multiply(N[:, start:], params.sigma, out=out)
-    C += (params.a * table.grid[start:]
-          + 0.5 * params.sigma ** 2 * table.conditional_variances(k)[start:])
-    return np.exp(C, out=C)
+    return _exp_affine(N[:, start:], params.sigma,
+                       _lognormal_shift(table, params, k)[start:], out)
 
 
 def conditional_lognormal_sweep(table: KernelTable, params, increments):
     """conditional_mean_sweep yielding (k, N, C), C = conditional_lognormal(
     table, params, k, N, k + 1): the future rows i > k, exponentiated once per
     node into one reused node-major buffer; copy C to keep it past the next step.
+    The shifts of every node are formed once, before the sweep.
     """
     P = np.atleast_2d(increments).shape[0]
     buf = np.empty(table.n * P)
+    shift = _lognormal_shift(table, params, slice(None))
     for k, N in conditional_mean_sweep(table, increments):
         C = buf[: (table.n - k) * P].reshape(table.n - k, P).T
-        yield k, N, conditional_lognormal(table, params, k, N, k + 1, out=C)
+        yield k, N, _exp_affine(N[:, k + 1:], params.sigma, shift[k, k + 1:], C)
 
 
 def martingale_M(paths: FbmPaths, table: KernelTable, params, r) -> np.ndarray:

@@ -106,6 +106,20 @@ class TestCaches:
         monkeypatch.setattr(cli, "__version__", "0.0.0")
         assert all(cfg.cache_key(f) != k for f, k in zip(fields, keys))
 
+    def test_blas_threads_key_the_caches(self, tmp_path, monkeypatch):
+        # the Volterra map's last bits can depend on the BLAS thread count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        cfg = ExperimentConfig(grid_n=16, outer_paths=500, centering_paths=1000,
+                               out_dir=str(tmp_path))
+        for threads in ("1", "2", "1"):
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                monkeypatch.setenv(var, threads)
+            cli._sim_batch(cfg, cli._table_for(cfg))
+            assert cli._provenance(cfg)["blas"]["threads"] == int(threads)
+        assert len(list((tmp_path / "cache").glob("sim-*.npz"))) == 2
+        provenance = cli._provenance(cfg)
+        assert provenance["blas"]["name"] and provenance["workers"] >= 1
+
     def test_other_schema_cache_not_read(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig(grid_n=16, outer_paths=500, centering_paths=1000,
                                out_dir=str(tmp_path))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -168,6 +170,28 @@ class TestEnvelopes:
                        "gaussian_left_envelope_F"}
         for r in reports:
             assert r.passed, r.bound_id
+
+    def test_non_finite_moments_of_F_fail(self, batch, params):
+        # F overflows at large sigma; an inf Var F flattens the envelope to 1
+        dens = dn.kde_log_domain(batch.X, seed=8)
+        reports = dn.verify_envelopes(dens, params, batch.centering,
+                                      sample_mean_F=float(batch.F.mean()),
+                                      sample_var_F=np.inf)
+        report = {r.bound_id: r for r in reports}["gaussian_left_envelope_F"]
+        assert not report.passed
+        assert report.to_dict()["meta"]["sample_var_F"] == np.inf
+
+    def test_nan_density_at_resolved_nodes_fails(self, batch, params):
+        dens = dn.kde_log_domain(batch.X, seed=8)
+        left = np.flatnonzero((dens.x < 0) & (dens.local_counts >= dn.MIN_TAIL_COUNT))
+        # one node; then every node, which leaves the thirds rule no verdict
+        for nodes in (left[:1], left):
+            density = dens.density.copy()
+            density[nodes] = np.nan
+            reports = dn.verify_envelopes(dataclasses.replace(dens, density=density),
+                                          params, batch.centering)
+            report = {r.bound_id: r for r in reports}["left_envelope"]
+            assert report.violations == len(nodes), len(nodes)
 
     def test_degenerate_refused(self, params):
         dens = dn.kde_log_domain(np.zeros(20_000), seed=9)

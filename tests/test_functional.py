@@ -1,4 +1,5 @@
 import csv
+import os
 import sys
 
 import numpy as np
@@ -177,16 +178,18 @@ class TestSampleLnF:
 
     def test_worker_count_invariance(self, table64, params, monkeypatch):
         count = 5 * rng.BATCH + 7
-        draws = {}
+        draws = {"default": fn.sample_lnF(params, table64, count, 32)}
         for workers in (1, 3):
             monkeypatch.setattr(fn, "_workers", lambda n_batches: workers)
             draws[workers] = fn.sample_lnF(params, table64, count, 32)
         assert np.array_equal(draws[1], draws[3])
+        assert np.array_equal(draws[1], draws["default"])
 
     def test_more_workers_than_cores_under_fast_switching(self, table64, params,
                                                           monkeypatch):
-        # batches are handed out under a lock and written to disjoint slices:
-        # a lost or doubled batch would change the result
+        # run_blocks hands the batches to the workers through the executor's
+        # queue, and they write disjoint slices: a lost or doubled batch
+        # would change the result
         count = 7 * rng.BATCH + 3
         monkeypatch.setattr(fn, "_workers", lambda n_batches: 1)
         serial = fn.sample_lnF(params, table64, count, 33)
@@ -203,6 +206,17 @@ class TestSampleLnF:
         assert fn._workers(0) == 1
         assert fn._workers(1) == 1
         assert 1 <= fn._workers(100) <= fn.MAX_WORKERS
+
+    def test_workers_leave_the_blas_threads_their_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5})
+        for threads, workers in (("1", 3), ("2", 3), ("3", 2), ("4", 1), ("64", 1)):
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                monkeypatch.setenv(var, threads)
+            assert fn.blas_setup()["threads"] == min(int(threads), 6)
+            assert fn._workers(100) == workers, threads
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var)
+        assert fn.blas_setup()["threads"] == 6 and fn._workers(100) == 1
 
     def test_centering_matches_serial_loop(self, table64, params):
         for count in (1000, 3 * rng.BATCH + 5):

@@ -308,12 +308,23 @@ class TestTimeIntegral:
             rhs = T ** (2 * H + 2) / (2 * H + 2)
             assert abs(lhs / rhs - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("H", [0.5 + 1e-6, 0.5 + 1e-9])
+    def test_square_aggregate_identity_near_half(self, H):
+        # the reduced time integral is split at u = 2 theta: one substitution
+        # over [theta, T] missed by ~1e-9 here
+        ch = kn.ch_closed_form(H)
+        for T in (0.5, 1.0, 2.0):
+            lhs = kn.time_integral_square_aggregate(H, ch, T)
+            assert abs(lhs / (T ** (2 * H + 2) / (2 * H + 2)) - 1.0) < 1e-12, T
+
     def test_aggregate_against_covariance_double_integral(self):
         # independent route: the aggregate equals the double integral of the
-        # covariance, which brute-force 2-D quadrature reproduces
+        # covariance, which brute-force 2-D quadrature reproduces; the
+        # |t - s|^2H kink sits on the diagonal, so each triangle is smooth
         H, T = 0.6, 2.0
-        val, _ = dblquad(lambda s, t: kn.covariance(H, t, s), 0.0, T, 0.0, T,
-                         epsabs=1e-10, epsrel=1e-10)
+        val = sum(dblquad(lambda s, t: kn.covariance(H, t, s), 0.0, T, lo, hi,
+                          epsabs=1e-10, epsrel=1e-10)[0]
+                  for lo, hi in ((0.0, lambda t: t), (lambda t: t, T)))
         assert val == pytest.approx(T ** (2 * H + 2) / (2 * H + 2), rel=1e-8)
         ch = kn.calibrate_ch(H)
         assert kn.time_integral_square_aggregate(H, ch, T) == pytest.approx(val, rel=1e-4)

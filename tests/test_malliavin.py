@@ -576,6 +576,40 @@ class TestConditionalMeanSweep:
                 assert np.allclose(bound, ref_bound, rtol=1e-12, atol=0), (a, sigma)
 
 
+def _flat_lower_bound(paths, table, params):
+    bound, terms = ml.phi_lower_bound_terms(paths, table, params)
+    return [bound, *terms.values()]
+
+
+class TestWorkerCountInvariance:
+    """Every pass here on functional.run_blocks gives the same bits on one
+    worker as on the default count and on more workers than cores, on a path
+    count that ends in a partial block (sample_lnF: TestSampleLnF)."""
+
+    PASSES = {
+        "clark_ocone_residual": ml.clark_ocone_residual,
+        "phi_lower_bound_terms": lambda paths, table, params: np.concatenate(
+            _flat_lower_bound(paths, table, params)),
+        "d2x": ml.d2x,
+    }
+
+    @pytest.fixture(scope="class")
+    def paths(self, table64):
+        return pth.sample_fbm_volterra(table64, 2 * ml._sweep_paths(64) + 5, seed=41)
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_bits_do_not_depend_on_workers(self, name, paths, table64, monkeypatch):
+        run = self.PASSES[name]
+        params = make_params(a=0.3, sigma=1.5)
+        default = run(paths, table64, params)
+        monkeypatch.setattr(fn, "_workers", lambda n_blocks: 1)
+        serial = run(paths, table64, params)
+        monkeypatch.setattr(fn, "_workers", lambda n_blocks: min(n_blocks, 5))
+        many = run(paths, table64, params)
+        assert np.array_equal(serial, default)
+        assert np.array_equal(serial, many)
+
+
 class TestDphi:
     def test_zero_when_sigma_zero(self, table64):
         paths = pth.sample_fbm_volterra(table64, 4, seed=19)

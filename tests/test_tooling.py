@@ -11,6 +11,7 @@ from pathlib import Path
 import expfbm.cli as cli
 from expfbm import density as dn
 from expfbm import functional as fn
+from expfbm import malliavin as ml
 from expfbm import rng
 from expfbm.density import SampleBatch
 from expfbm.malliavin import MalliavinProfile
@@ -98,6 +99,39 @@ def test_cache_writer_opens_no_span(tmp_path, monkeypatch):
     names = {name for name, _ in opened}
     assert {"cli.main", "kernel.save_table", "malliavin.phi_x_batch"} <= names
     assert {ident for _, ident in opened} == {threading.main_thread().ident}
+
+
+def test_block_passes_open_no_span_off_the_main_thread(tmp_path, monkeypatch):
+    # the Clark-Ocone sweep, the Phi_X lower bound and the D^2 X summary run
+    # their blocks on worker threads; only the calls into them are traced
+    opened = install_thread_tracer(monkeypatch)
+    monkeypatch.setattr(fn, "_workers", lambda n_blocks: min(n_blocks, 3))
+    main = threading.main_thread().ident
+    swept = []
+    sweep = ml.conditional_lognormal_sweep
+    off_main = threading.Event()
+
+    def recording_sweep(*args):
+        # the main thread takes a block too: it waits here until a worker
+        # thread has entered a sweep, so one surely runs off the main thread
+        swept.append(threading.get_ident())
+        if swept[-1] != main:
+            off_main.set()
+        assert off_main.wait(timeout=30)
+        return sweep(*args)
+
+    monkeypatch.setattr(ml, "conditional_lognormal_sweep", recording_sweep)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "grid_n": 64, "outer_paths": 2000, "centering_paths": 1000,
+        "nested_paths": 1500, "inner_paths": 50, "subgrid_stride": 16, "seed": 6,
+        "suites": ["clark_ocone", "derivatives"], "out_dir": str(tmp_path)}))
+    assert cli.main(["--config", str(cfg_path), "bounds"]) in (0, 1)
+    names = {name for name, _ in opened}
+    assert {"malliavin.clark_ocone_residual", "malliavin.phi_lower_bound_terms",
+            "malliavin.d2x"} <= names
+    assert {ident for _, ident in opened} == {main}
+    assert len(swept) == 4 and set(swept) - {main}
 
 
 def test_rate_attributes_exist():
