@@ -156,20 +156,39 @@ def deterministic_lnF(params: ModelParams) -> float:
     return float(np.log(np.expm1(a * T) / a))      # exp(aT) - 1 is 0 for tiny a
 
 
-def blas_setup():
-    """Name and version of the BLAS that numpy was built with, and the
-    thread count it runs with in this process: the first of its variables in
-    BLAS_THREAD_VARS set to a positive integer, else one thread per usable
-    CPU, and never more than that (OpenBLAS caps it there)."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    name = str(blas.get("name")).lower()
-    names = next((v for k, v in BLAS_THREAD_VARS.items() if k in name),
+def _blas_build():
+    """Name and version of the BLAS that numpy was built with, both None
+    where numpy does not report them: an older numpy has no
+    show_config(mode="dicts"), or no "Build Dependencies" entry in it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return {"name": None, "version": None}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def _blas_threads(name, environ, cpus):
+    """The thread count a BLAS called name runs with under environ: the first
+    of its variables in BLAS_THREAD_VARS set to a positive integer, else one
+    thread per usable CPU, and never more than cpus (OpenBLAS caps it there)."""
+    names = next((v for k, v in BLAS_THREAD_VARS.items() if k in str(name).lower()),
                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
-    cpus = len(os.sched_getaffinity(0))
-    values = (os.environ.get(var, "").strip() for var in names)
+    values = (environ.get(var, "").strip() for var in names)
     threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus)
-    return {"name": blas.get("name"), "version": blas.get("version"),
-            "threads": min(threads, cpus)}
+    return min(threads, cpus)
+
+
+# The BLAS reads its thread variables once, when numpy loads it, so they are
+# read here, at import, and a later change to os.environ does not move them.
+BLAS = _blas_build()
+BLAS["threads"] = _blas_threads(BLAS["name"], os.environ,
+                                len(os.sched_getaffinity(0)))
+
+
+def blas_setup():
+    """Name, version and thread count of the BLAS numpy runs on: a copy of
+    BLAS, whose thread count is that of the environment at import."""
+    return dict(BLAS)
 
 
 def _workers(n_blocks):
@@ -177,14 +196,14 @@ def _workers(n_blocks):
     BLAS threads leave free, at most one per block and MAX_WORKERS, at least
     one. Worker threads that share a CPU with BLAS threads make the passes
     slower (README, Threads)."""
-    free = len(os.sched_getaffinity(0)) // blas_setup()["threads"]
+    free = len(os.sched_getaffinity(0)) // BLAS["threads"]
     return max(1, min(free, n_blocks, MAX_WORKERS))
 
 
 def run_blocks(work, n, block=rng.BATCH):
     """Call work(b, start, stop) for every block of rng.batch_ranges(n,
-    block), on _workers threads (this one among them), or in order on this
-    thread when there is one.
+    block) on _workers threads, this one among them: each takes the next
+    block under a lock, so with one worker the blocks run here, in order.
 
     The blocks must be independent: each writes only its own rows, and any
     stream it draws is keyed by its block, so the result is bit-identical for
@@ -194,11 +213,6 @@ def run_blocks(work, n, block=rng.BATCH):
     of a block is raised here once every thread has stopped.
     """
     blocks = list(rng.batch_ranges(n, block))
-    workers = _workers(len(blocks))
-    if workers == 1:
-        for blk in blocks:
-            work(*blk)
-        return
     todo = iter(blocks)
     lock = threading.Lock()
     errors = []
@@ -214,7 +228,8 @@ def run_blocks(work, n, block=rng.BATCH):
             except BaseException as exc:        # raised on the calling thread
                 errors.append(exc)
 
-    threads = [threading.Thread(target=take) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=take)
+               for _ in range(_workers(len(blocks)) - 1)]
     for t in threads:
         t.start()
     take()

@@ -26,11 +26,11 @@ noise: the SE of a mean over paths must come from block means
 
 The Clark-Ocone residual and the pathwise lower bound on Phi_X walk the whole
 triangle of conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}]. Both run on
-paths.conditional_lognormal_sweep, one block of paths at a time on the
-worker threads of functional.run_blocks (as do the Gram batches of d2x): a
-rank-1 update per node (O(P n) per node, no (P, n+1, n) temporary) and,
-once per node, the conditional lognormal means
-C_i = E[exp(a t_i + sigma B_i) | F_{t_k}] of the rows i > k.
+paths.conditional_lognormal_sweep: a rank-1 update per node (O(P n) per
+node, no (P, n+1, n) temporary) and, once per node, the conditional
+lognormal means C_i = E[exp(a t_i + sigma B_i) | F_{t_k}] of the rows i > k.
+The Clark-Ocone residual sweeps its blocks on the worker threads of
+functional.run_blocks; the lower bound sweeps them in order (README, Threads).
 The lower bound's M_k = E[F | F_{t_k}] is the realized past plus C . tau,
 E[F] = M_0, and the Clark-Ocone integrand of cell k is sigma C . (tau V[:, k]).
 
@@ -124,13 +124,10 @@ def d2x(paths: FbmPaths, table: KernelTable, params, indices=None):
     w = LogFunctional(paths, params).weights
     K = _kernel_columns(table, indices)
     out = np.empty((paths.n_paths, K.shape[1], K.shape[1]))
-
-    def gram(_, start, stop):
+    for _, start, stop in rng.batch_ranges(paths.n_paths, max(1, 2 ** 18 // K.size)):
         C = K - (w[start:stop] @ K)[:, None, :]              # (c, n+1, m)
         C *= np.sqrt(w[start:stop])[:, :, None]
         np.matmul(C.transpose(0, 2, 1), C, out=out[start:stop])
-
-    run_blocks(gram, paths.n_paths, max(1, 2 ** 18 // K.size))
     out *= params.sigma ** 2
     return out
 
@@ -360,8 +357,7 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
 
     minN = np.full(paths.n_paths, np.inf)
     maxM = np.full(paths.n_paths, -np.inf)
-
-    def sweep(_, start, stop):
+    for _, start, stop in rng.batch_ranges(paths.n_paths, _sweep_paths(table.n)):
         # the realized integrand: the conditional lognormal mean given F_T
         E = conditional_lognormal(table, params, table.n, paths.values[start:stop])
         past = np.zeros(stop - start)
@@ -371,8 +367,6 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
             past += tau[k] * E[:, k]
             np.minimum(lo, N[:, k:].min(axis=1), out=lo)
             np.maximum(hi, past + C @ tau[k + 1:], out=hi)
-
-    run_blocks(sweep, paths.n_paths, _sweep_paths(table.n))
 
     const = T ** (2.0 * H + 2.0) / (2.0 * H + 2.0)
     bound = (sigma ** 2 / T) * np.exp(-3.0 * abs(a) * T + sigma * minB

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import expfbm.cli as cli
+from expfbm import functional as fn
 from expfbm.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, ExperimentConfig, main
 
 
@@ -107,15 +108,14 @@ class TestCaches:
         assert all(cfg.cache_key(f) != k for f, k in zip(fields, keys))
 
     def test_blas_threads_key_the_caches(self, tmp_path, monkeypatch):
-        # the Volterra map's last bits can depend on the BLAS thread count
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        # the Volterra map's last bits can depend on the BLAS thread count,
+        # which the environment sets when numpy loads the BLAS
         cfg = ExperimentConfig(grid_n=16, outer_paths=500, centering_paths=1000,
                                out_dir=str(tmp_path))
-        for threads in ("1", "2", "1"):
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                monkeypatch.setenv(var, threads)
+        for threads in (1, 2, 1):
+            monkeypatch.setitem(fn.BLAS, "threads", threads)
             cli._sim_batch(cfg, cli._table_for(cfg))
-            assert cli._provenance(cfg)["blas"]["threads"] == int(threads)
+            assert cli._provenance(cfg)["blas"]["threads"] == threads
         assert len(list((tmp_path / "cache").glob("sim-*.npz"))) == 2
         provenance = cli._provenance(cfg)
         assert provenance["blas"]["name"] and provenance["workers"] >= 1

@@ -1,6 +1,8 @@
 import csv
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,9 +189,8 @@ class TestSampleLnF:
 
     def test_more_workers_than_cores_under_fast_switching(self, table64, params,
                                                           monkeypatch):
-        # run_blocks hands the batches to the workers through the executor's
-        # queue, and they write disjoint slices: a lost or doubled batch
-        # would change the result
+        # run_blocks hands the blocks out under a lock, and they write
+        # disjoint slices: a lost or doubled block would change the result
         count = 7 * rng.BATCH + 3
         monkeypatch.setattr(fn, "_workers", lambda n_batches: 1)
         serial = fn.sample_lnF(params, table64, count, 33)
@@ -209,14 +210,44 @@ class TestSampleLnF:
 
     def test_workers_leave_the_blas_threads_their_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5})
-        for threads, workers in (("1", 3), ("2", 3), ("3", 2), ("4", 1), ("64", 1)):
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                monkeypatch.setenv(var, threads)
-            assert fn.blas_setup()["threads"] == min(int(threads), 6)
+        for threads, workers in ((1, 3), (2, 3), (3, 2), (4, 1), (6, 1)):
+            monkeypatch.setitem(fn.BLAS, "threads", threads)
             assert fn._workers(100) == workers, threads
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var)
-        assert fn.blas_setup()["threads"] == 6 and fn._workers(100) == 1
+
+    def test_blas_threads_from_the_environment(self):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        for value, threads in (("1", 1), ("3", 3), (" 2 ", 2), ("64", 6),
+                               ("0", 6), ("x", 6), ("", 6)):
+            for blas in ("scipy-openblas", "mkl-sdl", None):
+                environ = dict.fromkeys(names, value)
+                assert fn._blas_threads(blas, environ, 6) == threads, (value, blas)
+        # OpenBLAS reads its own variable first and never MKL's
+        assert fn._blas_threads("openblas", {"OPENBLAS_NUM_THREADS": "2",
+                                             "OMP_NUM_THREADS": "3"}, 6) == 2
+        assert fn._blas_threads("openblas", {"OMP_NUM_THREADS": "3"}, 6) == 3
+        assert fn._blas_threads("openblas", {"MKL_NUM_THREADS": "3"}, 6) == 6
+        assert fn._blas_threads(None, {"MKL_NUM_THREADS": "3"}, 6) == 3
+        assert fn._blas_threads("openblas", {}, 4) == 4
+
+    def test_blas_threads_are_read_at_import(self):
+        # the BLAS reads its variables when numpy loads it: a later change of
+        # os.environ moves neither
+        code = ("import os; from expfbm import functional as fn; "
+                "os.environ['OPENBLAS_NUM_THREADS'] = '2'; "
+                "print(fn.blas_setup()['threads'])")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=str(Path(fn.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "1"
+
+    @pytest.mark.parametrize("show_config", [
+        lambda: None,
+        lambda mode: {"Compilers": {}},
+    ], ids=["no-mode", "no-build-dependencies"])
+    def test_blas_name_unknown_to_old_numpy(self, show_config, monkeypatch):
+        monkeypatch.setattr(np, "show_config", show_config)
+        assert fn._blas_build() == {"name": None, "version": None}
 
     def test_centering_matches_serial_loop(self, table64, params):
         for count in (1000, 3 * rng.BATCH + 5):

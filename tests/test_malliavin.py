@@ -503,6 +503,19 @@ class TestClarkOcone:
             pth.sample_fbm_volterra(table128, 4_000, seed=18), table128, params)
         assert res128.var(ddof=1) < res64.var(ddof=1)
 
+    def test_bits_do_not_depend_on_workers(self, table64, monkeypatch):
+        # the sweep blocks run on functional.run_blocks: one worker, the
+        # default count and more workers than cores give the same bits, on
+        # two blocks and a partial third
+        paths = pth.sample_fbm_volterra(table64, 2 * ml._sweep_paths(64) + 5, seed=41)
+        params = make_params(a=0.3, sigma=1.5)
+        runs = {"default": ml.clark_ocone_residual(paths, table64, params)}
+        for workers in (1, 5):
+            monkeypatch.setattr(fn, "_workers", lambda n_blocks: min(n_blocks, workers))
+            runs[workers] = ml.clark_ocone_residual(paths, table64, params)
+        assert np.array_equal(runs[1], runs["default"])
+        assert np.array_equal(runs[1], runs[5])
+
 
 class TestConditionalMeanSweep:
     """The sweep against conditional_law, and the passes built on it against
@@ -521,6 +534,15 @@ class TestConditionalMeanSweep:
             law = pth.conditional_law(paths, table64, table64.grid[k])
             assert np.allclose(N, law.means, rtol=0, atol=1e-13)
         assert np.allclose(N, paths.values, rtol=0, atol=1e-13)
+
+    def test_sweep_is_the_cumulative_sum(self, table64):
+        # N at node k is the running sum of the products V[i, j] dB_j over the
+        # cells j < k, in cell order: bit for bit np.cumsum
+        paths = pth.sample_fbm_volterra(table64, 37, seed=35)
+        dB = paths.increments
+        cum = np.cumsum(table64.volterra_matrix[None, :, :] * dB[:, None, :], axis=2)
+        for k, N in pth.conditional_mean_sweep(table64, dB):
+            assert np.array_equal(N, cum[:, :, k - 1] if k else np.zeros_like(N)), k
 
     def test_sweep_martingale_matches_martingale_M(self, table64):
         # the M_k of the lower bound (running past sum plus C . tau) is
@@ -574,40 +596,6 @@ class TestConditionalMeanSweep:
                 assert np.abs(terms["maxM"] - ref_terms["maxM"]).max() <= 1e-12 * scale
                 assert np.array_equal(terms["minN"], ref_terms["minN"])
                 assert np.allclose(bound, ref_bound, rtol=1e-12, atol=0), (a, sigma)
-
-
-def _flat_lower_bound(paths, table, params):
-    bound, terms = ml.phi_lower_bound_terms(paths, table, params)
-    return [bound, *terms.values()]
-
-
-class TestWorkerCountInvariance:
-    """Every pass here on functional.run_blocks gives the same bits on one
-    worker as on the default count and on more workers than cores, on a path
-    count that ends in a partial block (sample_lnF: TestSampleLnF)."""
-
-    PASSES = {
-        "clark_ocone_residual": ml.clark_ocone_residual,
-        "phi_lower_bound_terms": lambda paths, table, params: np.concatenate(
-            _flat_lower_bound(paths, table, params)),
-        "d2x": ml.d2x,
-    }
-
-    @pytest.fixture(scope="class")
-    def paths(self, table64):
-        return pth.sample_fbm_volterra(table64, 2 * ml._sweep_paths(64) + 5, seed=41)
-
-    @pytest.mark.parametrize("name", sorted(PASSES))
-    def test_bits_do_not_depend_on_workers(self, name, paths, table64, monkeypatch):
-        run = self.PASSES[name]
-        params = make_params(a=0.3, sigma=1.5)
-        default = run(paths, table64, params)
-        monkeypatch.setattr(fn, "_workers", lambda n_blocks: 1)
-        serial = run(paths, table64, params)
-        monkeypatch.setattr(fn, "_workers", lambda n_blocks: min(n_blocks, 5))
-        many = run(paths, table64, params)
-        assert np.array_equal(serial, default)
-        assert np.array_equal(serial, many)
 
 
 class TestDphi:

@@ -101,37 +101,43 @@ def test_cache_writer_opens_no_span(tmp_path, monkeypatch):
     assert {ident for _, ident in opened} == {threading.main_thread().ident}
 
 
-def test_block_passes_open_no_span_off_the_main_thread(tmp_path, monkeypatch):
-    # the Clark-Ocone sweep, the Phi_X lower bound and the D^2 X summary run
-    # their blocks on worker threads; only the calls into them are traced
+def test_bounds_run_opens_no_span_off_the_main_thread(tmp_path, monkeypatch):
+    # a bounds run with the clark_ocone and derivatives suites, and the tail
+    # suite for its outer sample: the ln F draws and the Clark-Ocone sweep run
+    # their blocks on worker threads, and only the calls into them are traced
     opened = install_thread_tracer(monkeypatch)
     monkeypatch.setattr(fn, "_workers", lambda n_blocks: min(n_blocks, 3))
     main = threading.main_thread().ident
-    swept = []
-    sweep = ml.conditional_lognormal_sweep
+    ran = []
+    run_blocks = fn.run_blocks
     off_main = threading.Event()
 
-    def recording_sweep(*args):
-        # the main thread takes a block too: it waits here until a worker
-        # thread has entered a sweep, so one surely runs off the main thread
-        swept.append(threading.get_ident())
-        if swept[-1] != main:
-            off_main.set()
-        assert off_main.wait(timeout=30)
-        return sweep(*args)
+    def recording_run_blocks(work, *args):
+        def recorded(*block):
+            # the main thread takes a block too: it waits here until a
+            # worker thread has taken one, so one surely runs off the main thread
+            ran.append(threading.get_ident())
+            if ran[-1] != main:
+                off_main.set()
+            assert off_main.wait(timeout=30)
+            return work(*block)
+        return run_blocks(recorded, *args)
 
-    monkeypatch.setattr(ml, "conditional_lognormal_sweep", recording_sweep)
+    monkeypatch.setattr(fn, "run_blocks", recording_run_blocks)
+    monkeypatch.setattr(ml, "run_blocks", recording_run_blocks)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        "grid_n": 64, "outer_paths": 2000, "centering_paths": 1000,
-        "nested_paths": 1500, "inner_paths": 50, "subgrid_stride": 16, "seed": 6,
-        "suites": ["clark_ocone", "derivatives"], "out_dir": str(tmp_path)}))
+        "grid_n": 16, "outer_paths": 2 * rng.BATCH + 1, "centering_paths": rng.BATCH + 1,
+        "nested_paths": ml._sweep_paths(16) + 1, "inner_paths": 50,
+        "subgrid_stride": 4, "seed": 6,
+        "suites": ["tail", "clark_ocone", "derivatives"], "out_dir": str(tmp_path)}))
     assert cli.main(["--config", str(cfg_path), "bounds"]) in (0, 1)
     names = {name for name, _ in opened}
     assert {"malliavin.clark_ocone_residual", "malliavin.phi_lower_bound_terms",
-            "malliavin.d2x"} <= names
+            "malliavin.d2x", "density.sample_X_batch"} <= names
     assert {ident for _, ident in opened} == {main}
-    assert len(swept) == 4 and set(swept) - {main}
+    assert set(ran) - {main}
+    assert len(ran) == 3 + 2 + 2            # outer, centering and sweep blocks
 
 
 def test_rate_attributes_exist():
