@@ -69,7 +69,9 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 #    the last bits).
 # 8: nested estimates take the conditional means from one product per node
 #    (differ in the last bits).
-CACHE_SCHEMA = 8
+# 9: nested estimates sum the frozen past inside the GEMM (differ in the
+#    last bits).
+CACHE_SCHEMA = 9
 
 
 @dataclass
@@ -321,7 +323,7 @@ def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
     params = cfg.model_params()
 
     def load(path):
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(data["meta"].tobytes())
             centering = fn.CenteringEstimate(meta["centering_value"], meta["centering_se"],
                                              meta["centering_paths"], cfg.seed)
@@ -367,7 +369,7 @@ def _nested_run(cfg, table, ctx):
     params = cfg.model_params()
 
     def load(path):
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             return {k: data[k] for k in data.files}
 
     def build():
@@ -510,14 +512,16 @@ def _suite_mgf(cfg, table, ctx):
     return [dn.verify_mgf(batch.X, batch.params)]
 
 
+def _density(cfg, table, ctx):
+    return _once(ctx, "density", lambda: dn.kde_log_domain(
+        _batch(cfg, table, ctx).X, n_boot=cfg.kde_bootstrap, seed=cfg.seed))
+
+
 def _suite_envelopes(cfg, table, ctx):
     batch = _batch(cfg, table, ctx)
-    dens = dn.kde_log_domain(batch.X, n_boot=cfg.kde_bootstrap, seed=cfg.seed)
-    reports = dn.verify_envelopes(dens, batch.params, batch.centering,
-                                  sample_mean_F=float(batch.F.mean()),
-                                  sample_var_F=float(batch.F.var(ddof=1)))
-    ctx["density"] = dens
-    return reports
+    return dn.verify_envelopes(_density(cfg, table, ctx), batch.params, batch.centering,
+                               sample_mean_F=float(batch.F.mean()),
+                               sample_var_F=float(batch.F.var(ddof=1)))
 
 
 def _suite_derivatives(cfg, table, ctx):
@@ -713,7 +717,7 @@ def cmd_malliavin(cfg, args):
 
 def _density_fields(cfg, table, ctx):
     """density.csv, and the KDE of rho_X and its image rho_F for the JSON."""
-    dens = ctx["density"]
+    dens = _density(cfg, table, ctx)
     densF = dn.induced_density_F(dens, _batch(cfg, table, ctx).centering)
     path = Path(cfg.out_dir) / "density.csv"
     with _writing(path), open(path, "w", newline="") as fh:

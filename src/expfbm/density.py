@@ -296,14 +296,15 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
     # right-tail slope: -d/dy ln rho >= y / s2 - 3 SE on the resolved range
     dy = y[1] - y[0]
     slope = np.full_like(y, np.nan)
-    # ln rho is -inf at empty bins; the nan slopes next to them are masked below
+    # ln rho is -inf at empty bins, which lie outside the resolved range; a
+    # resolved point whose slope is not finite counts as a violation
     with np.errstate(divide="ignore", invalid="ignore"):
         ln_rho = np.log(rho)
         slope[1:-1] = -(ln_rho[2:] - ln_rho[:-2]) / (2.0 * dy)
     rel = np.where(rho > 0, se / np.maximum(rho, 1e-300), np.inf)
     slope_se = np.full_like(y, np.inf)
     slope_se[1:-1] = np.sqrt(rel[2:] ** 2 + rel[:-2] ** 2) / (2.0 * dy)
-    mask = (y > 0) & resolved & np.isfinite(slope)
+    mask = (y > 0) & resolved
     mask[0] = mask[-1] = False
     lhs = slope[mask]
     rhs = y[mask] / s2

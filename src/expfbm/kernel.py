@@ -568,7 +568,8 @@ def save_table(table: KernelTable, path):
 
 
 def load_table(path) -> KernelTable:
-    with np.load(path) as data:
+    # through a handle: np.load does not close its own when the zip is unreadable
+    with open(path, "rb") as fh, np.load(fh) as data:
         meta = json.loads(bytes(data["meta"].tobytes()).decode())
         if meta.get("format_version") != TABLE_FORMAT_VERSION:
             raise ValueError(f"unsupported table format {meta.get('format_version')}")

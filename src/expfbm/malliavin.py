@@ -19,7 +19,7 @@ past, so exp(a t_i + sigma (N_{p,i} + Z_{q,i})) = A_{p,i} B_{q,i}. One driver,
 _nested: at each subgrid node and each block of CHUNK_OUTER paths it forms N
 as one product of the block's past increments with the Volterra columns
 (paths.conditional_means), draws one inner set Z for the block and forms
-every inner sum as a GEMM of A with B^T. Per-path estimates and
+every inner sum in one GEMM of A with B^T. Per-path estimates and
 their inner SEs keep their law, but the paths of one block share inner
 noise: the SE of a mean over paths must come from block means
 (block_mean_se).
@@ -223,6 +223,8 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
     = A_{p,i} B_{q,i}. Every inner sum over i is then sum_i A_{p,i} c_i B_{q,i}:
     one GEMM per block and node over the columns c = [1, K(., t_k), K(., s),
     K(., t_k) K(., s)], with only the columns s <= t_k (a prefix of s_idx).
+    The rows i < k, whose fluctuation is 0 as at node k, are summed into
+    node k's column of the GEMM's left factor.
     A is scaled by the largest exponent of its path and B by that of its
     draw, which cancels in every ratio and keeps both factors <= 1.
     """
@@ -260,10 +262,10 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
                 table, paths.increments[start:stop], k)
             A = np.exp(logA - logA.max(axis=1, keepdims=True))           # (C, n+1)
             G = np.ascontiguousarray(A[:, k:])[:, None, :] * W[None]     # (C, c, n-k+1)
+            # rows i < k are the frozen past: fluctuation 0, as at node k, so
+            # their B is column 0's exp(-logB_max) and their sums join column 0
+            G[:, :, 0] += A[:, :k] @ tauK[:k]
             S = (G.reshape(-1, n - k + 1) @ B.T).reshape(stop - start, -1, n_inner)
-            # rows i < k are the frozen past (fluctuation 0, so B = exp(-logB_max));
-            # there K(t_i, t_k) = 0, so only the F and K(., s) columns get a term
-            S += (A[:, :k] @ tauK[:k])[:, :, None] * np.exp(-logB_max)
             r = 1.0 / S[:, 0]                                            # (C, Q)
             Dth = S[:, 1] * r
             est[start:stop, c], se[start:stop, c] = _pair_stats(sigma * Dth)

@@ -16,9 +16,17 @@ Two generators:
 
 Given F_{t_k}, B^H_{t_i} is Gaussian with mean N_i and the discrete map's
 variance v_i(k) of the cells after t_k (KernelTable.conditional_variances).
-One primitive, conditional_lognormal, forms E[exp(a t_i + sigma B_i) | F_{t_k}]
-= exp(a t_i + sigma N_i + sigma^2 v_i(k) / 2), so M_k = E[F | F_{t_k}] is an
-exact martingale of the simulated model.
+One function per conditional object:
+
+  * conditional_means: N at one node, one product of the past increments
+    with their Volterra columns (the nested driver's nodes);
+  * conditional_lognormal: E[exp(a t_i + sigma B_i) | F_{t_k}] =
+    exp(a t_i + sigma N_i + sigma^2 v_i(k) / 2) at one node, so
+    M_k = E[F | F_{t_k}] is an exact martingale of the simulated model;
+  * conditional_lognormal_sweep: N and the lognormal means of the future at
+    every node k = 0..n, a rank-1 update per node (the per-path passes);
+  * inner_fluctuations: the conditional law's centred part, for nested
+    resampling.
 """
 from __future__ import annotations
 
@@ -105,17 +113,11 @@ def increment_stream(grid, seed, purpose, b):
     return draw
 
 
-def draw_increments(grid, seed, purpose, b, out):
-    """Fill out (rows, n) with the first rows of batch b and return it: the
-    one draw of outer and centering increments (increment_stream)."""
-    return increment_stream(grid, seed, purpose, b)(out)
-
-
 def sample_bm_increments(grid, seed, n_paths, purpose=rng.OUTER):
     """i.i.d. N(0, dt) increments, (n_paths, n). Deterministic in (seed, purpose)."""
     out = np.empty((n_paths, len(grid) - 1))
     for b, start, stop in rng.batch_ranges(n_paths):
-        draw_increments(grid, seed, purpose, b, out[start:stop])
+        increment_stream(grid, seed, purpose, b)(out[start:stop])
     return out
 
 
@@ -209,33 +211,6 @@ def conditional_means(table: KernelTable, increments, k):
     return increments[:, :k] @ table.volterra_matrix[:, :k].T
 
 
-def conditional_mean_sweep(table: KernelTable, increments):
-    """Sweep the nodes k = 0..n, yielding (k, N) with N[p, i] = E[B^H_{t_i} | F_{t_k}].
-
-    N (P, n+1) holds the realized value for i <= k and the conditional mean
-    of the future for i > k. It is one array, updated in place by the rank-1
-    step N[:, k:] += dB[:, k-1] V[k:, k-1], so a node costs O(P n) and no
-    (P, n+1, n) field is built; copy N to keep it past the next step. The
-    sum runs over the cells in the order of np.cumsum. N is stored node-major
-    (a transposed view), so every N[:, k:] is one contiguous block.
-    """
-    increments = np.atleast_2d(increments)
-    P, n = increments.shape[0], table.n
-    dBt = np.ascontiguousarray(increments.T)
-    Vt = np.ascontiguousarray(table.volterra_matrix.T)    # Vt[j] = column j of V
-    Nt = np.zeros((n + 1, P))
-    step = np.empty(n * P)
-    yield 0, Nt.T
-    for k in range(1, n + 1):
-        rank1 = step[: (n + 1 - k) * P].reshape(n + 1 - k, P)
-        # the outer product of column k-1 of V with the cell's increments:
-        # einsum forms it with the bits of a broadcast multiply in about two
-        # thirds of the time
-        np.einsum("i,p->ip", Vt[k - 1, k:], dBt[k - 1], out=rank1)
-        Nt[k:] += rank1
-        yield k, Nt.T
-
-
 def inner_fluctuations(table: KernelTable, k, n_inner, gen):
     """Antithetic draws of B_{t_i} - E[B_{t_i} | F_{t_k}] at the nodes i = k..n.
 
@@ -259,37 +234,50 @@ def _lognormal_shift(table: KernelTable, params, k):
     return params.a * table.grid + 0.5 * params.sigma ** 2 * table.conditional_variances(k)
 
 
-def _exp_affine(N, sigma, shift, out=None):
-    """exp(sigma N + shift), written into out if given."""
-    C = np.multiply(N, sigma, out=out)
-    C += shift
-    return np.exp(C, out=C)
-
-
-def conditional_lognormal(table: KernelTable, params, k, N, start=0, out=None):
-    """E[exp(a t_i + sigma B^H_{t_i}) | F_{t_k}] at the rows i >= start.
+def conditional_lognormal(table: KernelTable, params, k, N):
+    """E[exp(a t_i + sigma B^H_{t_i}) | F_{t_k}] at every node i.
 
     exp(a t_i + sigma N_i + sigma^2 v_i(k) / 2), with N (P, n+1) the
     conditional means at node k and v the discrete conditional variance; for
-    i <= k it is the realized integrand. The result is laid out like
-    N[:, start:], written into out if given.
+    i <= k it is the realized integrand.
     """
-    return _exp_affine(N[:, start:], params.sigma,
-                       _lognormal_shift(table, params, k)[start:], out)
+    return np.exp(params.sigma * N + _lognormal_shift(table, params, k))
 
 
 def conditional_lognormal_sweep(table: KernelTable, params, increments):
-    """conditional_mean_sweep yielding (k, N, C), C = conditional_lognormal(
-    table, params, k, N, k + 1): the future rows i > k, exponentiated once per
-    node into one reused node-major buffer; copy C to keep it past the next step.
-    The shifts of every node are formed once, before the sweep.
+    """Sweep the nodes k = 0..n, yielding (k, N, C).
+
+    N[p, i] = E[B^H_{t_i} | F_{t_k}] (P, n+1) holds the realized value for
+    i <= k and the conditional mean of the future for i > k. It is one
+    array, updated in place by the rank-1 step N[:, k:] += dB[:, k-1]
+    V[k:, k-1], so a node costs O(P n) and no (P, n+1, n) field is built;
+    the sum runs over the cells in the order of np.cumsum. C =
+    conditional_lognormal(table, params, k, N)[:, k + 1:] (the same bits)
+    holds the future rows i > k, exponentiated once per node into one reused
+    buffer with the shifts of every node formed once, before the sweep. Copy
+    N or C to keep it past the next step. Both are stored node-major
+    (transposed views), so every N[:, k:] is one contiguous block.
     """
-    P = np.atleast_2d(increments).shape[0]
-    buf = np.empty(table.n * P)
+    increments = np.atleast_2d(increments)
+    P, n = increments.shape[0], table.n
+    dBt = np.ascontiguousarray(increments.T)
+    Vt = np.ascontiguousarray(table.volterra_matrix.T)    # Vt[j] = column j of V
     shift = _lognormal_shift(table, params, slice(None))
-    for k, N in conditional_mean_sweep(table, increments):
-        C = buf[: (table.n - k) * P].reshape(table.n - k, P).T
-        yield k, N, _exp_affine(N[:, k + 1:], params.sigma, shift[k, k + 1:], C)
+    Nt = np.zeros((n + 1, P))
+    step = np.empty(n * P)
+    buf = np.empty(n * P)
+    for k in range(n + 1):
+        if k:
+            rank1 = step[: (n + 1 - k) * P].reshape(n + 1 - k, P)
+            # the outer product of column k-1 of V with the cell's increments:
+            # einsum forms it with the bits of a broadcast multiply in about
+            # two thirds of the time
+            np.einsum("i,p->ip", Vt[k - 1, k:], dBt[k - 1], out=rank1)
+            Nt[k:] += rank1
+        C = np.multiply(Nt[k + 1:].T, params.sigma,
+                        out=buf[: (n - k) * P].reshape(n - k, P).T)
+        C += shift[k, k + 1:]
+        yield k, Nt.T, np.exp(C, out=C)
 
 
 def martingale_M(paths: FbmPaths, table: KernelTable, params, r) -> np.ndarray:

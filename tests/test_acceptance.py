@@ -49,8 +49,8 @@ def pathlaw(table256):
     col_values = np.empty((n_paths, len(cols)))
     t0 = time.time()
     for b, start, stop in rng.batch_ranges(n_paths):
-        incr = pth.draw_increments(table256.grid, SEED, rng.OUTER, b,
-                                   np.empty((stop - start, table256.n)))
+        incr = pth.increment_stream(table256.grid, SEED, rng.OUTER, b)(
+            np.empty((stop - start, table256.n)))
         batch = pth.fbm_from_bm(table256, incr)
         F[start:stop] = fn.functional_F(batch, params)
         col_values[start:stop] = batch.values[:, cols]

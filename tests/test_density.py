@@ -193,6 +193,15 @@ class TestEnvelopes:
             report = {r.bound_id: r for r in reports}["left_envelope"]
             assert report.violations == len(nodes), len(nodes)
 
+    def test_nan_density_at_resolved_right_tail_node_fails(self, batch, params):
+        dens = dn.kde_log_domain(batch.X, seed=8)
+        right = np.flatnonzero((dens.x > 0) & (dens.local_counts >= dn.MIN_TAIL_COUNT))
+        density = dens.density.copy()
+        density[right[len(right) // 2]] = np.nan
+        reports = dn.verify_envelopes(dataclasses.replace(dens, density=density),
+                                      params, batch.centering)
+        assert not {r.bound_id: r for r in reports}["right_tail_slope"].passed
+
     def test_degenerate_refused(self, params):
         dens = dn.kde_log_domain(np.zeros(20_000), seed=9)
         with pytest.raises(ValueError):

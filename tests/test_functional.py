@@ -156,8 +156,8 @@ def reference_estimate_mean_lnF(params, table, n_paths, seed):
     total = 0.0
     total_sq = 0.0
     for b, start, stop in rng.batch_ranges(n_paths):
-        incr = pth.draw_increments(table.grid, seed, rng.CENTERING, b,
-                                   np.empty((stop - start, table.n)))
+        incr = pth.increment_stream(table.grid, seed, rng.CENTERING, b)(
+            np.empty((stop - start, table.n)))
         lnF = fn.LogFunctional(pth.fbm_from_bm(table, incr), params).lnF
         total += lnF.sum()
         total_sq += (lnF ** 2).sum()

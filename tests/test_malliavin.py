@@ -528,20 +528,21 @@ class TestConditionalMeanSweep:
         return {(H, n): kn.build_kernel_table(H, 1.0, n)
                 for H in (0.55, 0.9) for n in (16, 64)}
 
-    def test_sweep_matches_conditional_law(self, table64):
+    def test_sweep_matches_conditional_law(self, table64, params):
         paths = pth.sample_fbm_volterra(table64, 7, seed=31)
-        for k, N in pth.conditional_mean_sweep(table64, paths.increments):
+        for k, N, _ in pth.conditional_lognormal_sweep(table64, params,
+                                                       paths.increments):
             law = pth.conditional_law(paths, table64, table64.grid[k])
             assert np.allclose(N, law.means, rtol=0, atol=1e-13)
         assert np.allclose(N, paths.values, rtol=0, atol=1e-13)
 
-    def test_sweep_is_the_cumulative_sum(self, table64):
+    def test_sweep_is_the_cumulative_sum(self, table64, params):
         # N at node k is the running sum of the products V[i, j] dB_j over the
         # cells j < k, in cell order: bit for bit np.cumsum
         paths = pth.sample_fbm_volterra(table64, 37, seed=35)
         dB = paths.increments
         cum = np.cumsum(table64.volterra_matrix[None, :, :] * dB[:, None, :], axis=2)
-        for k, N in pth.conditional_mean_sweep(table64, dB):
+        for k, N, _ in pth.conditional_lognormal_sweep(table64, params, dB):
             assert np.array_equal(N, cum[:, :, k - 1] if k else np.zeros_like(N)), k
 
     def test_sweep_martingale_matches_martingale_M(self, table64):
@@ -569,7 +570,7 @@ class TestConditionalMeanSweep:
         direct = ml._nested(paths, table64, params, idx, 50, 6, 1, idx)
 
         def swept_means(table, increments, k):
-            for j, N in pth.conditional_mean_sweep(table, increments):
+            for j, N, _ in pth.conditional_lognormal_sweep(table, params, increments):
                 if j == k:
                     return N.copy()
 

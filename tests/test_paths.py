@@ -30,8 +30,8 @@ class TestIncrements:
         whole = pth.sample_fbm_volterra(table64, 9000, 5, purpose=rng.CENTERING)
         starts = []
         for b, start, stop in rng.batch_ranges(9000):
-            incr = pth.draw_increments(table64.grid, 5, rng.CENTERING, b,
-                                       np.empty((stop - start, table64.n)))
+            incr = pth.increment_stream(table64.grid, 5, rng.CENTERING, b)(
+                np.empty((stop - start, table64.n)))
             batch = pth.fbm_from_bm(table64, incr)
             starts.append(start)
             assert np.array_equal(batch.increments, whole.increments[start:stop])

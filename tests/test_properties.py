@@ -56,3 +56,13 @@ def test_finite_at_large_sigma_n32(sigma):
     assert np.all(np.isfinite(X))
     assert np.all(np.isfinite(ml.dx(paths, table, params)))
     assert np.all(np.isfinite(ml.d2x(paths, table, params)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(H=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       T=st.floats(0.5, 2.0), n=st.integers(8, 64))
+def test_table_columns_monotone(H, T, n):
+    # K(t, s) grows with t for H > 1/2, so every column of the table is
+    # non-decreasing down its rows
+    table = kn.build_kernel_table(H, T, n)
+    assert np.all(np.diff(table.values, axis=0) >= 0.0)
