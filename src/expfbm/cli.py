@@ -44,7 +44,7 @@ from . import kernel as kn
 from . import malliavin as ml
 from . import paths as pth
 from . import rng
-from .reports import BoundReport, range_report, summarize
+from .reports import Z, BoundReport, point_report, range_report, summarize
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -543,14 +543,14 @@ def _suite_derivatives(cfg, table, ctx):
         range_report("phi_upper", "0 <= Phi_X <= sigma^2 T^2H", phi, s2T, phi_se)]
 
     lower = nested["lower"]
-    lo_viol = int(np.sum(phi < lower - 3.0 * phi_se - 1e-9 * s2T))
+    lo_viol = int(np.sum(phi < lower - Z * phi_se - 1e-9 * s2T))
     reports.append(BoundReport(
         bound_id="phi_lower",
         description=("Phi_X >= (sigma^2/T) e^{-3|a|T + sigma(min B - max B + "
                      "min N)} T^(2H+2)/((2H+2) max M)"),
         points=np.array([0.0]), lhs=np.array([float((phi - lower).min())]),
         rhs=np.array([0.0]), se=np.array([float(phi_se.max())]),
-        tolerance=np.array([float((3.0 * phi_se).max())]), violations=lo_viol,
+        tolerance=np.array([float((Z * phi_se).max())]), violations=lo_viol,
         n_samples=len(phi)))
 
     d2_bounds, d2_tol = _d2x_limits(table, params, idx)
@@ -615,14 +615,10 @@ def _suite_clark_ocone(cfg, table, ctx):
     paths = _nested_paths(cfg, table, ctx)
     res = ml.clark_ocone_residual(paths, table, params)
     se = res.std(ddof=1) / np.sqrt(len(res))
-    viol = int(abs(res.mean()) > 3.0 * se)
-    return [BoundReport(
-        bound_id="clark_ocone",
-        description="mean martingale-representation residual = 0 within 3 SE",
-        points=np.array([0.0]), lhs=np.array([float(res.mean())]),
-        rhs=np.array([0.0]), se=np.array([float(se)]),
-        tolerance=np.array([3.0 * float(se)]), violations=viol,
-        n_samples=len(res), meta={"residual_var": float(res.var(ddof=1))})]
+    return [point_report(
+        "clark_ocone", f"mean martingale-representation residual = 0 within {Z:g} SE",
+        [0.0], [float(res.mean())], [0.0], [float(se)], len(res), "both",
+        meta={"residual_var": float(res.var(ddof=1))})]
 
 
 SUITES = {

@@ -9,7 +9,7 @@ samples.
 Envelope bounds carry an existential constant, so verification is formulated
 as boundedness of the implied-constant profile c_hat(x): the profile must not
 explode toward the tails (outer-third max <= 1.5 * inner-third max beyond
-3 SE on the resolved range).
+reports.Z SE on the resolved range).
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import rng
 from .functional import CenteringEstimate, ModelParams, sample_lnF
 from .kernel import KernelTable
-from .reports import BoundReport
+from .reports import Z, BoundReport, point_report
 
 MIN_TAIL_COUNT = 50        # local samples below this: inconclusive, not failed
 KDE_GRID = 512             # output nodes of kde_log_domain
@@ -187,13 +187,9 @@ def verify_gaussian_tail(X, params: ModelParams,
     with np.errstate(divide="ignore"):        # sigma = 0: exp(-inf) = 0
         bound = np.exp(-pts ** 2 / (2.0 * s2))
     se = np.sqrt(np.maximum(emp * (1.0 - emp), 1.0 / n) / n)
-    tol = 3.0 * se
-    viol = int(np.sum(emp > bound + tol))
-    return BoundReport(
-        bound_id="gaussian_left_tail",
-        description="P(X <= x) <= exp(-x^2/(2 sigma^2 T^2H)) for x <= 0",
-        points=pts, lhs=emp, rhs=bound, se=se, tolerance=tol,
-        violations=viol, n_samples=n)
+    return point_report(
+        "gaussian_left_tail", "P(X <= x) <= exp(-x^2/(2 sigma^2 T^2H)) for x <= 0",
+        pts, emp, bound, se, n, "upper")
 
 
 def verify_mgf(X, params: ModelParams) -> BoundReport:
@@ -206,51 +202,52 @@ def verify_mgf(X, params: ModelParams) -> BoundReport:
     emp = vals.mean(axis=1)
     se = vals.std(axis=1, ddof=1) / np.sqrt(n)
     bound = np.exp(0.5 * lam ** 2 * s2)
-    tol = 3.0 * se
-    viol = int(np.sum(emp > bound + tol))
-    return BoundReport(
-        bound_id="mgf_domination",
-        description="E[e^(-lambda X)] <= e^(lambda^2 sigma^2 T^2H / 2)",
-        points=lam, lhs=emp, rhs=bound, se=se, tolerance=tol,
-        violations=viol, n_samples=n)
+    return point_report(
+        "mgf_domination", "E[e^(-lambda X)] <= e^(lambda^2 sigma^2 T^2H / 2)",
+        lam, emp, bound, se, n, "upper")
 
 
 # ---------------------------------------------------------------------------
 # log-normal envelopes: implied-constant profiles
 # ---------------------------------------------------------------------------
 
-def _thirds_rule(y, c, se, resolved):
-    """Non-explosion test on one tail: outer-third max <= 1.5 * inner-third max
-    beyond 3 SE, on the resolved points with a finite c. y must be ordered
-    from the center outward. Returns (violations, info); an empty info dict
-    means too few such points for a verdict (see _inconclusive)."""
+def _envelope_report(bound_id, description, points, dist, c, c_se, resolved,
+                     n_samples, centre=None):
+    """Non-explosion test of the implied constant c at points, dist their
+    distance from the envelope's centre: on the resolved points with a finite
+    c, the outer third's max must not exceed 1.5 x the inner third's max by
+    more than Z SE (of that outer point).
+
+    With fewer than 6 such points or an empty third the rule reaches no
+    verdict, and the finite points count neither way; the unresolved points
+    never count. A resolved point whose c is not finite always counts, so
+    BoundReport makes it a violation. centre maps the names of the
+    envelope's centre and scale to their values: if one is not finite, the
+    report gains one violation and keeps them in its meta.
+    """
     ok = resolved & np.isfinite(c)
-    if ok.sum() < 6:
-        return 0, {}
-    yi = np.abs(y[ok])
-    ci = c[ok]
-    si = se[ok]
-    edges = np.quantile(yi, [1.0 / 3.0, 2.0 / 3.0])
-    inner = ci[yi <= edges[0]]
-    outer_mask = yi >= edges[1]
-    outer = ci[outer_mask]
-    if len(inner) == 0 or len(outer) == 0:
-        return 0, {}
-    max_inner = float(inner.max())
-    j = int(np.argmax(outer))
-    max_outer = float(outer[j])
-    slack = 3.0 * float(si[outer_mask][j])
-    violated = max_outer > 1.5 * max_inner + slack
-    info = {"max_inner": max_inner, "max_outer": max_outer, "slack_3se": slack}
-    return int(violated), info
-
-
-def _inconclusive(resolved, c, info):
-    """The points of a thirds-rule report that count neither way: the
-    unresolved ones and, when the rule reached no verdict, the finite ones.
-    A resolved point whose implied constant is not finite always counts, so
-    the report makes it a violation (BoundReport)."""
-    return ~resolved | ((not info) & np.isfinite(c))
+    viol, info = 0, {}
+    if ok.sum() >= 6:
+        d, ci, si = dist[ok], c[ok], c_se[ok]
+        edges = np.quantile(d, [1.0 / 3.0, 2.0 / 3.0])
+        inner = ci[d <= edges[0]]
+        outer = d >= edges[1]
+        if len(inner) and outer.any():
+            j = int(np.argmax(ci[outer]))
+            info = {"max_inner": float(inner.max()), "max_outer": float(ci[outer][j]),
+                    "slack_3se": Z * float(si[outer][j])}
+            viol = int(info["max_outer"] > 1.5 * info["max_inner"] + info["slack_3se"])
+    inconclusive = ~resolved | ((not info) & np.isfinite(c))
+    if centre and not all(np.isfinite(v) for v in centre.values()):
+        viol += 1
+        info = dict(info, **{k: float(v) for k, v in centre.items()})
+    n = len(points)
+    return BoundReport(
+        bound_id=bound_id, description=description, points=points, lhs=c,
+        rhs=np.full(n, info.get("max_inner", np.nan)), se=c_se,
+        tolerance=np.full(n, info.get("slack_3se", np.nan)), violations=viol,
+        n_samples=n_samples, implied_constant=c, inconclusive=inconclusive,
+        meta=info)
 
 
 def verify_envelopes(dens: DensityEstimate, params: ModelParams,
@@ -276,24 +273,17 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
     resolved = dens.local_counts >= MIN_TAIL_COUNT
     reports = []
 
-    for bound_id, k, side in (("left_envelope", 8.0, -1), ("right_envelope", 2.0, +1)):
-        mask = (y < 0) if side < 0 else (y > 0)
+    for bound_id, k, side in (("left_envelope", 8.0, "left"), ("right_envelope", 2.0, "right")):
+        mask = (y < 0) if side == "left" else (y > 0)
         grow = np.exp(y[mask] ** 2 / (k * s2))
-        c = rho[mask] * grow
-        c_se = se[mask] * grow
-        viol, info = _thirds_rule(y[mask], c, c_se, resolved[mask])
-        reports.append(BoundReport(
-            bound_id=bound_id,
-            description=(f"rho_X(y) <= c exp(-y^2/({k:g} sigma^2 T^2H)) on the "
-                         f"{'left' if side < 0 else 'right'} tail: implied c "
-                         f"bounded (outer third <= 1.5 x inner third + 3 SE)"),
-            points=y[mask], lhs=c, rhs=np.full(mask.sum(), info.get("max_inner", np.nan)),
-            se=c_se, tolerance=np.full(mask.sum(), info.get("slack_3se", np.nan)),
-            violations=viol, n_samples=dens.n_samples,
-            implied_constant=c, inconclusive=_inconclusive(resolved[mask], c, info),
-            meta=info))
+        reports.append(_envelope_report(
+            bound_id,
+            f"rho_X(y) <= c exp(-y^2/({k:g} sigma^2 T^2H)) on the {side} tail: "
+            f"implied c bounded (outer third <= 1.5 x inner third + {Z:g} SE)",
+            y[mask], np.abs(y[mask]), rho[mask] * grow, se[mask] * grow,
+            resolved[mask], dens.n_samples))
 
-    # right-tail slope: -d/dy ln rho >= y / s2 - 3 SE on the resolved range
+    # right-tail slope: -d/dy ln rho >= y / s2 - Z SE on the resolved range
     dy = y[1] - y[0]
     slope = np.full_like(y, np.nan)
     # ln rho is -inf at empty bins, which lie outside the resolved range; a
@@ -306,43 +296,22 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
     slope_se[1:-1] = np.sqrt(rel[2:] ** 2 + rel[:-2] ** 2) / (2.0 * dy)
     mask = (y > 0) & resolved
     mask[0] = mask[-1] = False
-    lhs = slope[mask]
-    rhs = y[mask] / s2
-    tol = 3.0 * slope_se[mask]
-    viol = int(np.sum(lhs < rhs - tol))
-    reports.append(BoundReport(
-        bound_id="right_tail_slope",
-        description="-d/dy ln rho_X(y) >= y / (sigma^2 T^2H) for y > 0",
-        points=y[mask], lhs=lhs, rhs=rhs, se=slope_se[mask], tolerance=tol,
-        violations=viol, n_samples=dens.n_samples))
+    reports.append(point_report(
+        "right_tail_slope", "-d/dy ln rho_X(y) >= y / (sigma^2 T^2H) for y > 0",
+        y[mask], slope[mask], y[mask] / s2, slope_se[mask], dens.n_samples, "lower"))
 
     if sample_mean_F is not None and sample_var_F is not None:
         densF = induced_density_F(dens, centering)
         xF = densF.x
         mask = xF <= sample_mean_F
         grow = np.exp((xF[mask] - sample_mean_F) ** 2 / (8.0 * sample_var_F))
-        c = densF.density[mask] * grow
-        c_se = densF.se[mask] * grow
-        # order from E[F] outward (toward x = 0): reverse so |y| grows outward
-        order = np.argsort(sample_mean_F - xF[mask])
-        viol, info = _thirds_rule(
-            (sample_mean_F - xF[mask])[order], c[order], c_se[order],
-            resolved[mask][order])
-        inconclusive = _inconclusive(resolved[mask], c, info)
-        if not (np.isfinite(sample_mean_F) and np.isfinite(sample_var_F)):
-            # F overflowed: the envelope's centre or scale is unknown
-            viol += 1
-            info = dict(info, sample_mean_F=float(sample_mean_F),
-                        sample_var_F=float(sample_var_F))
-        reports.append(BoundReport(
-            bound_id="gaussian_left_envelope_F",
-            description=("rho_F(x) <= c exp(-(x-E F)^2/(8 Var F)) for "
-                         "x <= E F: implied c bounded"),
-            points=xF[mask], lhs=c,
-            rhs=np.full(int(mask.sum()), info.get("max_inner", np.nan)),
-            se=c_se, tolerance=np.full(int(mask.sum()), info.get("slack_3se", np.nan)),
-            violations=viol, n_samples=dens.n_samples,
-            implied_constant=c, inconclusive=inconclusive, meta=info))
+        # a centre or scale that is not finite (F overflowed) is a violation
+        reports.append(_envelope_report(
+            "gaussian_left_envelope_F",
+            "rho_F(x) <= c exp(-(x-E F)^2/(8 Var F)) for x <= E F: implied c bounded",
+            xF[mask], sample_mean_F - xF[mask], densF.density[mask] * grow,
+            densF.se[mask] * grow, resolved[mask], dens.n_samples,
+            centre={"sample_mean_F": sample_mean_F, "sample_var_F": sample_var_F}))
 
     return reports
 
@@ -355,7 +324,7 @@ def estimate_w_X(X, phi, params: ModelParams):
     """Binned-regression estimate of w_X(z) = E[X / Phi_X | X = z].
 
     Joint samples (X, Phi_X) come from the nested Malliavin run. Verifies
-    w_X(z) >= z / (sigma^2 T^2H) - 3 SE on resolved bins z > 0 and the
+    w_X(z) >= z / (sigma^2 T^2H) - Z SE on resolved bins z > 0 and the
     reconstruction bound exp(-int_0^z w) <= exp(-z^2/(2 sigma^2 T^2H)).
     """
     X = np.asarray(X)
@@ -392,22 +361,16 @@ def estimate_w_X(X, phi, params: ModelParams):
     resolved = counts >= MIN_TAIL_COUNT
 
     pos = resolved & (centers > 0)
-    lhs = w_mean[pos]
-    rhs = centers[pos] / s2
-    tol = 3.0 * w_se[pos]
-    viol = int(np.sum(lhs < rhs - tol))
-    lower = BoundReport(
-        bound_id="w_lower",
-        description="w_X(z) = E[X/Phi_X | X=z] >= z/(sigma^2 T^2H) for z > 0",
-        points=centers[pos], lhs=lhs, rhs=rhs, se=w_se[pos], tolerance=tol,
-        violations=viol, n_samples=len(X),
-        inconclusive=np.zeros(int(pos.sum()), dtype=bool))
-
-    # reconstruction: cumulative trapezoid of w over positive resolved bins
     zs = centers[pos]
     ws = w_mean[pos]
-    recon_viol = 0
-    recon_pts, recon_lhs, recon_rhs, recon_tol = [], [], [], []
+    lower = point_report(
+        "w_lower", "w_X(z) = E[X/Phi_X | X=z] >= z/(sigma^2 T^2H) for z > 0",
+        zs, ws, zs / s2, w_se[pos], len(X), "lower",
+        inconclusive=np.zeros(int(pos.sum()), dtype=bool))
+
+    # reconstruction: cumulative trapezoid of w over positive resolved bins;
+    # the SE of exp(-int w) is its delta-method SE exp(-int w) * SE(int w)
+    recon_pts = lhs_r = rhs_r = se_r = zs[:0]
     if len(zs) >= 2:
         cum = np.concatenate([[0.0], np.cumsum(
             0.5 * (ws[1:] + ws[:-1]) * np.diff(zs))])
@@ -417,16 +380,12 @@ def estimate_w_X(X, phi, params: ModelParams):
             + w_se[pos][0] * zs[0]
         lhs_r = np.exp(-cum)
         rhs_r = np.exp(-zs ** 2 / (2.0 * s2))
-        tol_r = 3.0 * se_cum * lhs_r
-        recon_viol = int(np.sum(lhs_r > rhs_r + tol_r))
-        recon_pts, recon_lhs, recon_rhs, recon_tol = zs, lhs_r, rhs_r, tol_r
-    recon = BoundReport(
-        bound_id="w_reconstruction",
-        description="exp(-int_0^z w_X) <= exp(-z^2/(2 sigma^2 T^2H)) for z > 0",
-        points=np.asarray(recon_pts), lhs=np.asarray(recon_lhs),
-        rhs=np.asarray(recon_rhs), se=np.zeros(len(recon_pts)),
-        tolerance=np.asarray(recon_tol), violations=recon_viol,
-        n_samples=len(X))
+        se_r = se_cum * lhs_r
+        recon_pts = zs
+    recon = point_report(
+        "w_reconstruction",
+        "exp(-int_0^z w_X) <= exp(-z^2/(2 sigma^2 T^2H)) for z > 0",
+        recon_pts, lhs_r, rhs_r, se_r, len(X), "upper")
 
     return {"centers": centers, "w": w_mean, "se": w_se, "counts": counts,
             "resolved": resolved, "reports": [lower, recon]}

@@ -6,6 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Standard errors by which a Monte Carlo estimate may pass its bound: the one
+# verdict rule of every report built from an estimate and its SE.
+Z = 3.0
+
 
 def _tolist(x):
     if isinstance(x, np.ndarray):
@@ -18,7 +22,7 @@ class BoundReport:
     """Verification record for one inequality on a grid of evaluation points.
 
     A point is a violation when the margin exceeds tolerance (which already
-    folds in 3 standard errors), or when its lhs, rhs or tolerance is not
+    folds in Z standard errors), or when its lhs, rhs or tolerance is not
     finite: a nan comparison is never true, so it would otherwise pass.
     Points without enough samples are flagged inconclusive rather than
     failed, and are exempt from the finiteness rule.
@@ -96,9 +100,30 @@ class BoundReport:
                 ])
 
 
+_EXCEEDS = {
+    "upper": lambda lhs, rhs, tol: lhs > rhs + tol,
+    "lower": lambda lhs, rhs, tol: lhs < rhs - tol,
+    "both": lambda lhs, rhs, tol: np.abs(lhs - rhs) > tol,
+}
+
+
+def point_report(bound_id, description, points, lhs, rhs, se, n_samples, side,
+                 **fields) -> BoundReport:
+    """lhs <= rhs (side "upper"), lhs >= rhs ("lower") or lhs = rhs ("both")
+    at each point, within a tolerance of Z * se; each point outside it is one
+    violation. fields (meta, inconclusive, ...) go to the BoundReport."""
+    lhs, rhs, se = (np.asarray(a, dtype=float) for a in (lhs, rhs, se))
+    tol = Z * se
+    return BoundReport(
+        bound_id=bound_id, description=description,
+        points=np.asarray(points, dtype=float), lhs=lhs, rhs=rhs, se=se,
+        tolerance=tol, violations=int(np.sum(_EXCEEDS[side](lhs, rhs, tol))),
+        n_samples=n_samples, **fields)
+
+
 def range_report(bound_id, description, values, bound, se=None, points=(0.0,),
                  meta=None) -> BoundReport:
-    """0 <= v <= bound for every sample v, within 1e-9 bound + 3 SE.
+    """0 <= v <= bound for every sample v, within 1e-9 bound + Z SE.
 
     values and se (0 if omitted) hold one row per path: a vector against a
     scalar bound at one point, or a matrix against one bound per column at
@@ -106,7 +131,7 @@ def range_report(bound_id, description, values, bound, se=None, points=(0.0,),
     """
     values = np.asarray(values)
     se = np.zeros(values.shape) if se is None else np.asarray(se)
-    tol = 1e-9 * bound + 3.0 * se
+    tol = 1e-9 * bound + Z * se
     violations = int(np.sum((values < -tol) | (values > bound + tol)))
     lhs, se_max, tol_max = (np.atleast_1d(a.max(axis=0)) for a in (values, se, tol))
     return BoundReport(

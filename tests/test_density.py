@@ -10,7 +10,7 @@ from expfbm import malliavin as ml
 from expfbm import paths as pth
 from expfbm.functional import CenteringEstimate, ModelParams
 from expfbm.kernel import HurstParams
-from expfbm.reports import BoundReport
+from expfbm.reports import Z, BoundReport
 
 
 def make_params(a=0.0, sigma=1.0, H=0.7, T=1.0):
@@ -249,6 +249,9 @@ class TestWProfile:
         lower, recon = out["reports"]
         assert lower.passed
         assert recon.passed
+        # the reconstruction's tolerance is Z times its (delta-method) SE
+        assert np.all(recon.se > 0)
+        np.testing.assert_allclose(recon.tolerance, Z * recon.se, rtol=1e-15)
         res = out["resolved"]
         pos = res & (out["centers"] > 0.05)
         neg = res & (out["centers"] < -0.05)

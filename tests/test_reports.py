@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from expfbm.reports import range_report
+from expfbm.reports import Z, point_report, range_report
 
 
 @pytest.mark.parametrize("value, violations", [
@@ -23,3 +23,24 @@ def test_range_report_scalar_bound_folds_in_se():
     assert r.lhs.tolist() == [1.2] and r.points.tolist() == [0.0]
     assert r.tolerance[0] == pytest.approx(0.3 + 1e-9)
     assert range_report("r", "", np.array([1.31]), 1.0, se=np.array([0.1])).violations == 1
+
+
+@pytest.mark.parametrize("side, lhs, violations", [
+    ("upper", [1.0, 1.29, 1.31], 1), ("upper", [0.5, -5.0, 0.69], 0),
+    ("lower", [1.0, 0.71, 0.69], 1), ("lower", [5.0, 0.71, 1.31], 0),
+    ("both", [1.29, 0.71, 1.31], 1), ("both", [0.69, 1.31, 1.0], 2)])
+def test_point_report_sides(side, lhs, violations):
+    r = point_report("p", "", [0.0, 1.0, 2.0], lhs, np.ones(3), np.full(3, 0.1),
+                     7, side)
+    assert r.violations == violations
+    assert r.tolerance.tolist() == [Z * 0.1] * 3
+    assert r.n_samples == 7 and r.se.tolist() == [0.1] * 3
+
+
+def test_point_report_passes_fields_and_counts_non_finite():
+    r = point_report("p", "", [0.0, 1.0], [np.nan, np.nan], [1.0, 1.0], [0.1, 0.1],
+                     2, "upper", inconclusive=np.array([True, False]),
+                     meta={"k": 1})
+    assert r.violations == 1 and r.meta["k"] == 1 and r.meta["non_finite"] == 1
+    with pytest.raises(KeyError):
+        point_report("p", "", [0.0], [0.0], [0.0], [0.0], 1, "neither")
