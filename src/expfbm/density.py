@@ -29,13 +29,18 @@ KDE_FINE_BINS = 4096       # histogram bins the KDE convolves
 
 @dataclass
 class SampleBatch:
-    """Reproducible batch of (ln F, X) draws with provenance."""
+    """Reproducible batch of ln F draws with provenance; X and F are formed
+    from ln F on use."""
 
     lnF: np.ndarray
-    X: np.ndarray
     params: ModelParams
     centering: CenteringEstimate
     meta: dict = field(default_factory=dict)
+
+    @property
+    def X(self):
+        """ln F - E[ln F], with the batch's frozen centering constant."""
+        return self.lnF - self.centering.value
 
     @property
     def F(self):
@@ -84,14 +89,12 @@ def sample_X_batch(params: ModelParams, table: KernelTable, n_paths, seed,
     ln F of path p is bit-identical to LogFunctional on
     sample_fbm_volterra(table, P, seed) for any P > p.
     """
-    lnF = sample_lnF(params, table, n_paths, seed)
-    X = lnF - centering.value
-    F = np.exp(lnF)
-    return SampleBatch(lnF=lnF, X=X, params=params, centering=centering,
-                       meta={"mean_F": float(F.mean()),
-                             "var_F": float(F.var(ddof=1)),
-                             "mean_X": float(X.mean()),
-                             "var_X": float(X.var(ddof=1))})
+    batch = SampleBatch(lnF=sample_lnF(params, table, n_paths, seed), params=params,
+                        centering=centering)
+    F, X = batch.F, batch.X
+    batch.meta.update(mean_F=float(F.mean()), var_F=float(F.var(ddof=1)),
+                      mean_X=float(X.mean()), var_X=float(X.var(ddof=1)))
+    return batch
 
 
 def silverman_bandwidth(x):
@@ -110,6 +113,8 @@ def kde_log_domain(samples, n_boot=100, seed=0) -> DensityEstimate:
     x = np.asarray(samples, dtype=float)
     if len(x) < 10_000:
         raise ValueError("density estimation needs at least 1e4 samples")
+    if n_boot < 2:
+        raise ValueError(f"the bootstrap SE needs n_boot (kde_bootstrap) >= 2, got {n_boot}")
     if np.ptp(x) < 1e-12 or np.std(x) < 1e-12:
         loc = float(np.median(x))
         return DensityEstimate(
@@ -213,18 +218,12 @@ def verify_mgf(X, params: ModelParams) -> BoundReport:
 
 def _envelope_report(bound_id, description, points, dist, c, c_se, resolved,
                      n_samples, centre=None):
-    """Non-explosion test of the implied constant c at points, dist their
-    distance from the envelope's centre: on the resolved points with a finite
-    c, the outer third's max must not exceed 1.5 x the inner third's max by
-    more than Z SE (of that outer point).
-
-    With fewer than 6 such points or an empty third the rule reaches no
-    verdict, and the finite points count neither way; the unresolved points
-    never count. A resolved point whose c is not finite always counts, so
-    BoundReport makes it a violation. centre maps the names of the
-    envelope's centre and scale to their values: if one is not finite, the
-    report gains one violation and keeps them in its meta.
-    """
+    """Implied constant c at points (dist: their distance from the centre):
+    on the resolved points with a finite c, the outer third's max may exceed
+    1.5 x the inner third's max by at most Z SE of that outer point. With
+    fewer than 6 such points or an empty third, only a resolved point with a
+    non-finite c counts (BoundReport makes it a violation). A non-finite
+    value in centre (the envelope's centre and scale) adds one violation."""
     ok = resolved & np.isfinite(c)
     viol, info = 0, {}
     if ok.sum() >= 6:
@@ -305,7 +304,6 @@ def verify_envelopes(dens: DensityEstimate, params: ModelParams,
         xF = densF.x
         mask = xF <= sample_mean_F
         grow = np.exp((xF[mask] - sample_mean_F) ** 2 / (8.0 * sample_var_F))
-        # a centre or scale that is not finite (F overflowed) is a violation
         reports.append(_envelope_report(
             "gaussian_left_envelope_F",
             "rho_F(x) <= c exp(-(x-E F)^2/(8 Var F)) for x <= E F: implied c bounded",
@@ -370,17 +368,16 @@ def estimate_w_X(X, phi, params: ModelParams):
 
     # reconstruction: cumulative trapezoid of w over positive resolved bins;
     # the SE of exp(-int w) is its delta-method SE exp(-int w) * SE(int w)
+    def from_zero(v):
+        """int_0^z of v at each z: the trapezoid over [z_1, z], v_1 z_1 on [0, z_1]."""
+        return np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(zs))]) \
+            + v[0] * zs[0]
+
     recon_pts = lhs_r = rhs_r = se_r = zs[:0]
     if len(zs) >= 2:
-        cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (ws[1:] + ws[:-1]) * np.diff(zs))])
-        cum += ws[0] * zs[0]          # segment [0, z_1], w ~ w_1
-        se_cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (w_se[pos][1:] + w_se[pos][:-1]) * np.diff(zs))]) \
-            + w_se[pos][0] * zs[0]
-        lhs_r = np.exp(-cum)
+        lhs_r = np.exp(-from_zero(ws))
         rhs_r = np.exp(-zs ** 2 / (2.0 * s2))
-        se_r = se_cum * lhs_r
+        se_r = from_zero(w_se[pos]) * lhs_r
         recon_pts = zs
     recon = point_report(
         "w_reconstruction",

@@ -311,9 +311,10 @@ def refinement_diffs(values_fine, grid_fine, params: ModelParams):
     return diffs
 
 
-def write_samples_csv(path, F, lnF, X, params: ModelParams,
+def write_samples_csv(path, lnF, params: ModelParams,
                       centering: CenteringEstimate, header_meta=None):
-    """(path_id, F, lnF, X) rows with full provenance header."""
+    """(path_id, F, lnF, X) rows with full provenance header; F = exp(ln F)
+    (inf where it overflows) and X = ln F - centering.value."""
     meta = dict(header_meta or {})
     meta.update({
         "drift_a": params.a, "sigma_vol": params.sigma,
@@ -321,7 +322,8 @@ def write_samples_csv(path, F, lnF, X, params: ModelParams,
         "centering_mean_lnF": centering.value, "centering_se": centering.se,
         "centering_paths": centering.n_paths,
     })
-    columns = [np.asarray(v, dtype=float) for v in (F, lnF, X)]
+    lnF = np.asarray(lnF, dtype=float)
+    columns = [np.exp(lnF), lnF, lnF - centering.value]
     with open(path, "w", newline="") as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")

@@ -27,6 +27,10 @@ width outside cell m, so that rule converges like rho^-24 with
 rho >= 3 + sqrt(8) (error below 1e-18). On the uniform grid, u - r depends
 only on the offset m - j, so every power is tabulated once.
 
+The diagonal cell integral of K^p (p = 1, 2) is one Gauss-Jacobi rule for
+the weight g^(p(H-1/2)), g = t_i - r, since K / g^(H-1/2) is analytic on the
+cell (_diag_cell_weights); the first cell has its own substitutions.
+
 The table takes c_H from its closed form; calibrate_ch, the graded-rule
 quadrature of the unit-energy condition, cross-checks it.
 """
@@ -388,16 +392,18 @@ def _first_cell_rule(H, t1, nodes=24):
         int_0^t1 K(t,r) dr   = c_H   * I(t, r[:nodes]) @ wK,
         int_0^t1 K(t,r)^2 dr = c_H^2 * I(t, r[nodes:])^2 @ wK2,
 
-    with I the inner integral. Power substitutions z = r^(3/2-H) and
-    z = r^(2-2H) absorb the r^(1/2-H) prefactor (resp. its square) exactly,
-    leaving bounded integrands.
+    with I the inner integral. z = r^P, P = 3/2-H and P = 2-2H, absorbs the
+    r^(1/2-H) prefactor (resp. its square); z = z_max y^m, m = ceil(6 P),
+    turns the inner integral's r^(2H-1) terms, which cost Gauss-Legendre in z
+    1e-5 near H = 1/2, into y^(m-1 + m(2H-1)/P), smooth for 24 nodes in y.
     """
     x, w = _gauss_legendre_01(nodes)
     r, weights = [], []
     for power in (1.5 - H, 2.0 - 2.0 * H):
+        m = math.ceil(6.0 * power)
         zmax = t1 ** power
-        r.append((zmax * x) ** (1.0 / power))
-        weights.append((zmax / power) * w)
+        r.append((zmax * x ** m) ** (1.0 / power))
+        weights.append((zmax / power) * m * x ** (m - 1) * w)
     return np.concatenate(r), weights[0], weights[1]
 
 
@@ -414,35 +420,36 @@ def _first_cell_weights(H, c_H, t_rows, t1, nodes=24):
     return _first_cell_sums(c_H, _inner_integral(H, t_rows[:, None], r[None, :]), wK, wK2)
 
 
+def _gauss_jacobi_01(n, b):
+    """n-point Gauss rule for the weight u^b on [0, 1], b > 0, from the Jacobi
+    matrix of the shifted Jacobi polynomials P^(0, b) (Golub & Welsch 1969)."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + b
+    diag = 0.5 + 0.5 * b * b / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vectors[0] ** 2 / (b + 1.0)
+
+
 def _diag_cell_weights(H, c_H, t_rows, dt, nodes=24):
-    """Cell integrals of K and K^2 over [t_i - dt, t_i] (right end singular slope).
+    """Cell integrals of K and K^2 over [t_i - dt, t_i], dt <= t_i / 2.
 
-    K vanishes like (t_i - r)^(H-1/2) at r = t_i; substitutions
-    y = (t_i-r)^(H-1/2) for K and y = (t_i-r)^(2H) for K^2 regularize it.
+    K / g^(H-1/2), g = t_i - r, is analytic on the cell (its nearest
+    singularity, r = 0, lies at g = t_i >= 2 dt), so int K^p dr =
+    int_0^dt g^(p(H-1/2)) (K / g^(H-1/2))^p dg is one Gauss-Jacobi rule. No
+    node passes through the power 1/(H-1/2), which underflows as H -> 1/2.
     """
-    x, w = _gauss_legendre_01(nodes)
     alpha = H - 0.5
-    t_rows = np.asarray(t_rows, dtype=float)
-
-    # weight of K
-    ymax = dt ** alpha
-    y = ymax * x
-    gap = y ** (1.0 / alpha)
-    r = t_rows[:, None] - gap[None, :]
-    K = c_H * np.power(r, 0.5 - H) * _inner_integral(H, t_rows[:, None], r)
-    jac = y ** ((1.5 - H) / alpha) / alpha
-    out_w = ymax * ((K * jac[None, :]) @ w)
-
-    # weight of K^2: integrate [K^2 / gap^(2H-1)] d(gap^(2H)) / (2H)
-    p2 = 2.0 * H
-    psimax = dt ** p2
-    psi = psimax * x
-    gap2 = psi ** (1.0 / p2)
-    r2 = t_rows[:, None] - gap2[None, :]
-    K2 = c_H * np.power(r2, 0.5 - H) * _inner_integral(H, t_rows[:, None], r2)
-    ratio = (K2 ** 2) / np.power(gap2, p2 - 1.0)[None, :]
-    out_w2 = (psimax / p2) * (ratio @ w)
-    return out_w, out_w2
+    t_rows = np.asarray(t_rows, dtype=float)[:, None]
+    out = []
+    for p in (1, 2):
+        u, w = _gauss_jacobi_01(nodes, p * alpha)
+        g = dt * u
+        r = t_rows - g
+        ratio = c_H * np.power(r, -alpha) * _inner_integral(H, t_rows, r) / np.power(g, alpha)
+        out.append(dt ** (p * alpha + 1.0) * (ratio ** p @ w))
+    return tuple(out)
 
 
 def _offset_powers(H, dt, d, x):
@@ -461,7 +468,7 @@ def build_kernel_table(H, T, n):
     quadrature of the unit-energy condition, cross-checks it in kernel-verify.
     Interior cell integrals use plain Gauss-Legendre with CELL_NODES points
     (the integrand is smooth strictly inside (0, t_i)); the first cell and the
-    diagonal cell get dedicated singularity-absorbing substitutions.
+    diagonal cell get their own rules (_first_cell_rule, _diag_cell_weights).
 
     The inner integral I(t_i, r) at a node r of cell j is a running sum over
     the rows: I(t_{j+1}, r) from the panel rule of _inner_integral, then one

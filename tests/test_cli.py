@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import expfbm.cli as cli
 from expfbm import functional as fn
+from expfbm import kernel as kn
 from expfbm.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, ExperimentConfig, main
 
 
@@ -86,6 +88,26 @@ class TestConfig:
     def test_centering_paths_free_when_deterministic(self):
         # sigma = 0 makes ln F exact, so no centering paths are needed
         assert ExperimentConfig(sigma_vol=0.0, centering_paths=0).centering_paths == 0
+
+    @pytest.mark.parametrize("payload", [
+        [], [1, 2], "tail", {"suites": 5}, {"suites": None}, {"suites": "tail"},
+        {"suites": ["tail", 5]}, {"out_dir": 5}, {"out_dir": None}])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["--config", str(bad), "kernel-verify"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("configuration error")
+
+    @pytest.mark.parametrize("n_boot", [0, 1])
+    def test_too_few_bootstraps_is_config_error(self, tmp_path, capsys, n_boot):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "outer_paths": 10_000, "centering_paths": 1000,
+            "kde_bootstrap": n_boot, "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "density"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "kde_bootstrap" in err
 
     @pytest.mark.parametrize("flags", [["--grid", "4"], ["--inner", "51"],
                                        ["--paths", "-5"]])
@@ -236,11 +258,39 @@ class TestKernelVerify:
         payload = json.loads(capsys.readouterr().out)
         assert "checks" in payload
 
-    def test_corrupted_constant_fails(self, small_config, capsys):
+    def test_corrupted_constant_fails(self, small_config, capsys, monkeypatch):
         path, _ = small_config
-        rc = main(["--config", str(path), "kernel-verify", "--corrupt-ch", "1.01"])
+        table_for = cli._table_for
+        monkeypatch.setattr(cli, "_table_for", lambda cfg: dataclasses.replace(
+            table_for(cfg), c_H=table_for(cfg).c_H * 1.01))
+        rc = main(["--config", str(path), "kernel-verify"])
         assert rc == EXIT_VIOLATION
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("H", [0.5 + 1e-6, 0.501, 0.7, 0.9, 0.95, 1.0 - 1e-6])
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_passes_across_hurst(self, H, n):
+        cfg = ExperimentConfig(hurst_H=H, grid_n=n)
+        checks = cli.kernel_checks(cfg, kn.build_kernel_table(H, 1.0, n))
+        assert [c["id"] for c in checks if not c["pass"]] == []
+
+    @staticmethod
+    def failed(table, **fields):
+        cfg = ExperimentConfig(hurst_H=table.H, horizon_T=table.T, grid_n=table.n)
+        return {c["id"] for c in cli.kernel_checks(cfg, dataclasses.replace(table, **fields))
+                if not c["pass"]}
+
+    def test_zeroed_diagonal_fails_row_sums(self, table64):
+        rows = np.arange(1, table64.n + 1)
+        weights = table64.row_weights.copy()
+        weights[rows, rows] = 0.0
+        assert "row_sum_closed_form" in self.failed(table64, row_weights=weights)
+
+    def test_scaled_weights_fail_covariance(self, table256):
+        # the map's variance outgrows t^2H by 2e-4 relative; the fixed 5e-3
+        # comparison it replaces still passed at a scale of 1 + 1e-3
+        scaled = table256.row_weights * (1.0 + 1e-4)
+        assert "covariance_reproduction" in self.failed(table256, row_weights=scaled)
 
 
 class TestSimulate:

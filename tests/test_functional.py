@@ -274,25 +274,25 @@ class TestSamplesCsv:
     def test_header_and_rows(self, table64, params, tmp_path):
         est = fn.CenteringEstimate(0.06, 0.001, 1000, 5)
         out = tmp_path / "samples.csv"
-        fn.write_samples_csv(out, np.array([1.0, 2.0]), np.array([0.0, 0.7]),
-                             np.array([-0.06, 0.64]), params, est)
+        fn.write_samples_csv(out, np.array([0.0, 0.7]), params, est)
         lines = out.read_text().splitlines()
         assert any(l.startswith("# centering_mean_lnF=0.06") for l in lines)
         assert any(l.startswith("# hurst_H=0.7") for l in lines)
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "path_id,F,lnF,X"
-        assert len(data) == 3
+        assert data[1:] == [f"0,1.0,0.0,{0.0 - 0.06!r}",
+                            f"1,{float(np.exp(0.7))!r},0.7,{0.7 - 0.06!r}"]
 
     def test_bytes_match_csv_writer(self, params, tmp_path):
         # rows over several write chunks, with values whose repr is unusual
         gen = np.random.default_rng(5)
         count = 2 * rng.BATCH + 3
-        F, lnF, X = gen.standard_normal((3, count)) * 10.0 ** gen.integers(
-            -300, 300, (3, count))
-        F[:6] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e16]
+        lnF = gen.standard_normal(count) * 10.0 ** gen.integers(-300, 3, count)
+        lnF[:7] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 700.0, -745.0]
         est = fn.CenteringEstimate(0.06, 0.001, 1000, 5)
+        F, X = np.exp(lnF), lnF - est.value
         fast = tmp_path / "fast.csv"
-        fn.write_samples_csv(fast, F, lnF, X, params, est, header_meta={"seed": 5})
+        fn.write_samples_csv(fast, lnF, params, est, header_meta={"seed": 5})
         text = fast.read_bytes()
         header = text[:text.index(b"path_id")]
         ref = tmp_path / "ref.csv"

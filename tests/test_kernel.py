@@ -118,6 +118,109 @@ class TestRunningSumBuild:
         assert_matches_reference(kn.build_kernel_table(0.9, 1.0, 256))
 
 
+def reference_cell_integrals(H, c_H, t, lo, hi):
+    """(int K(t, r) dr, int K(t, r)^2 dr) over [lo, hi] by adaptive
+    quadrature: at the diagonal (hi = t) with K's algebraic end behaviour
+    (t - r)^(p(H-1/2)) as quad's weight function, at the first cell (lo = 0)
+    in z = r^P, P = 1 - p(H-1/2), which absorbs r^(-p(H-1/2)). Reference
+    for the cell rules of the table."""
+    alpha = H - 0.5
+    out = []
+    for p in (1, 2):
+        if hi == t:          # K / g^alpha in g = t - r; c_H / alpha at g = 0
+            def f(g):
+                if g == 0.0:
+                    return (c_H / alpha) ** p
+                ratio = c_H * (t - g) ** -alpha * kn._inner_integral(H, t, t - g) / g ** alpha
+                return float(ratio) ** p
+            val, _ = quad(f, 0.0, hi - lo, weight="alg", wvar=(p * alpha, 0.0),
+                          epsabs=0.0, epsrel=1e-13, limit=200)
+        else:
+            P = 1.0 - p * alpha
+
+            def f(z):
+                return float(c_H * kn._inner_integral(H, t, z ** (1.0 / P))) ** p / P
+            val, _ = quad(f, 0.0, hi ** P, epsabs=0.0, epsrel=1e-13, limit=500)
+        out.append(val)
+    return out
+
+
+LEGENDRE_MISS_H = 0.501
+
+
+def legendre_diag_cell_weights(H, c_H, t_rows, dt, nodes=24):
+    """A diagonal cell rule by Gauss-Legendre in
+    y = (t_i - r)^(H-1/2), mapped back through y^(1/(H-1/2)), which
+    underflows as H -> 1/2 (the K weight is 44 % low at H = 0.501)."""
+    x, w = kn._gauss_legendre_01(nodes)
+    alpha = H - 0.5
+    t_rows = np.asarray(t_rows, dtype=float)
+    ymax = dt ** alpha
+    y = ymax * x
+    r = t_rows[:, None] - (y ** (1.0 / alpha))[None, :]
+    K = c_H * np.power(r, 0.5 - H) * kn._inner_integral(H, t_rows[:, None], r)
+    out_w = ymax * ((K * (y ** ((1.5 - H) / alpha) / alpha)[None, :]) @ w)
+    psimax = dt ** (2.0 * H)
+    gap2 = (psimax * x) ** (1.0 / (2.0 * H))
+    r2 = t_rows[:, None] - gap2[None, :]
+    K2 = c_H * np.power(r2, 0.5 - H) * kn._inner_integral(H, t_rows[:, None], r2)
+    out_w2 = (psimax / (2.0 * H)) * (((K2 ** 2) / np.power(gap2, 2.0 * H - 1.0)[None, :]) @ w)
+    return out_w, out_w2
+
+
+HURST_SWEEP = [0.5 + 1e-6, 0.5001, 0.501, 0.55, 0.7, 0.9, 0.99, 1.0 - 1e-6]
+
+
+class TestCellRules:
+    @pytest.mark.parametrize("H", HURST_SWEEP)
+    def test_diagonal_cells_against_quad(self, H):
+        c_H = kn.ch_closed_form(H)
+        dt = 1.0 / 16
+        rows = np.array([2 * dt, 0.5, 1.0])
+        got = np.column_stack(kn._diag_cell_weights(H, c_H, rows, dt))
+        half = np.column_stack(kn._diag_cell_weights(H, c_H, np.array([dt]), dt / 2))
+        for (t, lo), (wK, wK2) in zip([(t, t - dt) for t in rows] + [(dt, dt / 2)],
+                                      np.vstack([got, half])):
+            qK, qK2 = reference_cell_integrals(H, c_H, t, lo, t)
+            assert abs(wK / qK - 1.0) < 1e-13 and abs(wK2 / qK2 - 1.0) < 1e-13, t
+
+    @pytest.mark.parametrize("H", HURST_SWEEP)
+    def test_first_cells_against_quad(self, H):
+        c_H = kn.ch_closed_form(H)
+        dt = 1.0 / 16
+        for t, t1 in ((dt, dt / 2), (2 * dt, dt), (1.0, dt)):
+            wK, wK2 = kn._first_cell_weights(H, c_H, np.array([t]), t1)
+            qK, qK2 = reference_cell_integrals(H, c_H, t, 0.0, t1)
+            # the K^2 rule misses by 3e-9 at H = 0.99, where its integrand in
+            # z = r^(2-2H) has terms of degree ~50
+            assert abs(wK[0] / qK - 1.0) < 1e-13, t
+            assert abs(wK2[0] / qK2 - 1.0) < 1e-8, t
+
+    def test_legendre_diagonal_rule_misses(self):
+        # the defect the Gauss-Jacobi rule mends, measured by the same oracle
+        c_H = kn.ch_closed_form(LEGENDRE_MISS_H)
+        wK, _ = legendre_diag_cell_weights(LEGENDRE_MISS_H, c_H, np.array([0.5]), 1.0 / 16)
+        qK, _ = reference_cell_integrals(LEGENDRE_MISS_H, c_H, 0.5, 0.5 - 1.0 / 16, 0.5)
+        assert wK[0] / qK - 1.0 < -0.4
+
+    def test_legendre_diagonal_rule_fails_row_sums(self, monkeypatch):
+        from expfbm import cli
+
+        monkeypatch.setattr(kn, "_diag_cell_weights", legendre_diag_cell_weights)
+        table = kn.build_kernel_table(LEGENDRE_MISS_H, 1.0, 16)
+        checks = cli.kernel_checks(cli.ExperimentConfig(hurst_H=LEGENDRE_MISS_H, grid_n=16),
+                                   table)
+        assert [c["id"] for c in checks if not c["pass"]] == ["row_sum_closed_form"]
+
+    def test_gauss_jacobi_rule(self):
+        from scipy.special import roots_jacobi
+        for b in (1e-6, 0.4, 1.0):
+            x, w = kn._gauss_jacobi_01(24, b)
+            xs, ws = roots_jacobi(24, 0.0, b)
+            assert np.max(np.abs(x - 0.5 * (xs + 1.0))) < 1e-15
+            assert np.max(np.abs(w - ws / 2.0 ** (b + 1.0))) < 1e-14
+
+
 class TestCalibration:
     def test_matches_closed_form(self):
         for H in (0.501, 0.51, 0.55, 0.6, 0.7, 0.75, 0.9, 0.99, 0.999999):
