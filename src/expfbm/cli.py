@@ -14,10 +14,6 @@ bounds option.
 Exit codes, the same for every command: 0 all selected suites pass, 1 bound
 violation, 2 configuration error, 3 resource/budget exceeded (also when a
 cache or output file cannot be written).
-
-Within a command, the sample and nested caches are deflated and moved into
-place on one writer thread (zlib releases the GIL, so this overlaps the
-command's other work); the command waits for them before it returns.
 """
 from __future__ import annotations
 
@@ -44,7 +40,8 @@ from . import kernel as kn
 from . import malliavin as ml
 from . import paths as pth
 from . import rng
-from .reports import Z, BoundReport, point_report, range_report, summarize
+from .reports import (Z, BoundReport, point_report, range_report, range_violations,
+                      summarize, summary_report)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -74,7 +71,9 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 # 10: sample caches hold ln F only (X = ln F - E[ln F] is formed on use);
 #     tables take the diagonal cells from a Gauss-Jacobi rule and the first
 #     cell from the substitution z = z_max y^m (move by up to 4.3e-6).
-CACHE_SCHEMA = 10
+# 11: caches are written without deflate; the nested cache holds a summary of
+#     D X (per-node max and mean, violations) in place of D X.
+CACHE_SCHEMA = 11
 
 
 # field type -> (check, what an error message calls it)
@@ -234,79 +233,23 @@ def _write_atomic(path, write):
             tmp.unlink(missing_ok=True)
 
 
-class _Writer:
-    """Atomic cache writes on one thread, pending by path."""
-
-    def __init__(self):
-        self._pool = None
-        self._pending = {}
-
-    def submit(self, path, write):
-        if self._pool is None:
-            # imported on first use: a command that defers no write (the
-            # clark_ocone suite alone, say) skips its import time
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(max_workers=1,
-                                            thread_name_prefix="expfbm-writer")
-        self._pending[path] = self._pool.submit(_write_atomic, path, write)
-
-    def finish(self, *paths):
-        """Wait for the pending writes to paths (to every path if none is
-        given), then raise the first failure among them."""
-        futures = [self._pending.pop(p) for p in paths or list(self._pending)
-                   if p in self._pending]
-        errors = [f.exception() for f in futures]
-        for exc in errors:
-            if exc is not None:
-                raise exc
-
-    def close(self):
-        """finish(), then stop the thread."""
-        try:
-            self.finish()
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown()
-
-
-_writer = None          # the running command's _Writer; None: write in place
-
-
-@contextmanager
-def _writes_behind():
-    """Within the block, _cached hands the writes it is asked to defer to one
-    writer thread; on leaving it, wait for all of them."""
-    global _writer
-    _writer = _Writer()
-    try:
-        yield
-    finally:
-        writer, _writer = _writer, None
-        writer.close()
-
-
 def _savez(tmp, **arrays):
     # through a handle: given a path without .npz, numpy would append it
     with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+        np.savez(fh, **arrays)
 
 
 # what reading a truncated or otherwise damaged cache file raises
 UNREADABLE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error)
 
 
-def _cached(path, load, build, save, allow_build=True, behind=False):
+def _cached(path, load, build, save, allow_build=True):
     """load(path) if it can be read; else build(), save(value, tmp) it
     atomically in place, and return it.
 
-    With behind, inside a command, the save runs on the writer thread: it
-    must not call a traced function, and the value must not change after
-    build(). A pending write to path ends before path is read.
     An unreadable file is a miss like a missing one, reported on stderr.
     Without allow_build (--no-simulate) a miss raises FileNotFoundError.
     """
-    if _writer is not None:
-        _writer.finish(path)
     if path.exists():
         try:
             return load(path)
@@ -317,10 +260,7 @@ def _cached(path, load, build, save, allow_build=True, behind=False):
         raise FileNotFoundError(
             f"cache {path} missing or unreadable and simulation disabled (--no-simulate)")
     value = build()
-    if behind and _writer is not None:
-        _writer.submit(path, lambda tmp: save(value, tmp))
-    else:
-        _write_atomic(path, lambda tmp: save(value, tmp))
+    _write_atomic(path, lambda tmp: save(value, tmp))
     return value
 
 
@@ -356,7 +296,7 @@ def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
         _savez(tmp, lnF=batch.lnF, meta=np.frombuffer(meta, dtype=np.uint8))
 
     return _cached(_cache_dir(cfg) / f"sim-{cfg.cache_key(SIM_FIELDS)}.npz",
-                   load, build, save, allow_simulate, behind=True)
+                   load, build, save, allow_simulate)
 
 
 def _once(ctx, key, make):
@@ -389,18 +329,25 @@ def _nested_run(cfg, table, ctx):
         paths = _nested_paths(cfg, table, ctx)
         prof = ml.phi_x_batch(paths, table, params, cfg.inner_paths, cfg.seed,
                               stride=cfg.subgrid_stride)
+        idx = np.asarray(prof.meta["indices"])
         lower, _ = ml.phi_lower_bound_terms(paths, table, params)
-        d2x_max, d2x_min, d2x_violations = _d2x_summary(
-            paths, table, params, np.asarray(prof.meta["indices"]))
+        d2x_max, d2x_min, d2x_violations = _d2x_summary(paths, table, params, idx)
+        D = prof.dX
         return {"lnF": fn.LogFunctional(paths, params).lnF, "phi": prof.phi,
-                "phi_se": prof.phi_se, "dX": prof.dX, "cond": prof.cond_dX,
-                "cond_se": prof.cond_se, "indices": prof.meta["indices"],
-                "lower": lower, "d2x_max": d2x_max, "d2x_min": d2x_min,
+                "phi_se": prof.phi_se, "cond": prof.cond_dX,
+                "cond_se": prof.cond_se, "indices": idx, "lower": lower,
+                # D X itself is not kept: dx_range reads its max and
+                # violations, malliavin-profile.csv its mean (the bits of
+                # D[:, c].mean(); an axis-0 mean sums in another order)
+                "dx_max": D.max(axis=0),
+                "dx_mean": np.array([D[:, c].mean() for c in range(D.shape[1])]),
+                "dx_violations": range_violations(D, ml.dx_bounds(table, params, idx)),
+                "d2x_max": d2x_max, "d2x_min": d2x_min,
                 "d2x_violations": d2x_violations}
 
     return _once(ctx, "nested", lambda: _cached(
         _cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz", load, build,
-        lambda out, tmp: _savez(tmp, **out), ctx["allow_simulate"], behind=True))
+        lambda out, tmp: _savez(tmp, **out), ctx["allow_simulate"]))
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +505,9 @@ def _suite_derivatives(cfg, table, ctx):
     phi = nested["phi"]
     phi_se = nested["phi_se"]
     reports = [
-        range_report("dx_range", "0 <= D_theta X <= sigma K(T, theta)",
-                     nested["dX"], bounds, points=table.grid[idx]),
+        summary_report("dx_range", "0 <= D_theta X <= sigma K(T, theta)",
+                       table.grid[idx], nested["dx_max"], bounds,
+                       nested["dx_violations"], len(phi)),
         range_report("cond_dx_range",
                      "0 <= E[D_theta X | F_theta] <= sigma K(T, theta)",
                      nested["cond"], bounds, nested["cond_se"], table.grid[idx]),
@@ -577,13 +525,10 @@ def _suite_derivatives(cfg, table, ctx):
         n_samples=len(phi)))
 
     d2_bounds, d2_tol = _d2x_limits(table, params, idx)
-    reports.append(BoundReport(
-        bound_id="d2x_range",
-        description="0 <= D_r D_theta X <= 2 sigma^2 K(T,theta) K(T,r)",
-        points=np.array([0.0]), lhs=np.array([float(nested["d2x_max"])]),
-        rhs=np.array([float(d2_bounds.max())]), se=np.array([0.0]),
-        tolerance=np.array([float(d2_tol.max())]),
-        violations=int(nested["d2x_violations"]), n_samples=cfg.nested_paths,
+    reports.append(summary_report(
+        "d2x_range", "0 <= D_r D_theta X <= 2 sigma^2 K(T,theta) K(T,r)",
+        [0.0], nested["d2x_max"], d2_bounds.max(), nested["d2x_violations"],
+        cfg.nested_paths, tolerance=d2_tol.max(),
         meta={"min_entry": float(nested["d2x_min"])}))
     return reports
 
@@ -719,7 +664,7 @@ def _malliavin_profile(cfg, table, ctx):
         writer.writerow(["theta", "mean_dX", "bound_sigma_K", "margin",
                          "mean_cond_dX", "mean_inner_se"])
         for c, k in enumerate(idx):
-            mean_dx = float(nested["dX"][:, c].mean())
+            mean_dx = float(nested["dx_mean"][c])
             writer.writerow([repr(float(table.grid[k])),
                              repr(mean_dx),
                              repr(float(bounds[c])),
@@ -836,8 +781,7 @@ def main(argv=None):
         "report": cmd_report,
     }
     try:
-        with _writes_behind():
-            return handlers[args.command](cfg, args)
+        return handlers[args.command](cfg, args)
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -121,25 +121,44 @@ def point_report(bound_id, description, points, lhs, rhs, se, n_samples, side,
         n_samples=n_samples, **fields)
 
 
+def range_violations(values, bound, se=0.0):
+    """How many samples v lie outside 0 <= v <= bound by more than the
+    tolerance 1e-9 bound + Z SE."""
+    tol = 1e-9 * bound + Z * se
+    return int(np.sum((values < -tol) | (values > bound + tol)))
+
+
 def range_report(bound_id, description, values, bound, se=None, points=(0.0,),
                  meta=None) -> BoundReport:
     """0 <= v <= bound for every sample v, within 1e-9 bound + Z SE.
 
     values and se (0 if omitted) hold one row per path: a vector against a
     scalar bound at one point, or a matrix against one bound per column at
-    points. The report keeps each column's largest value, SE and tolerance.
+    points. The report keeps each column's largest value and SE.
     """
     values = np.asarray(values)
     se = np.zeros(values.shape) if se is None else np.asarray(se)
-    tol = 1e-9 * bound + Z * se
-    violations = int(np.sum((values < -tol) | (values > bound + tol)))
-    lhs, se_max, tol_max = (np.atleast_1d(a.max(axis=0)) for a in (values, se, tol))
+    return summary_report(bound_id, description, points, values.max(axis=0), bound,
+                          range_violations(values, bound, se), len(values),
+                          se=se.max(axis=0), meta=meta)
+
+
+def summary_report(bound_id, description, points, lhs, bound, violations, n_samples,
+                   se=0.0, tolerance=None, meta=None) -> BoundReport:
+    """A range check's report from its summary over the samples: the largest
+    value (lhs) and SE at each point, the bound, and the violations counted
+    sample by sample. The tolerance defaults to range_report's
+    1e-9 bound + Z SE, which is largest where the SE is."""
+    lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
+    se = np.full(lhs.shape, se, dtype=float)
+    bound = np.atleast_1d(np.asarray(bound, dtype=float))
+    if tolerance is None:
+        tolerance = 1e-9 * bound + Z * se
     return BoundReport(
         bound_id=bound_id, description=description,
-        points=np.asarray(points, dtype=float), lhs=lhs,
-        rhs=np.atleast_1d(np.asarray(bound, dtype=float)), se=se_max,
-        tolerance=tol_max, violations=violations, n_samples=len(values),
-        meta=meta or {})
+        points=np.asarray(points, dtype=float), lhs=lhs, rhs=bound, se=se,
+        tolerance=np.atleast_1d(np.asarray(tolerance, dtype=float)),
+        violations=int(violations), n_samples=n_samples, meta=meta or {})
 
 
 def summarize(reports):

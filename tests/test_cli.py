@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,29 @@ class TestCaches:
         assert "treating it as a miss" in err
         assert "missing or unreadable and simulation disabled" in err
 
+    def test_only_the_table_is_deflated(self, cached_run):
+        argv, run = cached_run
+        assert main(argv) == EXIT_OK
+        methods = {}
+        for p in (run / "cache").glob("*.npz"):
+            with zipfile.ZipFile(p) as zf:
+                methods[p.name.split("-")[0]] = {i.compress_type for i in zf.infolist()}
+        assert methods == {"mal": {zipfile.ZIP_STORED}, "sim": {zipfile.ZIP_STORED},
+                           "table": {zipfile.ZIP_DEFLATED}}
+
+    def test_bounds_imports_no_thread_pool(self, cached_run):
+        # every cache is written on the command's own thread
+        argv, run = cached_run
+        code = ("import sys; from expfbm.cli import main; rc = main(sys.argv[1:]); "
+                "assert 'concurrent.futures' not in sys.modules, 'imported'; "
+                "sys.exit(rc)")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert sorted(p.name[:4] for p in (run / "cache").iterdir()) == [
+            "mal-", "sim-", "tabl"]
+
     def test_two_seeds_share_one_table(self, tmp_path, capsys):
         for seed in ("1", "2"):
             assert main(["--out", str(tmp_path), "--grid", "16", "--seed", seed,
@@ -221,8 +245,7 @@ class TestWriteFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"cannot write {run / 'bounds.json'}:" in err
 
-    def test_failed_cache_write_on_the_writer_thread(self, cached_run, capsys,
-                                                     monkeypatch):
+    def test_failed_cache_write(self, cached_run, capsys, monkeypatch):
         argv, run = cached_run
 
         def disk_full(tmp, **arrays):

@@ -75,9 +75,9 @@ def test_spans_open_on_the_main_thread(table64, params, monkeypatch):
     assert {ident for _, ident in opened} == {threading.main_thread().ident}
 
 
-def test_cache_writer_opens_no_span(tmp_path, monkeypatch):
-    # the sample and nested caches are deflated on the writer thread, which
-    # must call no traced function either
+def test_cache_saves_run_on_the_main_thread(tmp_path, monkeypatch):
+    # the sample and nested caches are written in place by the command's own
+    # thread, and a bounds run opens no span off it
     opened = install_thread_tracer(monkeypatch)
     saved = []
     savez = cli._savez
@@ -95,7 +95,7 @@ def test_cache_writer_opens_no_span(tmp_path, monkeypatch):
     assert cli.main(["--config", str(cfg_path), "bounds"]) == 0
     assert sorted(p.name[:4] for p in (tmp_path / "cache").iterdir()) == [
         "mal-", "sim-", "tabl"]
-    assert len(saved) == 2 and threading.main_thread().ident not in saved
+    assert saved == [threading.main_thread().ident] * 2
     names = {name for name, _ in opened}
     assert {"cli.main", "kernel.save_table", "malliavin.phi_x_batch"} <= names
     assert {ident for _, ident in opened} == {threading.main_thread().ident}
