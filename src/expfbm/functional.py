@@ -294,9 +294,8 @@ def estimate_mean_lnF(params: ModelParams, table, n_paths, seed) -> CenteringEst
 def refinement_diffs(values_fine, grid_fine, params: ModelParams):
     """|F(coarse) - F(fine)| on the coarsenings by 8, 4 and 2 of one fixed path.
 
-    Quadrature-consistency diagnostic recorded in batch metadata: the
-    differences must shrink as the grid is refined.
-    """
+    Quadrature-consistency diagnostic: the differences must shrink as the
+    grid is refined."""
     diffs = []
     nf = len(grid_fine) - 1
     pf = FbmPaths(grid_fine, np.atleast_2d(values_fine), None, None, "fixed")

@@ -537,8 +537,6 @@ def build_kernel_table(H, T, n):
         "cell_nodes": CELL_NODES,
         "energy_max_abs_err": float(np.max(np.abs(energies - marg))),
         "map_variance_max_abs_err": float(np.max(np.abs(map_var - marg))),
-        "smooth_quad_rtol": 1e-8,
-        "table_tol": 5e-3,
     }
     return KernelTable(H=params.H, T=params.T, c_H=float(c_H), grid=grid,
                        values=values, row_weights=row_w, sq_weights=row_w2,

@@ -13,6 +13,8 @@ import pytest
 import expfbm.cli as cli
 from expfbm import functional as fn
 from expfbm import kernel as kn
+from expfbm import malliavin as ml
+from expfbm import paths as pth
 from expfbm.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, ExperimentConfig, main
 
 
@@ -76,7 +78,7 @@ class TestConfig:
         ("grid_n", 64.0), ("outer_paths", -1), ("inner_paths", 51),
         ("inner_paths", 48), ("subgrid_stride", 0), ("centering_paths", -1),
         ("nested_paths", -1), ("kde_bootstrap", -1), ("seed", -1),
-        ("seed", "1"), ("tol_identity", float("inf")), ("suites", ["tail", "nope"]),
+        ("seed", "1"), ("sigma_vol", float("inf")), ("suites", ["tail", "nope"]),
         ("centering_paths", 500), ("outer_paths", 1),
     ])
     def test_invalid_field_is_config_error(self, tmp_path, capsys, field, value):
@@ -484,6 +486,31 @@ class TestBounds:
         rc = main(["--config", str(p2), "bounds", "--no-simulate"])
         assert rc == EXIT_CONFIG
         assert "missing" in capsys.readouterr().err
+
+
+def test_d2x_violations_are_counted_path_by_path(table64, params, monkeypatch):
+    # a negative D^2 X entry is judged against its own path's largest entry,
+    # so the count over a path set is the sum of its paths' counts
+    paths = pth.sample_fbm_volterra(table64, 65, seed=3)
+    idx = ml.phi_subgrid(table64.n, stride=16)
+    d2x = ml.d2x
+
+    def small_first_path(sub, table, params_, indices):
+        out = d2x(sub, table, params_, indices=indices)
+        first = np.all(sub.values == paths.values[0], axis=1)
+        # path 0: largest entry 1e-3 and one entry at -1e-14, beyond rounding
+        # for it, but within 1e-12 of the other paths' largest entries
+        out[first] *= 1e-3 / np.abs(out[first]).max(axis=(1, 2))[:, None, None]
+        out[first, 0, 0] = -1e-14
+        return out
+
+    monkeypatch.setattr(ml, "d2x", small_first_path)
+    assert np.abs(d2x(paths, table64, params, indices=idx)).max() > 0.1
+    whole = cli._d2x_summary(paths, table64, params, idx)[2]
+    singles = [cli._d2x_summary(paths.subset(slice(p, p + 1)), table64, params, idx)[2]
+               for p in range(paths.n_paths)]
+    assert singles[0] >= 1
+    assert whole == sum(singles)
 
 
 class TestMalliavinAndDensity:
