@@ -147,8 +147,8 @@ def summary_report(bound_id, description, points, lhs, bound, violations, n_samp
                    se=0.0, tolerance=None, meta=None) -> BoundReport:
     """A range check's report from its summary over the samples: the largest
     value (lhs) and SE at each point, the bound, and the violations counted
-    sample by sample. The tolerance defaults to range_report's
-    1e-9 bound + Z SE, which is largest where the SE is."""
+    sample by sample. The tolerance defaults to 1e-9 bound + Z se; with se
+    the largest SE at a point, that is the largest tolerance of its samples."""
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     se = np.full(lhs.shape, se, dtype=float)
     bound = np.atleast_1d(np.asarray(bound, dtype=float))
