@@ -40,8 +40,7 @@ from . import kernel as kn
 from . import malliavin as ml
 from . import paths as pth
 from . import rng
-from .reports import (Z, BoundReport, point_report, range_report, range_violations,
-                      summarize, summary_report)
+from .reports import Z, point_report, range_violations, summarize, summary_report
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -73,7 +72,9 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 #     cell from the substitution z = z_max y^m (move by up to 4.3e-6).
 # 11: caches are written without deflate; the nested cache holds a summary of
 #     D X (per-node max and mean, violations) in place of D X.
-CACHE_SCHEMA = 11
+# 12: the nested cache keeps per path only ln F and Phi_X; of E[D X | F] with
+#     its SE, Phi_X's SE and the Phi_X lower bound it keeps their summaries.
+CACHE_SCHEMA = 12
 
 
 # field type -> (check, what an error message calls it)
@@ -314,8 +315,31 @@ def _nested_paths(cfg, table, ctx):
                  lambda: pth.sample_fbm_volterra(table, cfg.nested_paths, cfg.seed))
 
 
+def _range_summary(name, values, bound, se=None):
+    """The summary of values (one row per path; a vector is one column) that
+    a range report and malliavin-profile.csv read, keyed name_<field>:
+    per column max, mean (the bits of values[:, c].mean(); an axis-0 mean
+    sums in another order) and violations, the count outside 0 <= v <= bound
+    within 1e-9 bound + Z se; with se, also se_max and se_mean."""
+    def columns(a):
+        a = np.asarray(a).reshape(len(a), -1)
+        return a, a.max(axis=0), np.array([a[:, c].mean() for c in range(a.shape[1])])
+
+    values, vmax, vmean = columns(values)
+    out = {f"{name}_max": vmax, f"{name}_mean": vmean}
+    if se is None:
+        out[f"{name}_violations"] = range_violations(values, bound)
+    else:
+        se, out[f"{name}_se_max"], out[f"{name}_se_mean"] = columns(se)
+        out[f"{name}_violations"] = range_violations(values, bound, se)
+    return out
+
+
 def _nested_run(cfg, table, ctx):
-    """Joint (X, Phi_X) samples plus derivative-bound ingredients (cached)."""
+    """Per-path ln F and Phi_X (the w suite reads both), and the summaries
+    that the derivative reports and malliavin-profile.csv read (cached): the
+    _range_summary of D_theta X, E[D_theta X | F_theta] and Phi_X, the least
+    Phi_X - lower with its violations, and the D^2 X summary."""
     params = cfg.model_params()
 
     def load(path):
@@ -327,18 +351,17 @@ def _nested_run(cfg, table, ctx):
         prof = ml.phi_x_batch(paths, table, params, cfg.inner_paths, cfg.seed,
                               stride=cfg.subgrid_stride)
         idx = np.asarray(prof.meta["indices"])
+        bounds = ml.dx_bounds(table, params, idx)
+        s2T = params.sigma ** 2 * params.T ** (2 * params.H)
+        phi, phi_se = prof.phi, prof.phi_se
         lower, _ = ml.phi_lower_bound_terms(paths, table, params)
         d2x_max, d2x_min, d2x_violations = _d2x_summary(paths, table, params, idx)
-        D = prof.dX
-        return {"lnF": fn.LogFunctional(paths, params).lnF, "phi": prof.phi,
-                "phi_se": prof.phi_se, "cond": prof.cond_dX,
-                "cond_se": prof.cond_se, "indices": idx, "lower": lower,
-                # D X itself is not kept: dx_range reads its max and
-                # violations, malliavin-profile.csv its mean (the bits of
-                # D[:, c].mean(); an axis-0 mean sums in another order)
-                "dx_max": D.max(axis=0),
-                "dx_mean": np.array([D[:, c].mean() for c in range(D.shape[1])]),
-                "dx_violations": range_violations(D, ml.dx_bounds(table, params, idx)),
+        return {"lnF": fn.LogFunctional(paths, params).lnF, "phi": phi, "indices": idx,
+                **_range_summary("dx", prof.dX, bounds),
+                **_range_summary("cond", prof.cond_dX, bounds, prof.cond_se),
+                **_range_summary("phi", phi, s2T, phi_se),
+                "phi_lower_min": (phi - lower).min(),
+                "phi_lower_violations": int(np.sum(phi < lower - Z * phi_se - 1e-9 * s2T)),
                 "d2x_max": d2x_max, "d2x_min": d2x_min,
                 "d2x_violations": d2x_violations}
 
@@ -489,6 +512,13 @@ def _suite_envelopes(cfg, table, ctx):
                                sample_var_F=batch.meta["var_F"])
 
 
+def _summary_range_report(nested, name, bound_id, description, points, bound):
+    """The range report of a quantity from its _range_summary in nested."""
+    return summary_report(bound_id, description, points, nested[f"{name}_max"], bound,
+                          nested[f"{name}_violations"], len(nested["phi"]),
+                          se=nested.get(f"{name}_se_max", 0.0))
+
+
 def _suite_derivatives(cfg, table, ctx):
     if cfg.nested_paths < 1:
         raise ValueError("derivatives needs nested_paths >= 1")
@@ -496,28 +526,24 @@ def _suite_derivatives(cfg, table, ctx):
     params = cfg.model_params()
     idx = nested["indices"].astype(int)
     bounds = ml.dx_bounds(table, params, idx)
+    theta = table.grid[idx]
     s2T = params.sigma ** 2 * params.T ** (2 * params.H)
-    phi = nested["phi"]
-    phi_se = nested["phi_se"]
     reports = [
-        summary_report("dx_range", "0 <= D_theta X <= sigma K(T, theta)",
-                       table.grid[idx], nested["dx_max"], bounds,
-                       nested["dx_violations"], len(phi)),
-        range_report("cond_dx_range",
-                     "0 <= E[D_theta X | F_theta] <= sigma K(T, theta)",
-                     nested["cond"], bounds, nested["cond_se"], table.grid[idx]),
-        range_report("phi_upper", "0 <= Phi_X <= sigma^2 T^2H", phi, s2T, phi_se)]
-
-    lower = nested["lower"]
-    lo_viol = int(np.sum(phi < lower - Z * phi_se - 1e-9 * s2T))
-    reports.append(BoundReport(
-        bound_id="phi_lower",
-        description=("Phi_X >= (sigma^2/T) e^{-3|a|T + sigma(min B - max B + "
-                     "min N)} T^(2H+2)/((2H+2) max M)"),
-        points=np.array([0.0]), lhs=np.array([float((phi - lower).min())]),
-        rhs=np.array([0.0]), se=np.array([float(phi_se.max())]),
-        tolerance=np.array([float((Z * phi_se).max())]), violations=lo_viol,
-        n_samples=len(phi)))
+        _summary_range_report(nested, "dx", "dx_range",
+                              "0 <= D_theta X <= sigma K(T, theta)", theta, bounds),
+        _summary_range_report(nested, "cond", "cond_dx_range",
+                              "0 <= E[D_theta X | F_theta] <= sigma K(T, theta)",
+                              theta, bounds),
+        _summary_range_report(nested, "phi", "phi_upper", "0 <= Phi_X <= sigma^2 T^2H",
+                              [0.0], s2T),
+        # Phi_X - lower >= 0 within Z SE; the tolerance 0 + Z se is the
+        # largest of the paths' Z phi_se
+        summary_report("phi_lower",
+                       ("Phi_X >= (sigma^2/T) e^{-3|a|T + sigma(min B - max B + "
+                        "min N)} T^(2H+2)/((2H+2) max M)"),
+                       [0.0], nested["phi_lower_min"], 0.0,
+                       nested["phi_lower_violations"], len(nested["phi"]),
+                       se=nested["phi_se_max"])]
 
     d2_bounds, d2_tol = _d2x_limits(table, params, idx)
     reports.append(summary_report(
@@ -666,8 +692,8 @@ def _malliavin_profile(cfg, table, ctx):
                              repr(mean_dx),
                              repr(float(bounds[c])),
                              repr(mean_dx - float(bounds[c])),
-                             repr(float(nested["cond"][:, c].mean())),
-                             repr(float(nested["cond_se"][:, c].mean()))])
+                             repr(float(nested["cond_mean"][c])),
+                             repr(float(nested["cond_se_mean"][c]))])
     return {}
 
 

@@ -324,11 +324,19 @@ def estimate_w_X(X, phi, params: ModelParams):
     Joint samples (X, Phi_X) come from the nested Malliavin run. Verifies
     w_X(z) >= z / (sigma^2 T^2H) - Z SE on resolved bins z > 0 and the
     reconstruction bound exp(-int_0^z w) <= exp(-z^2/(2 sigma^2 T^2H)).
+    A non-finite Phi_X is left out of the bins and is one violation of each
+    report (meta["non_finite_phi"] counts them): wherever its X lies, no bin
+    reads it otherwise.
     """
     X = np.asarray(X)
     phi = np.asarray(phi)
-    if len(X) < 10_000:
+    n_samples = len(X)
+    if n_samples < 10_000:
         raise ValueError("w_X estimation needs at least 1e4 joint samples")
+    finite = np.isfinite(phi)
+    n_bad = int(n_samples - finite.sum())
+    if n_bad:
+        X, phi = X[finite], phi[finite]
     if np.any(phi <= 0):
         raise ValueError("Phi_X must be positive")
     s2 = params.sigma ** 2 * params.T ** (2.0 * params.H)
@@ -363,7 +371,7 @@ def estimate_w_X(X, phi, params: ModelParams):
     ws = w_mean[pos]
     lower = point_report(
         "w_lower", "w_X(z) = E[X/Phi_X | X=z] >= z/(sigma^2 T^2H) for z > 0",
-        zs, ws, zs / s2, w_se[pos], len(X), "lower",
+        zs, ws, zs / s2, w_se[pos], n_samples, "lower",
         inconclusive=np.zeros(int(pos.sum()), dtype=bool))
 
     # reconstruction: cumulative trapezoid of w over positive resolved bins;
@@ -382,7 +390,11 @@ def estimate_w_X(X, phi, params: ModelParams):
     recon = point_report(
         "w_reconstruction",
         "exp(-int_0^z w_X) <= exp(-z^2/(2 sigma^2 T^2H)) for z > 0",
-        recon_pts, lhs_r, rhs_r, se_r, len(X), "upper")
+        recon_pts, lhs_r, rhs_r, se_r, n_samples, "upper")
+    if n_bad:
+        for report in (lower, recon):
+            report.violations += n_bad
+            report.meta["non_finite_phi"] = n_bad
 
     return {"centers": centers, "w": w_mean, "se": w_se, "counts": counts,
             "resolved": resolved, "reports": [lower, recon]}

@@ -333,7 +333,13 @@ def phi_x_batch(paths: FbmPaths, table: KernelTable, params, n_inner, seed,
 
 def _sweep_paths(n):
     """Paths per conditional-mean sweep: about 2^16 entries of N, so a block
-    stays in cache. A speed setting only; each path is swept on its own."""
+    stays in cache.
+
+    The block size is part of the bits, as paths.map_block says for the map:
+    a node's products (C @ tau, C @ tauV[:, j]) may round by their row
+    count, so another block size moves the results in the last bits. On 1000
+    paths at n=256 (seed 3, BLAS 1 thread), clark_ocone_residual in 500-path
+    blocks differs from 255-path blocks by up to 1.1e-15."""
     return max(CHUNK_OUTER, 2 ** 16 // (n + 1))
 
 

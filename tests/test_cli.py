@@ -219,6 +219,90 @@ class TestCaches:
         assert sorted(p.name[:4] for p in (run / "cache").iterdir()) == [
             "mal-", "sim-", "tabl"]
 
+    def test_nested_cache_keeps_two_vectors_per_path(self, cached_run):
+        # ln F and Phi_X per path (the w suite reads both), per node or
+        # scalar summaries for the rest
+        argv, run = cached_run
+        assert main(argv) == EXIT_OK
+        (mal,) = (run / "cache").glob("mal-*.npz")
+        with np.load(mal) as data:
+            sizes = {k: data[k].size for k in data.files}
+        n_paths, n_nodes = 300, sizes["indices"]
+        assert n_nodes == len(ml.phi_subgrid(16)) < n_paths
+        assert max(sizes.values()) <= max(n_paths, n_nodes)
+        assert {k for k, size in sizes.items() if size == n_paths} == {"lnF", "phi"}
+
+    def test_schema_11_nested_cache_is_a_miss(self, cached_run, capsys, monkeypatch):
+        argv, run = cached_run
+        assert main(argv) == EXIT_OK
+        clean = self.outputs(run)
+        (mal,) = (run / "cache").glob("mal-*.npz")
+        with np.load(mal) as data:
+            P, m = len(data["phi"]), len(data["indices"])
+            old = {k: data[k] for k in ("lnF", "indices", "dx_max", "dx_mean",
+                                        "dx_violations", "d2x_max", "d2x_min",
+                                        "d2x_violations")}
+        # the schema-11 layout, with per-path arrays and a poisoned Phi_X
+        old.update(phi=np.zeros(P), phi_se=np.zeros(P), lower=np.zeros(P),
+                   cond=np.zeros((P, m)), cond_se=np.zeros((P, m)))
+        monkeypatch.setattr(cli, "CACHE_SCHEMA", 11)
+        cfg = ExperimentConfig.from_file(argv[1])
+        stale = run / "cache" / f"mal-{cfg.cache_key(cli.NESTED_FIELDS)}.npz"
+        with open(stale, "wb") as fh:
+            np.savez(fh, **old)
+        monkeypatch.undo()
+        mal.unlink()
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert "treating it as a miss" not in capsys.readouterr().err
+        assert self.outputs(run) == clean
+        assert len(list((run / "cache").glob("mal-*.npz"))) == 2
+
+    def test_cond_violation_counted_alike_on_miss_and_hit(self, cached_run, monkeypatch):
+        argv, run = cached_run
+        argv = argv + ["--only", "cond_dx_range"]
+        nested = ml._nested
+
+        def one_out_of_range(*args, **kwargs):
+            est, se, est2, se2 = nested(*args, **kwargs)
+            est[0, 0] = -1.0                # E[D X | F] < 0 beyond its tolerance
+            return est, se, est2, se2
+
+        monkeypatch.setattr(ml, "_nested", one_out_of_range)
+        assert main(argv) == EXIT_VIOLATION                        # a miss
+        miss = json.loads((run / "bounds.json").read_text())["reports"]
+        monkeypatch.undo()
+        assert main(argv) == EXIT_VIOLATION                        # a hit
+        hit = json.loads((run / "bounds.json").read_text())["reports"]
+        assert [r["violations"] for r in miss] == [1]
+        assert hit == miss
+
+    def test_warm_runs_match_the_cold_ones(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+            "nested_paths": 300, "inner_paths": 50, "seed": 5,
+            "suites": ["derivatives"]}))
+
+        def run(out, *command):
+            assert main(["--config", str(cfg), "--out", str(tmp_path / out),
+                         *command]) == EXIT_OK
+            name = "bounds" if command[0] == "bounds" else "malliavin"
+            return json.loads((tmp_path / out / f"{name}.json").read_text())["reports"]
+
+        cold_m = run("m", "malliavin")
+        cold_profile = (tmp_path / "m" / "malliavin-profile.csv").read_bytes()
+        cold_b = run("b", "bounds")
+        assert cold_b == cold_m
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("nested estimates rebuilt on a warm run")
+
+        monkeypatch.setattr(ml, "phi_x_batch", refuse)
+        assert run("m", "malliavin", "--no-simulate") == cold_m
+        assert (tmp_path / "m" / "malliavin-profile.csv").read_bytes() == cold_profile
+        assert run("b", "bounds") == cold_b
+
     def test_two_seeds_share_one_table(self, tmp_path, capsys):
         for seed in ("1", "2"):
             assert main(["--out", str(tmp_path), "--grid", "16", "--seed", seed,

@@ -274,6 +274,20 @@ class TestWProfile:
         with pytest.raises(ValueError):
             dn.estimate_w_X(np.zeros(20_000), np.zeros(20_000), params)
 
+    def test_non_finite_phi_fails_both_reports(self, joint, params):
+        # nan Phi_X at X < 0, where no positive bin would read them
+        X, phi = joint
+        bad = np.flatnonzero(X < -0.5)[:19]
+        assert len(bad) == 19
+        phi2 = phi.copy()
+        phi2[bad] = np.nan
+        clean = dn.estimate_w_X(X, phi, params)["reports"]
+        for report, before in zip(dn.estimate_w_X(X, phi2, params)["reports"], clean):
+            assert not report.passed
+            assert report.violations == before.violations + 19
+            assert report.meta["non_finite_phi"] == 19
+            assert report.n_samples == len(X)
+
     def test_empty_bins_reported(self, joint, params):
         X, phi = joint
         # inject a far-out region so interior quantile bins stay intact but

@@ -191,10 +191,14 @@ class TestCellRules:
         for t, t1 in ((dt, dt / 2), (2 * dt, dt), (1.0, dt)):
             wK, wK2 = kn._first_cell_weights(H, c_H, np.array([t]), t1)
             qK, qK2 = reference_cell_integrals(H, c_H, t, 0.0, t1)
-            # the K^2 rule misses by 3e-9 at H = 0.99, where its integrand in
-            # z = r^(2-2H) has terms of degree ~50
             assert abs(wK[0] / qK - 1.0) < 1e-13, t
-            assert abs(wK2[0] / qK2 - 1.0) < 1e-8, t
+            assert abs(wK2[0] / qK2 - 1.0) < 1e-13, t
+
+    @pytest.mark.parametrize("H, n_K2", [(0.55, 24), (0.7, 24), (0.9, 48), (0.99, 48)])
+    def test_first_cell_k2_nodes_only_where_needed(self, H, n_K2):
+        # the H = 0.7 tables keep the 24-node rule, and with it their bits
+        r, wK, wK2 = kn._first_cell_rule(H, 1.0 / 16)
+        assert (len(wK), len(wK2), len(r)) == (24, n_K2, 24 + n_K2)
 
     def test_legendre_diagonal_rule_misses(self):
         # the defect the Gauss-Jacobi rule mends, measured by the same oracle
