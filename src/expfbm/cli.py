@@ -74,7 +74,9 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 #     D X (per-node max and mean, violations) in place of D X.
 # 12: the nested cache keeps per path only ln F and Phi_X; of E[D X | F] with
 #     its SE, Phi_X's SE and the Phi_X lower bound it keeps their summaries.
-CACHE_SCHEMA = 12
+# 13: the Phi_X lower bound takes max M from the carried lognormal exponent
+#     on zero-padded sweep blocks (phi_lower_min moves in the last bits).
+CACHE_SCHEMA = 13
 
 
 # field type -> (check, what an error message calls it)

@@ -25,14 +25,17 @@ noise: the SE of a mean over paths must come from block means
 (block_mean_se).
 
 The Clark-Ocone residual and the pathwise lower bound on Phi_X walk the whole
-triangle of conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}]. Both run on
-paths.conditional_lognormal_sweep: a rank-1 update per node (O(P n) per
-node, no (P, n+1, n) temporary) and, once per node, the conditional
-lognormal means C_i = E[exp(a t_i + sigma B_i) | F_{t_k}] of the rows i > k.
-The Clark-Ocone residual sweeps its blocks on the worker threads of
-functional.run_blocks; the lower bound sweeps them in order (README, Threads).
-The lower bound's M_k = E[F | F_{t_k}] is the realized past plus C . tau,
-E[F] = M_0, and the Clark-Ocone integrand of cell k is sigma C . (tau V[:, k]).
+triangle of nodes k <= i. Both run on paths.conditional_lognormal_sweep,
+which yields at every node the conditional lognormal means
+C_i = E[exp(a t_i + sigma B_i) | F_{t_k}] of the rows i > k and carries
+their exponent by one rank-2 update per node (O(P n) per node, no
+(P, n+1, n) temporary). The lower bound also takes the min of the
+conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}], from
+paths.conditional_means_sweep (a rank-1 update per node) zipped with it.
+Both passes sweep zero-padded blocks of _sweep_paths(n) paths on the worker
+threads of functional.run_blocks (README, Threads). The lower bound's
+M_k = E[F | F_{t_k}] is the realized past plus C . tau, E[F] = M_0, and the
+Clark-Ocone integrand of cell k is sigma C . (tau V[:, k]).
 
 Grid conventions: the pointwise derivative diverges like theta^(1/2-H) as
 theta -> 0, so index 0 of derivative arrays stores the first-cell average
@@ -52,7 +55,8 @@ from . import rng
 from .functional import LogFunctional, run_blocks
 from .kernel import KernelTable
 from .paths import (FbmPaths, conditional_lognormal, conditional_lognormal_sweep,
-                    conditional_means, inner_fluctuations, trapezoid_weights)
+                    conditional_means, conditional_means_sweep, inner_fluctuations,
+                    trapezoid_weights)
 from .reports import range_report
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
@@ -339,8 +343,20 @@ def _sweep_paths(n):
     a node's products (C @ tau, C @ tauV[:, j]) may round by their row
     count, so another block size moves the results in the last bits. On 1000
     paths at n=256 (seed 3, BLAS 1 thread), clark_ocone_residual in 500-path
-    blocks differs from 255-path blocks by up to 1.1e-15."""
+    blocks differs from 255-path blocks by up to 1.1e-15. So every sweep
+    runs on full blocks (_sweep_block)."""
     return max(CHUNK_OUTER, 2 ** 16 // (n + 1))
+
+
+def _sweep_block(increments, start, stop):
+    """The increments of paths start..stop, zero-padded to _sweep_paths(n)
+    rows, as paths.map_block pads the map: a node's products then round
+    alike in every block, so a path's result does not depend on how many
+    paths are swept. Read the first stop - start rows of each result."""
+    n = increments.shape[1]
+    block = np.zeros((_sweep_paths(n), n))
+    block[: stop - start] = increments[start:stop]
+    return block
 
 
 def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
@@ -352,10 +368,11 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
             * (T^(2H+2)/(2H+2)) / max_r M_r
 
     with min over the conditional-mean field N_{s,theta} on theta <= s grid
-    pairs and max over the grid martingale values M_r = E[F | F_r]. One
-    conditional-lognormal sweep per block keeps both as running extremes;
-    M_k is the running trapezoid sum of the realized integrand up to t_k
-    plus C . tau over the future rows.
+    pairs and max over the grid martingale values M_r = E[F | F_r]. Per
+    block, the conditional-mean sweep and the conditional-lognormal sweep
+    run side by side and keep both as running extremes; M_k is the running
+    trapezoid sum of the realized integrand up to t_k plus C . tau over the
+    future rows. The blocks run on functional.run_blocks.
     """
     paths.require_increments()
     a, sigma, H, T = params.a, params.sigma, params.H, params.T
@@ -365,17 +382,21 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
 
     minN = np.full(paths.n_paths, np.inf)
     maxM = np.full(paths.n_paths, -np.inf)
-    for _, start, stop in rng.batch_ranges(paths.n_paths, _sweep_paths(table.n)):
+
+    def sweep(_, start, stop):
+        dB = _sweep_block(paths.increments, start, stop)
         # the realized integrand: the conditional lognormal mean given F_T
         E = conditional_lognormal(table, params, table.n, paths.values[start:stop])
         past = np.zeros(stop - start)
         lo, hi = minN[start:stop], maxM[start:stop]
-        for k, N, C in conditional_lognormal_sweep(table, params,
-                                                   paths.increments[start:stop]):
+        # N is formed row by row, so it needs no padding
+        for (k, N), (_, C) in zip(conditional_means_sweep(table, dB[: stop - start]),
+                                  conditional_lognormal_sweep(table, params, dB)):
             past += tau[k] * E[:, k]
             np.minimum(lo, N[:, k:].min(axis=1), out=lo)
-            np.maximum(hi, past + C @ tau[k + 1:], out=hi)
+            np.maximum(hi, past + (C @ tau[k + 1:])[: stop - start], out=hi)
 
+    run_blocks(sweep, paths.n_paths, _sweep_paths(table.n))
     const = T ** (2.0 * H + 2.0) / (2.0 * H + 2.0)
     bound = (sigma ** 2 / T) * np.exp(-3.0 * abs(a) * T + sigma * minB
                                       - sigma * maxB + sigma * minN) * const / maxM
@@ -411,14 +432,14 @@ def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
     res = np.empty(paths.n_paths)
 
     def sweep(_, start, stop):
-        dB = paths.increments[start:stop]
-        acc = np.zeros(stop - start)
-        for j, _, C in conditional_lognormal_sweep(table, params, dB):
+        dB = _sweep_block(paths.increments, start, stop)
+        acc = np.zeros(len(dB))
+        for j, C in conditional_lognormal_sweep(table, params, dB):
             if j == n:
                 break
             acc += (C @ tauV[j + 1:, j]) * dB[:, j]
         F = np.exp(LogFunctional(paths.subset(slice(start, stop)), params).lnF)
-        res[start:stop] = (F - EF) - params.sigma * acc
+        res[start:stop] = (F - EF) - params.sigma * acc[: stop - start]
 
     run_blocks(sweep, paths.n_paths, _sweep_paths(n))
     return res

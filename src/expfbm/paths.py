@@ -23,8 +23,11 @@ One function per conditional object:
   * conditional_lognormal: E[exp(a t_i + sigma B_i) | F_{t_k}] =
     exp(a t_i + sigma N_i + sigma^2 v_i(k) / 2) at one node, so
     M_k = E[F | F_{t_k}] is an exact martingale of the simulated model;
-  * conditional_lognormal_sweep: N and the lognormal means of the future at
-    every node k = 0..n, a rank-1 update per node (the per-path passes);
+  * conditional_means_sweep: N at every node k = 0..n, a rank-1 update
+    per node (the lower bound's min N);
+  * conditional_lognormal_sweep: the lognormal means of the future at every
+    node k = 0..n, with their exponent carried by a rank-2 update per node
+    (the per-path passes);
   * inner_fluctuations: the conditional law's centred part, for nested
     resampling.
 """
@@ -229,8 +232,7 @@ def inner_fluctuations(table: KernelTable, k, n_inner, gen):
 
 def _lognormal_shift(table: KernelTable, params, k):
     """a t_i + sigma^2 v_i(k) / 2 at every node i: the part of the
-    conditional lognormal exponent that no path changes. k is a node, or a
-    slice of nodes for one row per node."""
+    conditional lognormal exponent at node k that no path changes."""
     return params.a * table.grid + 0.5 * params.sigma ** 2 * table.conditional_variances(k)
 
 
@@ -244,28 +246,23 @@ def conditional_lognormal(table: KernelTable, params, k, N):
     return np.exp(params.sigma * N + _lognormal_shift(table, params, k))
 
 
-def conditional_lognormal_sweep(table: KernelTable, params, increments):
-    """Sweep the nodes k = 0..n, yielding (k, N, C).
+def conditional_means_sweep(table: KernelTable, increments):
+    """Sweep the nodes k = 0..n, yielding (k, N).
 
     N[p, i] = E[B^H_{t_i} | F_{t_k}] (P, n+1) holds the realized value for
     i <= k and the conditional mean of the future for i > k. It is one
     array, updated in place by the rank-1 step N[:, k:] += dB[:, k-1]
     V[k:, k-1], so a node costs O(P n) and no (P, n+1, n) field is built;
-    the sum runs over the cells in the order of np.cumsum. C =
-    conditional_lognormal(table, params, k, N)[:, k + 1:] (the same bits)
-    holds the future rows i > k, exponentiated once per node into one reused
-    buffer with the shifts of every node formed once, before the sweep. Copy
-    N or C to keep it past the next step. Both are stored node-major
-    (transposed views), so every N[:, k:] is one contiguous block.
+    the sum runs over the cells in the order of np.cumsum. N is stored
+    node-major (a transposed view), so every N[:, k:] is one contiguous
+    block; copy it to keep it past the next step.
     """
     increments = np.atleast_2d(increments)
     P, n = increments.shape[0], table.n
     dBt = np.ascontiguousarray(increments.T)
     Vt = np.ascontiguousarray(table.volterra_matrix.T)    # Vt[j] = column j of V
-    shift = _lognormal_shift(table, params, slice(None))
     Nt = np.zeros((n + 1, P))
     step = np.empty(n * P)
-    buf = np.empty(n * P)
     for k in range(n + 1):
         if k:
             rank1 = step[: (n + 1 - k) * P].reshape(n + 1 - k, P)
@@ -274,10 +271,42 @@ def conditional_lognormal_sweep(table: KernelTable, params, increments):
             # two thirds of the time
             np.einsum("i,p->ip", Vt[k - 1, k:], dBt[k - 1], out=rank1)
             Nt[k:] += rank1
-        C = np.multiply(Nt[k + 1:].T, params.sigma,
-                        out=buf[: (n - k) * P].reshape(n - k, P).T)
-        C += shift[k, k + 1:]
-        yield k, Nt.T, np.exp(C, out=C)
+        yield k, Nt.T
+
+
+def conditional_lognormal_sweep(table: KernelTable, params, increments):
+    """Sweep the nodes k = 0..n, yielding (k, C).
+
+    C = conditional_lognormal(table, params, k, N)[:, k + 1:] (P, n - k)
+    holds the lognormal means of the future rows i > k. The sweep carries
+    their exponent L_i = a t_i + sigma N_i + sigma^2 v_i(k) / 2 from node to
+    node: from k-1 to k it moves by V[i, k-1] sigma dB_{k-1} - sigma^2 dt
+    V[i, k-1]^2 / 2, one rank-2 product of [V[:, k-1], -sigma^2 dt
+    V[:, k-1]^2 / 2] with [sigma dB_{k-1}; 1] into a reused buffer and one
+    add, and then one exp into another. A node costs O(P n), and neither N
+    nor the variances are formed. L is a running sum, so C rounds
+    differently from conditional_lognormal; at sigma = 0 it is exp(a t)
+    exactly. Copy C to keep it past the next step; it is stored node-major
+    (a transposed view).
+    """
+    increments = np.atleast_2d(increments)
+    P, n = increments.shape[0], table.n
+    s2dt = params.sigma ** 2 * table.dt
+    Vt = table.volterra_matrix.T                          # Vt[j] = column j of V
+    U = np.stack([Vt, -0.5 * s2dt * Vt ** 2], axis=-1)   # U[j] = [V[:, j], ...]
+    R = np.empty((n, 2, P))                               # [sigma dB_j; 1]
+    np.multiply(increments.T, params.sigma, out=R[:, 0])
+    R[:, 1] = 1.0
+    Lt = np.repeat(_lognormal_shift(table, params, 0)[:, None], P, axis=1)
+    step = np.empty(n * P)
+    buf = np.empty(n * P)
+    for k in range(n + 1):
+        size = (n - k) * P
+        L = Lt[k + 1:]
+        if k:
+            L += np.matmul(U[k - 1, k + 1:], R[k - 1],
+                           out=step[:size].reshape(n - k, P))
+        yield k, np.exp(L, out=buf[:size].reshape(n - k, P)).T
 
 
 def martingale_M(paths: FbmPaths, table: KernelTable, params, r) -> np.ndarray:

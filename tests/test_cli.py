@@ -239,24 +239,30 @@ class TestCaches:
         (mal,) = (run / "cache").glob("mal-*.npz")
         with np.load(mal) as data:
             P, m = len(data["phi"]), len(data["indices"])
-            old = {k: data[k] for k in ("lnF", "indices", "dx_max", "dx_mean",
-                                        "dx_violations", "d2x_max", "d2x_min",
-                                        "d2x_violations")}
+            current = {k: data[k] for k in data.files}
         # the schema-11 layout, with per-path arrays and a poisoned Phi_X
+        old = {k: current[k] for k in ("lnF", "indices", "dx_max", "dx_mean",
+                                       "dx_violations", "d2x_max", "d2x_min",
+                                       "d2x_violations")}
         old.update(phi=np.zeros(P), phi_se=np.zeros(P), lower=np.zeros(P),
                    cond=np.zeros((P, m)), cond_se=np.zeros((P, m)))
-        monkeypatch.setattr(cli, "CACHE_SCHEMA", 11)
-        cfg = ExperimentConfig.from_file(argv[1])
-        stale = run / "cache" / f"mal-{cfg.cache_key(cli.NESTED_FIELDS)}.npz"
-        with open(stale, "wb") as fh:
-            np.savez(fh, **old)
-        monkeypatch.undo()
+        # schema 12: today's layout, whose lower bound had other last bits;
+        # here the poisoned summary of the lower bound
+        stale = {11: old, 12: dict(current, phi_lower_min=-np.ones_like(
+            current["phi_lower_min"]))}
         mal.unlink()
+        cfg = ExperimentConfig.from_file(argv[1])
+        for schema, arrays in stale.items():
+            monkeypatch.setattr(cli, "CACHE_SCHEMA", schema)
+            path = run / "cache" / f"mal-{cfg.cache_key(cli.NESTED_FIELDS)}.npz"
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+            monkeypatch.undo()
         capsys.readouterr()
         assert main(argv) == EXIT_OK
         assert "treating it as a miss" not in capsys.readouterr().err
         assert self.outputs(run) == clean
-        assert len(list((run / "cache").glob("mal-*.npz"))) == 2
+        assert len(list((run / "cache").glob("mal-*.npz"))) == 3
 
     def test_cond_violation_counted_alike_on_miss_and_hit(self, cached_run, monkeypatch):
         argv, run = cached_run

@@ -504,15 +504,22 @@ class TestClarkOcone:
         assert res128.var(ddof=1) < res64.var(ddof=1)
 
     def test_bits_do_not_depend_on_workers(self, table64, monkeypatch):
-        # the sweep blocks run on functional.run_blocks: one worker, the
-        # default count and more workers than cores give the same bits, on
-        # two blocks and a partial third
+        # the sweep blocks of the residual and of the Phi_X lower bound run
+        # on functional.run_blocks: one worker, the default count and more
+        # workers than cores give the same bits, on two blocks and a partial
+        # third
         paths = pth.sample_fbm_volterra(table64, 2 * ml._sweep_paths(64) + 5, seed=41)
         params = make_params(a=0.3, sigma=1.5)
-        runs = {"default": ml.clark_ocone_residual(paths, table64, params)}
+
+        def run():
+            bound, terms = ml.phi_lower_bound_terms(paths, table64, params)
+            return np.stack([ml.clark_ocone_residual(paths, table64, params), bound,
+                             terms["minN"], terms["maxM"]])
+
+        runs = {"default": run()}
         for workers in (1, 5):
             monkeypatch.setattr(fn, "_workers", lambda n_blocks: min(n_blocks, workers))
-            runs[workers] = ml.clark_ocone_residual(paths, table64, params)
+            runs[workers] = run()
         assert np.array_equal(runs[1], runs["default"])
         assert np.array_equal(runs[1], runs[5])
 
@@ -528,21 +535,20 @@ class TestConditionalMeanSweep:
         return {(H, n): kn.build_kernel_table(H, 1.0, n)
                 for H in (0.55, 0.9) for n in (16, 64)}
 
-    def test_sweep_matches_conditional_law(self, table64, params):
+    def test_sweep_matches_conditional_law(self, table64):
         paths = pth.sample_fbm_volterra(table64, 7, seed=31)
-        for k, N, _ in pth.conditional_lognormal_sweep(table64, params,
-                                                       paths.increments):
+        for k, N in pth.conditional_means_sweep(table64, paths.increments):
             law = pth.conditional_law(paths, table64, table64.grid[k])
             assert np.allclose(N, law.means, rtol=0, atol=1e-13)
         assert np.allclose(N, paths.values, rtol=0, atol=1e-13)
 
-    def test_sweep_is_the_cumulative_sum(self, table64, params):
+    def test_sweep_is_the_cumulative_sum(self, table64):
         # N at node k is the running sum of the products V[i, j] dB_j over the
         # cells j < k, in cell order: bit for bit np.cumsum
         paths = pth.sample_fbm_volterra(table64, 37, seed=35)
         dB = paths.increments
         cum = np.cumsum(table64.volterra_matrix[None, :, :] * dB[:, None, :], axis=2)
-        for k, N, _ in pth.conditional_lognormal_sweep(table64, params, dB):
+        for k, N in pth.conditional_means_sweep(table64, dB):
             assert np.array_equal(N, cum[:, :, k - 1] if k else np.zeros_like(N)), k
 
     def test_sweep_martingale_matches_martingale_M(self, table64):
@@ -554,13 +560,41 @@ class TestConditionalMeanSweep:
             params = make_params(a=a, sigma=sigma)
             E = np.exp(a * table64.grid + sigma * paths.values)
             M_all = []
-            for k, _, C in pth.conditional_lognormal_sweep(table64, params,
-                                                           paths.increments):
+            for k, C in pth.conditional_lognormal_sweep(table64, params,
+                                                        paths.increments):
                 M = E[:, : k + 1] @ tau[: k + 1] + C @ tau[k + 1:]
                 M_all.append(pth.martingale_M(paths, table64, params, table64.grid[k]))
                 assert np.allclose(M, M_all[-1], rtol=1e-13, atol=0), (a, sigma, k)
             _, terms = ml.phi_lower_bound_terms(paths, table64, params)
             assert np.allclose(terms["maxM"], np.max(M_all, axis=0), rtol=1e-13, atol=0)
+
+    def test_lognormal_sweep_matches_conditional_lognormal(self, table64):
+        # the carried exponent against conditional_lognormal at every node:
+        # within 1e-13 relative, and exactly exp(a t) at sigma = 0
+        paths = pth.sample_fbm_volterra(table64, 50, seed=36)
+        grid = table64.grid
+        for a, sigma in ((-1.0, 0.3), (0.3, 2.0), (-1.0, 0.0), (0.3, 0.0)):
+            params = make_params(a=a, sigma=sigma)
+            for k, C in pth.conditional_lognormal_sweep(table64, params,
+                                                        paths.increments):
+                if sigma == 0.0:
+                    assert np.array_equal(C, np.exp(a * grid[None, k + 1:]).repeat(50, 0))
+                    continue
+                law = pth.conditional_law(paths, table64, grid[k])
+                ref = pth.conditional_lognormal(table64, params, k, law.means)
+                assert np.allclose(C, ref[:, k + 1:], rtol=1e-13, atol=0), (a, sigma, k)
+
+    def test_bits_do_not_depend_on_path_count(self, table256, params):
+        # every sweep block is padded to _sweep_paths(n) rows, as map_block
+        # pads the map: the first 1000 of 1100 paths (255-path blocks, the
+        # fourth one partial in the shorter run) give the bits of 1000 paths
+        paths = pth.sample_fbm_volterra(table256, 1100, seed=3)
+        head = paths.subset(slice(0, 1000))
+        res = ml.clark_ocone_residual(paths, table256, params)
+        assert np.array_equal(ml.clark_ocone_residual(head, table256, params), res[:1000])
+        maxM = ml.phi_lower_bound_terms(paths, table256, params)[1]["maxM"]
+        assert np.array_equal(ml.phi_lower_bound_terms(head, table256, params)[1]["maxM"],
+                              maxM[:1000])
 
     def test_nested_matches_sweep_means(self, table64, params, monkeypatch):
         # the driver on per-node products against the same driver fed the
@@ -570,7 +604,7 @@ class TestConditionalMeanSweep:
         direct = ml._nested(paths, table64, params, idx, 50, 6, 1, idx)
 
         def swept_means(table, increments, k):
-            for j, N, _ in pth.conditional_lognormal_sweep(table, params, increments):
+            for j, N in pth.conditional_means_sweep(table, increments):
                 if j == k:
                     return N.copy()
 

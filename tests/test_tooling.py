@@ -103,8 +103,9 @@ def test_cache_saves_run_on_the_main_thread(tmp_path, monkeypatch):
 
 def test_bounds_run_opens_no_span_off_the_main_thread(tmp_path, monkeypatch):
     # a bounds run with the clark_ocone and derivatives suites, and the tail
-    # suite for its outer sample: the ln F draws and the Clark-Ocone sweep run
-    # their blocks on worker threads, and only the calls into them are traced
+    # suite for its outer sample: the ln F draws, the Clark-Ocone sweep and
+    # the Phi_X lower-bound sweep run their blocks on worker threads, and only
+    # the calls into them are traced
     opened = install_thread_tracer(monkeypatch)
     monkeypatch.setattr(fn, "_workers", lambda n_blocks: min(n_blocks, 3))
     main = threading.main_thread().ident
@@ -137,7 +138,7 @@ def test_bounds_run_opens_no_span_off_the_main_thread(tmp_path, monkeypatch):
             "malliavin.d2x", "density.sample_X_batch"} <= names
     assert {ident for _, ident in opened} == {main}
     assert set(ran) - {main}
-    assert len(ran) == 3 + 2 + 2            # outer, centering and sweep blocks
+    assert len(ran) == 3 + 2 + 2 + 2        # outer, centering and both sweeps' blocks
 
 
 def test_rate_attributes_exist():
