@@ -374,7 +374,7 @@ class KernelTable:
     def conditional_variances(self, k):
         """v_i(k) = Var(B^H_{t_i} | F_{t_k}) = sum_{l >= k} V[i, l]^2 dt, drawn by
         the cells after t_k: 0 for i <= k, map_variances at k = 0. Row k of
-        one cached reverse cumulative sum (read-only; a slice k gives rows)."""
+        one cached reverse cumulative sum (read-only)."""
         if "_future_var" not in self.__dict__:
             fv = np.zeros((self.n + 1, self.n + 1))
             fv[:-1] = np.cumsum((self.volterra_matrix.T ** 2 * self.dt)[::-1], axis=0)[::-1]

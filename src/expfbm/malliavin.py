@@ -30,8 +30,8 @@ which yields at every node the conditional lognormal means
 C_i = E[exp(a t_i + sigma B_i) | F_{t_k}] of the rows i > k and carries
 their exponent by one rank-2 update per node (O(P n) per node, no
 (P, n+1, n) temporary). The lower bound also takes the min of the
-conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}], from
-paths.conditional_means_sweep (a rank-1 update per node) zipped with it.
+conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}], from its own sweep,
+paths.conditional_means_sweep (a rank-1 update per node).
 Both passes sweep zero-padded blocks of _sweep_paths(n) paths on the worker
 threads of functional.run_blocks (README, Threads). The lower bound's
 M_k = E[F | F_{t_k}] is the realized past plus C . tau, E[F] = M_0, and the
@@ -369,10 +369,10 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
 
     with min over the conditional-mean field N_{s,theta} on theta <= s grid
     pairs and max over the grid martingale values M_r = E[F | F_r]. Per
-    block, the conditional-mean sweep and the conditional-lognormal sweep
-    run side by side and keep both as running extremes; M_k is the running
-    trapezoid sum of the realized integrand up to t_k plus C . tau over the
-    future rows. The blocks run on functional.run_blocks.
+    block, the conditional-mean sweep keeps the first as a running min and
+    the conditional-lognormal sweep the second as a running max; M_k is the
+    running trapezoid sum of the realized integrand up to t_k plus C . tau
+    over the future rows. The blocks run on functional.run_blocks.
     """
     paths.require_increments()
     a, sigma, H, T = params.a, params.sigma, params.H, params.T
@@ -387,13 +387,15 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
         dB = _sweep_block(paths.increments, start, stop)
         # the realized integrand: the conditional lognormal mean given F_T
         E = conditional_lognormal(table, params, table.n, paths.values[start:stop])
-        past = np.zeros(stop - start)
         lo, hi = minN[start:stop], maxM[start:stop]
-        # N is formed row by row, so it needs no padding
-        for (k, N), (_, C) in zip(conditional_means_sweep(table, dB[: stop - start]),
-                                  conditional_lognormal_sweep(table, params, dB)):
-            past += tau[k] * E[:, k]
+        # one sweep after the other: side by side, their arrays share the
+        # cache and the pass is slower. N is formed row by row, so it needs
+        # no padding
+        for k, N in conditional_means_sweep(table, dB[: stop - start]):
             np.minimum(lo, N[:, k:].min(axis=1), out=lo)
+        past = np.zeros(stop - start)
+        for k, C in conditional_lognormal_sweep(table, params, dB):
+            past += tau[k] * E[:, k]
             np.maximum(hi, past + (C @ tau[k + 1:])[: stop - start], out=hi)
 
     run_blocks(sweep, paths.n_paths, _sweep_paths(table.n))
