@@ -76,7 +76,9 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 #     its SE, Phi_X's SE and the Phi_X lower bound it keeps their summaries.
 # 13: the Phi_X lower bound takes max M from the carried lognormal exponent
 #     on zero-padded sweep blocks (phi_lower_min moves in the last bits).
-CACHE_SCHEMA = 13
+# 14: the Phi_X lower bound reads sigma min N off that exponent, and the
+#     nested driver pads its last block (both move in the last bits).
+CACHE_SCHEMA = 14
 
 
 # field type -> (check, what an error message calls it)

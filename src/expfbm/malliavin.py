@@ -16,10 +16,11 @@ law is exactly the conditional law of the outer discrete model.
 The nested estimates are factorised. An inner path is the outer path's
 conditional mean N_p plus a fluctuation Z_q that does not depend on the
 past, so exp(a t_i + sigma (N_{p,i} + Z_{q,i})) = A_{p,i} B_{q,i}. One driver,
-_nested: at each subgrid node and each block of CHUNK_OUTER paths it forms N
-as one product of the block's past increments with the Volterra columns
-(paths.conditional_means), draws one inner set Z for the block and forms
-every inner sum in one GEMM of A with B^T. Per-path estimates and
+_nested: at each subgrid node and each block of CHUNK_OUTER paths (the last
+one zero-padded, as the sweeps' blocks are) it forms N as one product of the
+block's past increments with the Volterra columns (paths.conditional_means),
+draws one inner set Z for the block and forms every inner sum in one GEMM
+of A with B^T. Per-path estimates and
 their inner SEs keep their law, but the paths of one block share inner
 noise: the SE of a mean over paths must come from block means
 (block_mean_se).
@@ -28,14 +29,13 @@ The Clark-Ocone residual and the pathwise lower bound on Phi_X walk the whole
 triangle of nodes k <= i. Both run on paths.conditional_lognormal_sweep,
 which yields at every node the conditional lognormal means
 C_i = E[exp(a t_i + sigma B_i) | F_{t_k}] of the rows i > k and carries
-their exponent by one rank-2 update per node (O(P n) per node, no
-(P, n+1, n) temporary). The lower bound also takes the min of the
-conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}], from its own sweep,
-paths.conditional_means_sweep (a rank-1 update per node).
-Both passes sweep zero-padded blocks of _sweep_paths(n) paths on the worker
-threads of functional.run_blocks (README, Threads). The lower bound's
-M_k = E[F | F_{t_k}] is the realized past plus C . tau, E[F] = M_0, and the
-Clark-Ocone integrand of cell k is sigma C . (tau V[:, k]).
+their exponent L by one rank-2 update per node (O(P n) per node, no
+(P, n+1, n) temporary). Both passes sweep zero-padded blocks of
+_sweep_paths(n) paths on the worker threads of functional.run_blocks
+(README, Threads), one sweep per block. The lower bound's
+M_k = E[F | F_{t_k}] is the realized past plus C . tau, and its min of the
+conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}] is read off L; E[F] = M_0,
+and the Clark-Ocone integrand of cell k is sigma C . (tau V[:, k]).
 
 Grid conventions: the pointwise derivative diverges like theta^(1/2-H) as
 theta -> 0, so index 0 of derivative arrays stores the first-cell average
@@ -54,8 +54,8 @@ import numpy as np
 from . import rng
 from .functional import LogFunctional, run_blocks
 from .kernel import KernelTable
-from .paths import (FbmPaths, conditional_lognormal, conditional_lognormal_sweep,
-                    conditional_means, conditional_means_sweep, inner_fluctuations,
+from .paths import (FbmPaths, _lognormal_shift, conditional_lognormal,
+                    conditional_lognormal_sweep, conditional_means, inner_fluctuations,
                     trapezoid_weights)
 from .reports import range_report
 
@@ -221,7 +221,9 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
 
     At each node k of idx and each block of CHUNK_OUTER paths, the
     conditional means N come from one product of the block's increments
-    before t_k with the Volterra columns (paths.conditional_means). Inner
+    before t_k with the Volterra columns (paths.conditional_means); the last
+    block is zero-padded to CHUNK_OUTER rows (_sweep_block), so a path's
+    estimates do not depend on how many paths are drawn. Inner
     path q of outer path p is N_p + Z_q (a fluctuation shared by the block),
     so its integrand factors as exp(a t_i + sigma N_{p,i}) exp(sigma Z_{q,i})
     = A_{p,i} B_{q,i}. Every inner sum over i is then sum_i A_{p,i} c_i B_{q,i}:
@@ -262,14 +264,15 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
             logB = sigma * inner_fluctuations(table, k, n_inner, gen)    # (Q, n-k+1)
             logB_max = logB.max(axis=1)
             B = np.exp(logB - logB_max[:, None])
-            logA = params.a * grid + sigma * conditional_means(
-                table, paths.increments[start:stop], k)
+            dB = _sweep_block(paths.increments, start, stop, CHUNK_OUTER)
+            logA = params.a * grid + sigma * conditional_means(table, dB, k)
             A = np.exp(logA - logA.max(axis=1, keepdims=True))           # (C, n+1)
             G = np.ascontiguousarray(A[:, k:])[:, None, :] * W[None]     # (C, c, n-k+1)
             # rows i < k are the frozen past: fluctuation 0, as at node k, so
             # their B is column 0's exp(-logB_max) and their sums join column 0
             G[:, :, 0] += A[:, :k] @ tauK[:k]
-            S = (G.reshape(-1, n - k + 1) @ B.T).reshape(stop - start, -1, n_inner)
+            S = (G.reshape(-1, n - k + 1) @ B.T).reshape(CHUNK_OUTER, -1, n_inner)
+            S = S[: stop - start]                                        # the real rows
             r = 1.0 / S[:, 0]                                            # (C, Q)
             Dth = S[:, 1] * r
             est[start:stop, c], se[start:stop, c] = _pair_stats(sigma * Dth)
@@ -348,13 +351,16 @@ def _sweep_paths(n):
     return max(CHUNK_OUTER, 2 ** 16 // (n + 1))
 
 
-def _sweep_block(increments, start, stop):
-    """The increments of paths start..stop, zero-padded to _sweep_paths(n)
-    rows, as paths.map_block pads the map: a node's products then round
-    alike in every block, so a path's result does not depend on how many
-    paths are swept. Read the first stop - start rows of each result."""
-    n = increments.shape[1]
-    block = np.zeros((_sweep_paths(n), n))
+def _sweep_block(increments, start, stop, rows):
+    """The increments of paths start..stop as a block of rows rows: a view
+    when the block is full, else a copy zero-padded as paths.map_block pads
+    the map. A block's products then round alike in every block, so a
+    path's result does not depend on how many paths are drawn. The sweeps
+    take rows = _sweep_paths(n), the nested driver CHUNK_OUTER; read the
+    first stop - start rows of each result."""
+    if stop - start == rows:
+        return increments[start:stop]
+    block = np.zeros((rows, increments.shape[1]))
     block[: stop - start] = increments[start:stop]
     return block
 
@@ -368,41 +374,43 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
             * (T^(2H+2)/(2H+2)) / max_r M_r
 
     with min over the conditional-mean field N_{s,theta} on theta <= s grid
-    pairs and max over the grid martingale values M_r = E[F | F_r]. Per
-    block, the conditional-mean sweep keeps the first as a running min and
-    the conditional-lognormal sweep the second as a running max; M_k is the
-    running trapezoid sum of the realized integrand up to t_k plus C . tau
-    over the future rows. The blocks run on functional.run_blocks.
+    pairs and max over the grid martingale values M_r = E[F | F_r], and its
+    terms, with sigma min N as sigma_minN. One conditional-lognormal sweep
+    per block keeps both: M_k is the running trapezoid sum of the realized
+    integrand up to t_k plus C . tau over the future rows, and sigma N of
+    the future rows is L less the node's row of paths._lognormal_shift; the
+    realized rows give sigma min B (B_0 = 0). The blocks run on
+    functional.run_blocks.
     """
     paths.require_increments()
     a, sigma, H, T = params.a, params.sigma, params.H, params.T
+    n = table.n
     minB = paths.values.min(axis=1)
     maxB = paths.values.max(axis=1)
     tau = trapezoid_weights(table.grid)
+    shift = [_lognormal_shift(table, params, k)[k + 1:] for k in range(n)]
 
-    minN = np.full(paths.n_paths, np.inf)
+    sigma_minN = sigma * minB
     maxM = np.full(paths.n_paths, -np.inf)
 
     def sweep(_, start, stop):
-        dB = _sweep_block(paths.increments, start, stop)
+        rows = stop - start
+        dB = _sweep_block(paths.increments, start, stop, _sweep_paths(n))
         # the realized integrand: the conditional lognormal mean given F_T
-        E = conditional_lognormal(table, params, table.n, paths.values[start:stop])
-        lo, hi = minN[start:stop], maxM[start:stop]
-        # one sweep after the other: side by side, their arrays share the
-        # cache and the pass is slower. N is formed row by row, so it needs
-        # no padding
-        for k, N in conditional_means_sweep(table, dB[: stop - start]):
-            np.minimum(lo, N[:, k:].min(axis=1), out=lo)
-        past = np.zeros(stop - start)
-        for k, C in conditional_lognormal_sweep(table, params, dB):
+        E = conditional_lognormal(table, params, n, paths.values[start:stop])
+        lo, hi = sigma_minN[start:stop], maxM[start:stop]
+        past = np.zeros(rows)
+        for k, L, C in conditional_lognormal_sweep(table, params, dB):
             past += tau[k] * E[:, k]
-            np.maximum(hi, past + (C @ tau[k + 1:])[: stop - start], out=hi)
+            np.maximum(hi, past + (C @ tau[k + 1:])[:rows], out=hi)
+            if k < n:
+                np.minimum(lo, (L[:rows] - shift[k]).min(axis=1), out=lo)
 
-    run_blocks(sweep, paths.n_paths, _sweep_paths(table.n))
+    run_blocks(sweep, paths.n_paths, _sweep_paths(n))
     const = T ** (2.0 * H + 2.0) / (2.0 * H + 2.0)
     bound = (sigma ** 2 / T) * np.exp(-3.0 * abs(a) * T + sigma * minB
-                                      - sigma * maxB + sigma * minN) * const / maxM
-    return bound, {"minB": minB, "maxB": maxB, "minN": minN, "maxM": maxM}
+                                      - sigma * maxB + sigma_minN) * const / maxM
+    return bound, {"minB": minB, "maxB": maxB, "sigma_minN": sigma_minN, "maxM": maxM}
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +442,18 @@ def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
     res = np.empty(paths.n_paths)
 
     def sweep(_, start, stop):
-        dB = _sweep_block(paths.increments, start, stop)
-        acc = np.zeros(len(dB))
-        for j, C in conditional_lognormal_sweep(table, params, dB):
+        rows = stop - start
+        dB = _sweep_block(paths.increments, start, stop, _sweep_paths(n))
+        dBt = np.ascontiguousarray(paths.increments[start:stop].T)
+        acc = np.zeros(rows)
+        for j, _, C in conditional_lognormal_sweep(table, params, dB):
             if j == n:
                 break
-            acc += (C @ tauV[j + 1:, j]) * dB[:, j]
+            # the padded rows are cut before the multiply: their C may be
+            # inf, and inf * 0 would be an invalid operation
+            acc += (C @ tauV[j + 1:, j])[:rows] * dBt[j]
         F = np.exp(LogFunctional(paths.subset(slice(start, stop)), params).lnF)
-        res[start:stop] = (F - EF) - params.sigma * acc[: stop - start]
+        res[start:stop] = (F - EF) - params.sigma * acc
 
     run_blocks(sweep, paths.n_paths, _sweep_paths(n))
     return res

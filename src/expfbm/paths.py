@@ -23,11 +23,10 @@ One function per conditional object:
   * conditional_lognormal: E[exp(a t_i + sigma B_i) | F_{t_k}] =
     exp(a t_i + sigma N_i + sigma^2 v_i(k) / 2) at one node, so
     M_k = E[F | F_{t_k}] is an exact martingale of the simulated model;
-  * conditional_means_sweep: N at every node k = 0..n, a rank-1 update
-    per node (the lower bound's min N);
-  * conditional_lognormal_sweep: the lognormal means of the future at every
-    node k = 0..n, with their exponent carried by a rank-2 update per node
-    (the per-path passes);
+  * conditional_lognormal_sweep: the exponent of the future's lognormal
+    means and the means themselves at every node k = 0..n, the exponent
+    carried by a rank-2 update per node (the per-path passes; the lower
+    bound reads sigma N off the exponent);
   * inner_fluctuations: the conditional law's centred part, for nested
     resampling.
 """
@@ -246,48 +245,21 @@ def conditional_lognormal(table: KernelTable, params, k, N):
     return np.exp(params.sigma * N + _lognormal_shift(table, params, k))
 
 
-def conditional_means_sweep(table: KernelTable, increments):
-    """Sweep the nodes k = 0..n, yielding (k, N).
-
-    N[p, i] = E[B^H_{t_i} | F_{t_k}] (P, n+1) holds the realized value for
-    i <= k and the conditional mean of the future for i > k. It is one
-    array, updated in place by the rank-1 step N[:, k:] += dB[:, k-1]
-    V[k:, k-1], so a node costs O(P n) and no (P, n+1, n) field is built;
-    the sum runs over the cells in the order of np.cumsum. N is stored
-    node-major (a transposed view), so every N[:, k:] is one contiguous
-    block; copy it to keep it past the next step.
-    """
-    increments = np.atleast_2d(increments)
-    P, n = increments.shape[0], table.n
-    dBt = np.ascontiguousarray(increments.T)
-    Vt = np.ascontiguousarray(table.volterra_matrix.T)    # Vt[j] = column j of V
-    Nt = np.zeros((n + 1, P))
-    step = np.empty(n * P)
-    for k in range(n + 1):
-        if k:
-            rank1 = step[: (n + 1 - k) * P].reshape(n + 1 - k, P)
-            # the outer product of column k-1 of V with the cell's increments:
-            # einsum forms it with the bits of a broadcast multiply in about
-            # two thirds of the time
-            np.einsum("i,p->ip", Vt[k - 1, k:], dBt[k - 1], out=rank1)
-            Nt[k:] += rank1
-        yield k, Nt.T
-
-
 def conditional_lognormal_sweep(table: KernelTable, params, increments):
-    """Sweep the nodes k = 0..n, yielding (k, C).
+    """Sweep the nodes k = 0..n, yielding (k, L, C).
 
     C = conditional_lognormal(table, params, k, N)[:, k + 1:] (P, n - k)
-    holds the lognormal means of the future rows i > k. The sweep carries
-    their exponent L_i = a t_i + sigma N_i + sigma^2 v_i(k) / 2 from node to
-    node: from k-1 to k it moves by V[i, k-1] sigma dB_{k-1} - sigma^2 dt
-    V[i, k-1]^2 / 2, one rank-2 product of [V[:, k-1], -sigma^2 dt
-    V[:, k-1]^2 / 2] with [sigma dB_{k-1}; 1] into a reused buffer and one
-    add, and then one exp into another. A node costs O(P n), and neither N
-    nor the variances are formed. L is a running sum, so C rounds
-    differently from conditional_lognormal; at sigma = 0 it is exp(a t)
-    exactly. Copy C to keep it past the next step; it is stored node-major
-    (a transposed view).
+    holds the lognormal means of the future rows i > k, and L = log C their
+    exponent L_i = a t_i + sigma N_i + sigma^2 v_i(k) / 2, which the sweep
+    carries from node to node: from k-1 to k it moves by V[i, k-1] sigma
+    dB_{k-1} - sigma^2 dt V[i, k-1]^2 / 2, one rank-2 product of [V[:, k-1],
+    -sigma^2 dt V[:, k-1]^2 / 2] with [sigma dB_{k-1}; 1] into a reused
+    buffer and one add, and then one exp into another. A node costs O(P n),
+    and neither N nor the variances are formed; sigma N is L less the node's
+    row of _lognormal_shift. L is a running sum, so C rounds differently
+    from conditional_lognormal; at sigma = 0 it is exp(a t) exactly. Copy L
+    and C to keep them past the next step; both are stored node-major
+    (transposed views).
     """
     increments = np.atleast_2d(increments)
     P, n = increments.shape[0], table.n
@@ -306,7 +278,7 @@ def conditional_lognormal_sweep(table: KernelTable, params, increments):
         if k:
             L += np.matmul(U[k - 1, k + 1:], R[k - 1],
                            out=step[:size].reshape(n - k, P))
-        yield k, np.exp(L, out=buf[:size].reshape(n - k, P)).T
+        yield k, L.T, np.exp(L, out=buf[:size].reshape(n - k, P)).T
 
 
 def martingale_M(paths: FbmPaths, table: KernelTable, params, r) -> np.ndarray:

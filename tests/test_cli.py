@@ -246,10 +246,10 @@ class TestCaches:
                                        "d2x_violations")}
         old.update(phi=np.zeros(P), phi_se=np.zeros(P), lower=np.zeros(P),
                    cond=np.zeros((P, m)), cond_se=np.zeros((P, m)))
-        # schema 12: today's layout, whose lower bound had other last bits;
-        # here the poisoned summary of the lower bound
-        stale = {11: old, 12: dict(current, phi_lower_min=-np.ones_like(
-            current["phi_lower_min"]))}
+        # schemas 12 and 13: today's layout, whose lower bound had other last
+        # bits; here the poisoned summary of the lower bound
+        poisoned = dict(current, phi_lower_min=-np.ones_like(current["phi_lower_min"]))
+        stale = {11: old, 12: poisoned, 13: poisoned}
         mal.unlink()
         cfg = ExperimentConfig.from_file(argv[1])
         for schema, arrays in stale.items():
@@ -262,7 +262,7 @@ class TestCaches:
         assert main(argv) == EXIT_OK
         assert "treating it as a miss" not in capsys.readouterr().err
         assert self.outputs(run) == clean
-        assert len(list((run / "cache").glob("mal-*.npz"))) == 3
+        assert len(list((run / "cache").glob("mal-*.npz"))) == 4
 
     def test_cond_violation_counted_alike_on_miss_and_hit(self, cached_run, monkeypatch):
         argv, run = cached_run

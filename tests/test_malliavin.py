@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -370,6 +372,18 @@ class TestFactorisedNested:
         assert np.all(np.isfinite(out["dphi"]))
         assert np.all(np.isfinite(out["cond2"]))
 
+    def test_bits_do_not_depend_on_path_count(self, table64, params):
+        # the last block is padded to CHUNK_OUTER rows, as the sweeps pad
+        # theirs: the first 130 (a partial second block) and the first 2 of
+        # 256 paths give the bits of the 256-path run, s columns included
+        paths = pth.sample_fbm_volterra(table64, 256, seed=3)
+        idx = ml.phi_subgrid(table64.n, stride=16)
+        full = ml._nested(paths, table64, params, idx, 50, 4, 1, idx)
+        for m in (130, 2):
+            head = ml._nested(paths.subset(slice(0, m)), table64, params, idx, 50, 4, 1, idx)
+            for x, y in zip(head, full):
+                assert np.array_equal(x, y[:m]), m
+
     def test_block_mean_se(self):
         x = np.arange(512.0) % 7
         means = x.reshape(4, ml.CHUNK_OUTER).mean(axis=1)
@@ -424,7 +438,7 @@ class TestPhi:
         assert np.all(prof.phi <= s2T + 1e-9 + 3.0 * prof.phi_se)
         lower, terms = ml.phi_lower_bound_terms(paths, table64, params)
         assert np.all(prof.phi >= lower - 3.0 * prof.phi_se)
-        assert np.all(terms["minN"] <= 0.0)
+        assert np.all(terms["sigma_minN"] <= 0.0)
         assert np.all(terms["maxM"] > 0.0)
 
     def test_profile_carries_metadata(self, table64, params):
@@ -496,6 +510,17 @@ class TestClarkOcone:
                 M0 = pth.martingale_M(zero, table64, params, 0.0)
                 assert abs(EF[0] / M0[0] - 1.0) <= 1e-15, (a, sigma)
 
+    def test_padded_rows_stay_out_of_the_sum(self):
+        # at sigma = 400 the C of a zero-padded row overflows to inf; the
+        # residual's sum must not multiply it by the row's zero increment
+        table = kn.build_kernel_table(0.7, 1.0, 32)
+        paths = pth.sample_fbm_volterra(table, 100, seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ml.clark_ocone_residual(paths, table, make_params(sigma=400.0))
+        assert not [w for w in caught
+                    if "invalid value encountered in multiply" in str(w.message)]
+
     def test_variance_shrinks_with_refinement(self, table64, table128, params):
         res64 = ml.clark_ocone_residual(
             pth.sample_fbm_volterra(table64, 4_000, seed=18), table64, params)
@@ -514,7 +539,7 @@ class TestClarkOcone:
         def run():
             bound, terms = ml.phi_lower_bound_terms(paths, table64, params)
             return np.stack([ml.clark_ocone_residual(paths, table64, params), bound,
-                             terms["minN"], terms["maxM"]])
+                             terms["sigma_minN"], terms["maxM"]])
 
         runs = {"default": run()}
         for workers in (1, 5):
@@ -527,29 +552,13 @@ class TestClarkOcone:
 class TestConditionalMeanSweep:
     """The sweep against conditional_law, and the passes built on it against
     their dense references on a path count that spans two sweep blocks, the
-    second one partial. min N is exact: both sum the same products in the
-    same order."""
+    second one partial. sigma min N is read off the carried exponent, so it
+    rounds on the scale of that exponent, a t + sigma^2 v / 2 included."""
 
     @pytest.fixture(scope="class")
     def tables(self):
         return {(H, n): kn.build_kernel_table(H, 1.0, n)
                 for H in (0.55, 0.9) for n in (16, 64)}
-
-    def test_sweep_matches_conditional_law(self, table64):
-        paths = pth.sample_fbm_volterra(table64, 7, seed=31)
-        for k, N in pth.conditional_means_sweep(table64, paths.increments):
-            law = pth.conditional_law(paths, table64, table64.grid[k])
-            assert np.allclose(N, law.means, rtol=0, atol=1e-13)
-        assert np.allclose(N, paths.values, rtol=0, atol=1e-13)
-
-    def test_sweep_is_the_cumulative_sum(self, table64):
-        # N at node k is the running sum of the products V[i, j] dB_j over the
-        # cells j < k, in cell order: bit for bit np.cumsum
-        paths = pth.sample_fbm_volterra(table64, 37, seed=35)
-        dB = paths.increments
-        cum = np.cumsum(table64.volterra_matrix[None, :, :] * dB[:, None, :], axis=2)
-        for k, N in pth.conditional_means_sweep(table64, dB):
-            assert np.array_equal(N, cum[:, :, k - 1] if k else np.zeros_like(N)), k
 
     def test_sweep_martingale_matches_martingale_M(self, table64):
         # the M_k of the lower bound (running past sum plus C . tau) is
@@ -560,8 +569,8 @@ class TestConditionalMeanSweep:
             params = make_params(a=a, sigma=sigma)
             E = np.exp(a * table64.grid + sigma * paths.values)
             M_all = []
-            for k, C in pth.conditional_lognormal_sweep(table64, params,
-                                                        paths.increments):
+            for k, _, C in pth.conditional_lognormal_sweep(table64, params,
+                                                           paths.increments):
                 M = E[:, : k + 1] @ tau[: k + 1] + C @ tau[k + 1:]
                 M_all.append(pth.martingale_M(paths, table64, params, table64.grid[k]))
                 assert np.allclose(M, M_all[-1], rtol=1e-13, atol=0), (a, sigma, k)
@@ -575,8 +584,8 @@ class TestConditionalMeanSweep:
         grid = table64.grid
         for a, sigma in ((-1.0, 0.3), (0.3, 2.0), (-1.0, 0.0), (0.3, 0.0)):
             params = make_params(a=a, sigma=sigma)
-            for k, C in pth.conditional_lognormal_sweep(table64, params,
-                                                        paths.increments):
+            for k, _, C in pth.conditional_lognormal_sweep(table64, params,
+                                                           paths.increments):
                 if sigma == 0.0:
                     assert np.array_equal(C, np.exp(a * grid[None, k + 1:]).repeat(50, 0))
                     continue
@@ -598,15 +607,17 @@ class TestConditionalMeanSweep:
 
     def test_nested_matches_sweep_means(self, table64, params, monkeypatch):
         # the driver on per-node products against the same driver fed the
-        # sweep's means at each node: only the summation order of N differs
+        # running sums of np.cumsum at each node: only the summation order of
+        # N differs
         paths = pth.sample_fbm_volterra(table64, 200, seed=34)
         idx = ml.phi_subgrid(table64.n, stride=16)
         direct = ml._nested(paths, table64, params, idx, 50, 6, 1, idx)
 
         def swept_means(table, increments, k):
-            for j, N in pth.conditional_means_sweep(table, increments):
-                if j == k:
-                    return N.copy()
+            if k == 0:
+                return np.zeros((increments.shape[0], table.n + 1))
+            cells = table.volterra_matrix[None, :, :k] * increments[:, None, :k]
+            return np.cumsum(cells, axis=2)[:, :, -1]
 
         monkeypatch.setattr(ml, "conditional_means", swept_means)
         swept = ml._nested(paths, table64, params, idx, 50, 6, 1, idx)
@@ -629,8 +640,22 @@ class TestConditionalMeanSweep:
                 bound, terms = ml.phi_lower_bound_terms(paths, table, params)
                 ref_bound, ref_terms = reference_phi_lower_bound_terms(paths, table, params)
                 assert np.abs(terms["maxM"] - ref_terms["maxM"]).max() <= 1e-12 * scale
-                assert np.array_equal(terms["minN"], ref_terms["minN"])
+                # sigma N = L - (a t + sigma^2 v / 2) rounds on the scale of L
+                err = np.abs(terms["sigma_minN"] - sigma * ref_terms["minN"]).max()
+                L_scale = 1.0 + abs(a) * params.T + sigma ** 2 * params.T ** (2 * H)
+                assert err <= (1e-12 * L_scale if sigma else 0.0), (a, sigma)
                 assert np.allclose(bound, ref_bound, rtol=1e-12, atol=0), (a, sigma)
+
+    def test_lower_bound_terms_at_large_sigma(self):
+        # at sigma = 400 the exponent L reaches sigma^2 v / 2 ~ 8e4 and C
+        # overflows, but sigma min N (about -1e3) stays finite and below
+        # sigma min B
+        table = kn.build_kernel_table(0.7, 1.0, 32)
+        paths = pth.sample_fbm_volterra(table, 100, seed=3)
+        with np.errstate(over="ignore"):
+            _, terms = ml.phi_lower_bound_terms(paths, table, make_params(sigma=400.0))
+        assert np.all(np.isfinite(terms["sigma_minN"]))
+        assert np.all(terms["sigma_minN"] <= 400.0 * terms["minB"])
 
 
 class TestDphi:
