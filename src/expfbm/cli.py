@@ -50,7 +50,10 @@ EXIT_BUDGET = 3
 SIM_FIELDS = ("hurst_H", "horizon_T", "drift_a", "sigma_vol", "grid_n",
               "outer_paths", "centering_paths", "seed")
 TABLE_FIELDS = ("hurst_H", "horizon_T", "grid_n")
-NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
+# the fields the nested run reads (_nested_run): the model, the grid, the
+# seed and the nested sizes, not the outer or centering path counts
+NESTED_FIELDS = ("hurst_H", "horizon_T", "drift_a", "sigma_vol", "grid_n", "seed",
+                 "nested_paths", "inner_paths", "subgrid_stride")
 
 # Part of every cache key, with the code version. Bump it when the contents
 # of a cache change meaning, so files written by older code are not read.
@@ -78,7 +81,10 @@ NESTED_FIELDS = SIM_FIELDS + ("nested_paths", "inner_paths", "subgrid_stride")
 #     on zero-padded sweep blocks (phi_lower_min moves in the last bits).
 # 14: the Phi_X lower bound reads sigma min N off that exponent, and the
 #     nested driver pads its last block (both move in the last bits).
-CACHE_SCHEMA = 14
+# 15: D X, the Gibbs means of D^2 X and so Phi_X are formed in zero-padded
+#     blocks of rows (paths.map_rows; move in the last bits at some path
+#     counts); the nested cache is keyed only on the fields it reads.
+CACHE_SCHEMA = 15
 
 
 # field type -> (check, what an error message calls it)

@@ -22,6 +22,7 @@ bits of LogFunctional on the whole path array and no such array formed.
 """
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from dataclasses import dataclass
@@ -31,8 +32,7 @@ import numpy as np
 
 from . import rng
 from .kernel import QUAD_DEPTH, HurstParams, graded_quad, graded_rule
-from .paths import (MAP_BLOCK, FbmPaths, increment_stream, map_block,
-                    trapezoid_weights)
+from .paths import MAP_BLOCK, FbmPaths, increment_stream, trapezoid_weights
 
 # Most threads of run_blocks.
 MAX_WORKERS = 3
@@ -208,9 +208,11 @@ def run_blocks(work, n, block=rng.BATCH):
     The blocks must be independent: each writes only its own rows, and any
     stream it draws is keyed by its block, so the result is bit-identical for
     any worker count. numpy releases the GIL in its large array operations,
-    so the threads overlap. work must call no function that perfbench
-    traces: its span stack belongs to the main thread. The first exception
-    of a block is raised here once every thread has stopped.
+    so the threads overlap. Each worker runs in a copy of the caller's
+    context, so the caller's np.errstate holds in every block. work must
+    call no function that perfbench traces: its span stack belongs to the
+    main thread. The first exception of a block is raised here once every
+    thread has stopped.
     """
     blocks = list(rng.batch_ranges(n, block))
     todo = iter(blocks)
@@ -228,7 +230,7 @@ def run_blocks(work, n, block=rng.BATCH):
             except BaseException as exc:        # raised on the calling thread
                 errors.append(exc)
 
-    threads = [threading.Thread(target=take)
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(take,))
                for _ in range(_workers(len(blocks)) - 1)]
     for t in threads:
         t.start()
@@ -245,8 +247,8 @@ def sample_lnF(params: ModelParams, table, n_paths, seed, purpose=rng.OUTER):
 
     The batches of rng.batch_ranges run on run_blocks. A worker draws its
     batch from the batch's stream MAP_BLOCK rows at a time, straight into one
-    (MAP_BLOCK, n) scratch, maps each block as fbm_from_bm does and reduces
-    it to ln F at once.
+    (MAP_BLOCK, n) scratch whose tail past a short draw is zeroed, so each
+    block is mapped as paths.map_rows maps it, and reduces it to ln F at once.
     """
     n = table.n
     Vt = table.volterra_matrix.T
@@ -259,7 +261,8 @@ def sample_lnF(params: ModelParams, table, n_paths, seed, purpose=rng.OUTER):
         for lo in range(start, stop, MAP_BLOCK):
             rows = min(MAP_BLOCK, stop - lo)
             draw(block[:rows])
-            values = map_block(Vt, block, rows, out)
+            block[rows:] = 0.0
+            values = np.matmul(block, Vt, out=out)[:rows]
             paths = FbmPaths(table.grid, values, None, seed, "volterra")
             lnF[lo:lo + rows] = LogFunctional(paths, params).lnF
 

@@ -17,7 +17,7 @@ The nested estimates are factorised. An inner path is the outer path's
 conditional mean N_p plus a fluctuation Z_q that does not depend on the
 past, so exp(a t_i + sigma (N_{p,i} + Z_{q,i})) = A_{p,i} B_{q,i}. One driver,
 _nested: at each subgrid node and each block of CHUNK_OUTER paths (the last
-one zero-padded, as the sweeps' blocks are) it forms N as one product of the
+one zero-padded by paths.pad_rows) it forms N as one product of the
 block's past increments with the Volterra columns (paths.conditional_means),
 draws one inner set Z for the block and forms every inner sum in one GEMM
 of A with B^T. Per-path estimates and
@@ -30,8 +30,8 @@ triangle of nodes k <= i. Both run on paths.conditional_lognormal_sweep,
 which yields at every node the conditional lognormal means
 C_i = E[exp(a t_i + sigma B_i) | F_{t_k}] of the rows i > k and carries
 their exponent L by one rank-2 update per node (O(P n) per node, no
-(P, n+1, n) temporary). Both passes sweep zero-padded blocks of
-_sweep_paths(n) paths on the worker threads of functional.run_blocks
+(P, n+1, n) temporary). Both passes sweep blocks of _sweep_paths(n) paths
+(paths.pad_rows) on the worker threads of functional.run_blocks
 (README, Threads), one sweep per block. The lower bound's
 M_k = E[F | F_{t_k}] is the realized past plus C . tau, and its min of the
 conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}] is read off L; E[F] = M_0,
@@ -56,7 +56,7 @@ from .functional import LogFunctional, run_blocks
 from .kernel import KernelTable
 from .paths import (FbmPaths, _lognormal_shift, conditional_lognormal,
                     conditional_lognormal_sweep, conditional_means, inner_fluctuations,
-                    trapezoid_weights)
+                    map_rows, pad_rows, trapezoid_weights)
 from .reports import range_report
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
@@ -99,7 +99,7 @@ def dx(paths: FbmPaths, table: KernelTable, params, indices=None):
     if indices is None:
         indices = np.arange(table.n + 1)
     K = _kernel_columns(table, indices)
-    return params.sigma * (LogFunctional(paths, params).weights @ K)
+    return params.sigma * map_rows(LogFunctional(paths, params).weights, K)
 
 
 def dx_increment(paths: FbmPaths, table: KernelTable, params):
@@ -109,7 +109,8 @@ def dx_increment(paths: FbmPaths, table: KernelTable, params):
     exact gradient of the discrete map, and the object the finite-difference
     oracle measures.
     """
-    return params.sigma * (LogFunctional(paths, params).weights @ table.volterra_matrix)
+    return params.sigma * map_rows(LogFunctional(paths, params).weights,
+                                   table.volterra_matrix)
 
 
 def d2x(paths: FbmPaths, table: KernelTable, params, indices=None):
@@ -127,9 +128,10 @@ def d2x(paths: FbmPaths, table: KernelTable, params, indices=None):
         indices = np.arange(1, table.n + 1)
     w = LogFunctional(paths, params).weights
     K = _kernel_columns(table, indices)
+    wK = map_rows(w, K)                          # the Gibbs means, as dx forms them
     out = np.empty((paths.n_paths, K.shape[1], K.shape[1]))
     for _, start, stop in rng.batch_ranges(paths.n_paths, max(1, 2 ** 18 // K.size)):
-        C = K - (w[start:stop] @ K)[:, None, :]              # (c, n+1, m)
+        C = K - wK[start:stop, None, :]                      # (c, n+1, m)
         C *= np.sqrt(w[start:stop])[:, :, None]
         np.matmul(C.transpose(0, 2, 1), C, out=out[start:stop])
     out *= params.sigma ** 2
@@ -187,10 +189,6 @@ def singular_quad_weights(grid, H, indices):
 # nested conditional estimates
 # ---------------------------------------------------------------------------
 
-def _inner_blocks(n_paths):
-    return rng.batch_ranges(n_paths, CHUNK_OUTER)
-
-
 def _pair_stats(x):
     """Mean and standard error over the last (inner) axis, from the means of
     the antithetic pairs (q, q + Q/2).
@@ -222,7 +220,7 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
     At each node k of idx and each block of CHUNK_OUTER paths, the
     conditional means N come from one product of the block's increments
     before t_k with the Volterra columns (paths.conditional_means); the last
-    block is zero-padded to CHUNK_OUTER rows (_sweep_block), so a path's
+    block is zero-padded to CHUNK_OUTER rows (paths.pad_rows), so a path's
     estimates do not depend on how many paths are drawn. Inner
     path q of outer path p is N_p + Z_q (a fluctuation shared by the block),
     so its integrand factors as exp(a t_i + sigma N_{p,i}) exp(sigma Z_{q,i})
@@ -259,12 +257,12 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
             cols += [Ks[:, :ns], kcol * Ks[:, :ns]]
         tauK = tau[:, None] * np.hstack(cols)                            # (n+1, 2 + 2 ns)
         W = np.ascontiguousarray(tauK[k:].T)                             # (2 + 2 ns, n-k+1)
-        for blk, start, stop in _inner_blocks(P):
+        for blk, start, stop in rng.batch_ranges(P, CHUNK_OUTER):
             gen = rng.stream(seed, rng.INNER, stage, k, blk)
             logB = sigma * inner_fluctuations(table, k, n_inner, gen)    # (Q, n-k+1)
             logB_max = logB.max(axis=1)
             B = np.exp(logB - logB_max[:, None])
-            dB = _sweep_block(paths.increments, start, stop, CHUNK_OUTER)
+            dB = pad_rows(paths.increments, start, stop, CHUNK_OUTER)
             logA = params.a * grid + sigma * conditional_means(table, dB, k)
             A = np.exp(logA - logA.max(axis=1, keepdims=True))           # (C, n+1)
             G = np.ascontiguousarray(A[:, k:])[:, None, :] * W[None]     # (C, c, n-k+1)
@@ -307,7 +305,7 @@ def block_mean_se(values):
     cluster-robust SE with one cluster per block. Needs two blocks or more.
     """
     values = np.asarray(values, dtype=float)
-    blocks = list(_inner_blocks(values.shape[0]))
+    blocks = list(rng.batch_ranges(values.shape[0], CHUNK_OUTER))
     if len(blocks) < 2:
         raise ValueError(f"block-mean SE needs more than {CHUNK_OUTER} paths")
     mean = values.mean(axis=0)
@@ -342,27 +340,13 @@ def _sweep_paths(n):
     """Paths per conditional-mean sweep: about 2^16 entries of N, so a block
     stays in cache.
 
-    The block size is part of the bits, as paths.map_block says for the map:
-    a node's products (C @ tau, C @ tauV[:, j]) may round by their row
-    count, so another block size moves the results in the last bits. On 1000
-    paths at n=256 (seed 3, BLAS 1 thread), clark_ocone_residual in 500-path
-    blocks differs from 255-path blocks by up to 1.1e-15. So every sweep
-    runs on full blocks (_sweep_block)."""
+    The block size is part of the bits: a node's products (C @ tau,
+    C @ tauV[:, j]) may round by their row count, so another block size
+    moves the results in the last bits. On 1000 paths at n=256 (seed 3,
+    BLAS 1 thread), clark_ocone_residual in 500-path blocks differs from
+    255-path blocks by up to 1.1e-15. So every sweep runs on full blocks,
+    the last one zero-padded by paths.pad_rows."""
     return max(CHUNK_OUTER, 2 ** 16 // (n + 1))
-
-
-def _sweep_block(increments, start, stop, rows):
-    """The increments of paths start..stop as a block of rows rows: a view
-    when the block is full, else a copy zero-padded as paths.map_block pads
-    the map. A block's products then round alike in every block, so a
-    path's result does not depend on how many paths are drawn. The sweeps
-    take rows = _sweep_paths(n), the nested driver CHUNK_OUTER; read the
-    first stop - start rows of each result."""
-    if stop - start == rows:
-        return increments[start:stop]
-    block = np.zeros((rows, increments.shape[1]))
-    block[: stop - start] = increments[start:stop]
-    return block
 
 
 def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
@@ -395,7 +379,7 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
 
     def sweep(_, start, stop):
         rows = stop - start
-        dB = _sweep_block(paths.increments, start, stop, _sweep_paths(n))
+        dB = pad_rows(paths.increments, start, stop, _sweep_paths(n))
         # the realized integrand: the conditional lognormal mean given F_T
         E = conditional_lognormal(table, params, n, paths.values[start:stop])
         lo, hi = sigma_minN[start:stop], maxM[start:stop]
@@ -443,7 +427,7 @@ def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
 
     def sweep(_, start, stop):
         rows = stop - start
-        dB = _sweep_block(paths.increments, start, stop, _sweep_paths(n))
+        dB = pad_rows(paths.increments, start, stop, _sweep_paths(n))
         dBt = np.ascontiguousarray(paths.increments[start:stop].T)
         acc = np.zeros(rows)
         for j, _, C in conditional_lognormal_sweep(table, params, dB):

@@ -6,10 +6,10 @@ Two generators:
     cell-integrated kernel weights. Keeps the increments, so conditional
     means, nested resampling and Clark-Ocone sums are available. The
     increments of a batch are drawn in one place (increment_stream, one
-    Philox substream per batch) and mapped in one place (map_block,
-    fixed-size zero-padded GEMMs), so a path's values do not depend on the
-    path count, on the batch it is drawn in or on the thread that draws it
-    (functional.sample_lnF streams blocks through both on worker threads).
+    Philox substream per batch) and mapped in padded blocks (map_rows,
+    below), so a path's values do not depend on the path count, on the
+    batch it is drawn in or on the thread that draws it (functional.sample_lnF
+    streams blocks of the same size on worker threads).
   * Cholesky factorization of the exact covariance: unbiased joint law at the
     grid nodes, used as the referee for the Volterra map's discretization bias.
     No driving increments, so conditional operations reject these paths.
@@ -29,6 +29,12 @@ One function per conditional object:
     bound reads sigma N off the exponent);
   * inner_fluctuations: the conditional law's centred part, for nested
     resampling.
+
+A product may round by its row count, so every product over path rows
+runs on fixed-size blocks, the last one zero-padded: pad_rows cuts a block,
+and map_rows forms a @ Mt in blocks of MAP_BLOCK rows (the Volterra and
+Cholesky maps, malliavin's Gibbs means). A path's bits then do not depend
+on how many paths are drawn with it.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ import numpy as np
 from . import rng
 from .kernel import KernelTable, covariance
 
-# Rows per GEMM of the Volterra map (fbm_from_bm).
+# Rows per GEMM of map_rows.
 MAP_BLOCK = 256
 
 
@@ -123,18 +129,24 @@ def sample_bm_increments(grid, seed, n_paths, purpose=rng.OUTER):
     return out
 
 
-def map_block(Vt, block, rows, out):
-    """The Volterra map (Vt = table.volterra_matrix.T) of the first rows of
-    block (MAP_BLOCK, n).
+def pad_rows(a, start, stop, rows):
+    """Rows start..stop of a as a block of rows rows: a view when the block
+    is full, else a copy zero-padded past stop - start. Read the first
+    stop - start rows of any product of the block."""
+    if stop - start == rows:
+        return a[start:stop]
+    block = np.zeros((rows,) + a.shape[1:])
+    block[: stop - start] = a[start:stop]
+    return block
 
-    The rows past them are zeroed, and the block is mapped by one GEMM into
-    out (MAP_BLOCK, n+1); returns the view of out holding the mapped rows. A
-    GEMM may round by its row count, so every map runs in these blocks: the
-    values of path p then do not depend on how many paths are mapped with it.
-    """
-    block[rows:] = 0.0
-    np.matmul(block, Vt, out=out)
-    return out[:rows]
+
+def map_rows(a, Mt):
+    """a @ Mt, one GEMM per block of MAP_BLOCK rows of a (pad_rows), so row
+    p of the result does not depend on how many rows a has."""
+    out = np.empty((a.shape[0], Mt.shape[1]))
+    for _, start, stop in rng.batch_ranges(a.shape[0], MAP_BLOCK):
+        out[start:stop] = (pad_rows(a, start, stop, MAP_BLOCK) @ Mt)[: stop - start]
+    return out
 
 
 def fbm_from_bm(table: KernelTable, increments, seed=None):
@@ -142,20 +154,13 @@ def fbm_from_bm(table: KernelTable, increments, seed=None):
 
     values[:, i] = sum_{j<=i} w_ij * dB_j / dt with w_ij the cell integrals of
     K(t_i, .), i.e. the increments enter as densities over their cells,
-    mapped in blocks by map_block.
+    mapped by map_rows.
     """
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
-    n_paths, n = increments.shape
+    n = increments.shape[1]
     if n != table.n:
         raise ValueError(f"increments have {n} cells, grid has {table.n}")
-    Vt = table.volterra_matrix.T
-    values = np.empty((n_paths, n + 1))
-    block = np.empty((MAP_BLOCK, n))
-    out = np.empty((MAP_BLOCK, n + 1))
-    for start in range(0, n_paths, MAP_BLOCK):
-        rows = min(MAP_BLOCK, n_paths - start)
-        block[:rows] = increments[start:start + rows]
-        values[start:start + rows] = map_block(Vt, block, rows, out)
+    values = map_rows(increments, table.volterra_matrix.T)
     return FbmPaths(grid=table.grid, values=values, increments=increments,
                     seed=seed, method="volterra")
 
@@ -188,8 +193,7 @@ def sample_fbm_cholesky(H, grid, n_paths, seed):
     values = np.zeros((n_paths, n + 1))
     for b, start, stop in rng.batch_ranges(n_paths):
         gen = rng.stream(seed, rng.CHOLESKY, b)
-        z = gen.standard_normal((stop - start, n))
-        values[start:stop, 1:] = z @ L.T
+        values[start:stop, 1:] = map_rows(gen.standard_normal((stop - start, n)), L.T)
     return FbmPaths(grid=np.asarray(grid), values=values, increments=None,
                     seed=seed, method="cholesky")
 

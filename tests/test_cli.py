@@ -246,10 +246,10 @@ class TestCaches:
                                        "d2x_violations")}
         old.update(phi=np.zeros(P), phi_se=np.zeros(P), lower=np.zeros(P),
                    cond=np.zeros((P, m)), cond_se=np.zeros((P, m)))
-        # schemas 12 and 13: today's layout, whose lower bound had other last
+        # schemas 12 to 14: today's layout, whose lower bound had other last
         # bits; here the poisoned summary of the lower bound
         poisoned = dict(current, phi_lower_min=-np.ones_like(current["phi_lower_min"]))
-        stale = {11: old, 12: poisoned, 13: poisoned}
+        stale = {11: old, 12: poisoned, 13: poisoned, 14: poisoned}
         mal.unlink()
         cfg = ExperimentConfig.from_file(argv[1])
         for schema, arrays in stale.items():
@@ -262,7 +262,16 @@ class TestCaches:
         assert main(argv) == EXIT_OK
         assert "treating it as a miss" not in capsys.readouterr().err
         assert self.outputs(run) == clean
-        assert len(list((run / "cache").glob("mal-*.npz"))) == 4
+        assert len(list((run / "cache").glob("mal-*.npz"))) == 5
+
+    def test_nested_cache_ignores_outer_path_count(self, cached_run, capsys):
+        # the nested run reads neither the outer nor the centering path
+        # count, so another --paths still finds the cache that bounds wrote
+        argv, run = cached_run
+        assert main(argv) == EXIT_OK
+        rc = main(argv[:2] + ["--paths", "4000", "malliavin", "--no-simulate"])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        assert len(list((run / "cache").glob("mal-*.npz"))) == 1
 
     def test_cond_violation_counted_alike_on_miss_and_hit(self, cached_run, monkeypatch):
         argv, run = cached_run

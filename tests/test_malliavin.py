@@ -521,6 +521,21 @@ class TestClarkOcone:
         assert not [w for w in caught
                     if "invalid value encountered in multiply" in str(w.message)]
 
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        # at sigma = 400 both sweep blocks (2000 paths at n=32) overflow, and
+        # the residual meets inf - inf where F overflows; the caller's
+        # np.errstate must hold in the worker's block too
+        table = kn.build_kernel_table(0.7, 1.0, 32)
+        paths = pth.sample_fbm_volterra(table, 2000, seed=3)
+        params = make_params(sigma=400.0)
+        monkeypatch.setattr(fn, "_workers", lambda n_blocks: 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="ignore", invalid="ignore"):
+                ml.phi_lower_bound_terms(paths, table, params)
+                ml.clark_ocone_residual(paths, table, params)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_variance_shrinks_with_refinement(self, table64, table128, params):
         res64 = ml.clark_ocone_residual(
             pth.sample_fbm_volterra(table64, 4_000, seed=18), table64, params)
@@ -594,8 +609,8 @@ class TestConditionalMeanSweep:
                 assert np.allclose(C, ref[:, k + 1:], rtol=1e-13, atol=0), (a, sigma, k)
 
     def test_bits_do_not_depend_on_path_count(self, table256, params):
-        # every sweep block is padded to _sweep_paths(n) rows, as map_block
-        # pads the map: the first 1000 of 1100 paths (255-path blocks, the
+        # every sweep block is padded to _sweep_paths(n) rows by
+        # paths.pad_rows: the first 1000 of 1100 paths (255-path blocks, the
         # fourth one partial in the shorter run) give the bits of 1000 paths
         paths = pth.sample_fbm_volterra(table256, 1100, seed=3)
         head = paths.subset(slice(0, 1000))
@@ -656,6 +671,54 @@ class TestConditionalMeanSweep:
             _, terms = ml.phi_lower_bound_terms(paths, table, make_params(sigma=400.0))
         assert np.all(np.isfinite(terms["sigma_minN"]))
         assert np.all(terms["sigma_minN"] <= 400.0 * terms["minB"])
+
+
+def _volterra(table, count):
+    return pth.sample_fbm_volterra(table, count, seed=7)
+
+
+def _lower_bound_terms(table, count, params):
+    bound, terms = ml.phi_lower_bound_terms(_volterra(table, count), table, params)
+    return np.column_stack([bound, terms["sigma_minN"], terms["maxM"]])
+
+
+def _nested_rows(table, count, params):
+    idx = ml.phi_subgrid(table.n, stride=16)
+    out = ml._nested(_volterra(table, count), table, params, idx, 50, 4, 1, idx)
+    return np.hstack([x.reshape(count, -1) for x in out])
+
+
+# name: (n, P, m, the per-path rows of a call on the first count paths)
+PATH_COUNT_CASES = {
+    "fbm_from_bm": (256, 300, 10, lambda table, count, params: pth.fbm_from_bm(
+        table, pth.sample_bm_increments(table.grid, 7, count)).values),
+    "sample_fbm_cholesky": (64, 300, 10, lambda table, count, params:
+                            pth.sample_fbm_cholesky(table.H, table.grid, count, 7).values),
+    "dx": (64, 300, 1, lambda table, count, params:
+           ml.dx(_volterra(table, count), table, params)),
+    "dx_increment": (64, 300, 1, lambda table, count, params:
+                     ml.dx_increment(_volterra(table, count), table, params)),
+    # 576-path batches of the Gram products: path 576 is alone in the last
+    # batch of 577 paths and shares it in 578
+    "d2x": (64, 578, 577, lambda table, count, params: ml.d2x(
+        _volterra(table, count), table, params, ml.phi_subgrid(table.n, stride=16))),
+    "clark_ocone_residual": (64, 1100, 1000, lambda table, count, params:
+                             ml.clark_ocone_residual(_volterra(table, count), table, params)),
+    "phi_lower_bound_terms": (64, 1100, 1000, _lower_bound_terms),
+    "_nested": (64, 300, 130, _nested_rows),
+}
+
+
+class TestPathCount:
+    """Every product over path rows runs on fixed-size zero-padded blocks
+    (paths.pad_rows, paths.map_rows), so the first m paths of a P-path call
+    give the bits of an m-path call."""
+
+    @pytest.mark.parametrize("name", list(PATH_COUNT_CASES))
+    def test_first_paths_do_not_depend_on_path_count(self, name, request, params):
+        n, P, m, run = PATH_COUNT_CASES[name]
+        table = request.getfixturevalue(f"table{n}")
+        assert np.array_equal(run(table, m, params), run(table, P, params)[:m])
 
 
 class TestDphi:
