@@ -84,7 +84,9 @@ NESTED_FIELDS = ("hurst_H", "horizon_T", "drift_a", "sigma_vol", "grid_n", "seed
 # 15: D X, the Gibbs means of D^2 X and so Phi_X are formed in zero-padded
 #     blocks of rows (paths.map_rows; move in the last bits at some path
 #     counts); the nested cache is keyed only on the fields it reads.
-CACHE_SCHEMA = 15
+# 16: tables above H = 0.99 take the first cell's K^2 weights from a
+#     128-node rule (move by up to 5.4e-7 at H = 0.999).
+CACHE_SCHEMA = 16
 
 
 # field type -> (check, what an error message calls it)

@@ -128,9 +128,13 @@ CELL_NODES = 8
 INCREMENT_NODES = 12
 _IY, _IW = _gauss_legendre_01(INCREMENT_NODES)
 
-# Largest power of y in a first-cell integrand that _first_cell_rule's 24
-# nodes integrate within 2e-14 (at power 17, H = 0.9, they miss by 2.7e-14)
-FIRST_CELL_DEGREE = 16
+# Gauss-Legendre nodes of _first_cell_rule by the largest power of y in a
+# first-cell integrand: (largest power, nodes). Against adaptive quadrature,
+# 24 nodes reach 2e-14 up to power 16 (at power 17, H = 0.9, they miss by
+# 2.7e-14); 48 reach 7e-15 at power 98 (H = 0.99); 128 reach 2e-15 at power
+# 198 (H = 0.995) and 5e-15 at power 998 (H = 0.999), where 48 miss by
+# 2.7e-12 and 5.4e-7.
+FIRST_CELL_NODES = ((16, 24), (100, 48), (math.inf, 128))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +394,7 @@ class KernelTable:
         return idx
 
 
-def _first_cell_rule(H, t1, nodes=24):
+def _first_cell_rule(H, t1):
     """Nodes r in (0, t1] and weights (wK, wK2) such that, for every t >= t1,
 
         int_0^t1 K(t,r) dr   = c_H   * I(t, r[:len(wK)]) @ wK,
@@ -401,15 +405,16 @@ def _first_cell_rule(H, t1, nodes=24):
     turns the inner integral's r^(2H-1) terms, which cost Gauss-Legendre in z
     1e-5 near H = 1/2, into y^(m-1 + m(2H-1)/P), smooth for 24 nodes in y.
     The K^2 integrand I^2 has powers up to y^(m-1 + 2m(2H-1)/P), about
-    1/(1-H) for H near 1; past FIRST_CELL_DEGREE its half takes twice the
-    nodes, which keeps it within 1e-13 of quad up to H = 0.99 (24 nodes miss
-    by 2.7e-9 there). Closer to 1 the powers outgrow 48 nodes as well.
+    2/(1-H) for H near 1, and its half takes the nodes that FIRST_CELL_NODES
+    gives that power: 24 below H = 0.895, 48 up to H = 0.99, 128 above, which
+    keeps it within 1e-13 of quad up to H = 0.999. At H = 0.9999 (power
+    9998) 128 nodes still miss by 7e-7.
     """
     r, weights = [], []
     for p, power in ((1, 1.5 - H), (2, 2.0 - 2.0 * H)):
         m = math.ceil(6.0 * power)
         degree = m - 1 + p * m * (2.0 * H - 1.0) / power
-        x, w = _gauss_legendre_01(nodes if degree <= FIRST_CELL_DEGREE else 2 * nodes)
+        x, w = _gauss_legendre_01(next(k for top, k in FIRST_CELL_NODES if degree <= top))
         zmax = t1 ** power
         r.append((zmax * x ** m) ** (1.0 / power))
         weights.append((zmax / power) * m * x ** (m - 1) * w)
@@ -423,9 +428,9 @@ def _first_cell_sums(c_H, inner, wK, wK2):
     return c_H * (inner[:, :m] @ wK), c_H ** 2 * ((inner[:, m:] ** 2) @ wK2)
 
 
-def _first_cell_weights(H, c_H, t_rows, t1, nodes=24):
+def _first_cell_weights(H, c_H, t_rows, t1):
     """(int_0^t1 K(t_i,r) dr, int_0^t1 K(t_i,r)^2 dr) for each row time t_i."""
-    r, wK, wK2 = _first_cell_rule(H, t1, nodes)
+    r, wK, wK2 = _first_cell_rule(H, t1)
     return _first_cell_sums(c_H, _inner_integral(H, t_rows[:, None], r[None, :]), wK, wK2)
 
 

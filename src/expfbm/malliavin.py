@@ -16,14 +16,16 @@ law is exactly the conditional law of the outer discrete model.
 The nested estimates are factorised. An inner path is the outer path's
 conditional mean N_p plus a fluctuation Z_q that does not depend on the
 past, so exp(a t_i + sigma (N_{p,i} + Z_{q,i})) = A_{p,i} B_{q,i}. One driver,
-_nested: at each subgrid node and each block of CHUNK_OUTER paths (the last
-one zero-padded by paths.pad_rows) it forms N as one product of the
-block's past increments with the Volterra columns (paths.conditional_means),
-draws one inner set Z for the block and forms every inner sum in one GEMM
-of A with B^T. Per-path estimates and
+_nested, runs block-major on the worker threads of functional.run_blocks:
+each task takes a group of consecutive blocks of CHUNK_OUTER paths (the
+last one zero-padded by paths.pad_rows) and walks every subgrid node for
+them. At each node it forms N as one product of each block's past
+increments with the Volterra columns (paths.conditional_means), draws one
+inner set Z per block and forms every inner sum in one GEMM of A with B^T
+per block, stacked over the group. Per-path estimates and
 their inner SEs keep their law, but the paths of one block share inner
 noise: the SE of a mean over paths must come from block means
-(block_mean_se).
+(block_mean_se). The Gram products of d2x run on run_blocks too.
 
 The Clark-Ocone residual and the pathwise lower bound on Phi_X walk the whole
 triangle of nodes k <= i. Both run on paths.conditional_lognormal_sweep,
@@ -61,6 +63,10 @@ from .reports import range_report
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
                            # determinism contract, stream keys include the block)
+
+# Elements of the largest temporary of a task of d2x or _nested: the
+# paths per d2x block and the blocks per _nested group (_group_blocks).
+TASK_ELEMENTS = 2 ** 18
 
 
 @dataclass
@@ -122,7 +128,10 @@ def d2x(paths: FbmPaths, table: KernelTable, params, indices=None):
     to rounding. It is formed as the Gram matrix of the centred columns
     sqrt(w) (K - w K), not as w KK - (w K)(w K): where w is nearly a point
     mass, the two terms of that difference agree to the last bits and their
-    rounding would decide the sign.
+    rounding would decide the sign. The Gram products run on
+    functional.run_blocks, in blocks of paths whose temporary holds about
+    TASK_ELEMENTS entries; each path's product is its own slice of the
+    stacked np.matmul, so its bits do not depend on the block or the worker.
     """
     if indices is None:
         indices = np.arange(1, table.n + 1)
@@ -130,10 +139,13 @@ def d2x(paths: FbmPaths, table: KernelTable, params, indices=None):
     K = _kernel_columns(table, indices)
     wK = map_rows(w, K)                          # the Gibbs means, as dx forms them
     out = np.empty((paths.n_paths, K.shape[1], K.shape[1]))
-    for _, start, stop in rng.batch_ranges(paths.n_paths, max(1, 2 ** 18 // K.size)):
+
+    def gram(_, start, stop):
         C = K - wK[start:stop, None, :]                      # (c, n+1, m)
         C *= np.sqrt(w[start:stop])[:, :, None]
         np.matmul(C.transpose(0, 2, 1), C, out=out[start:stop])
+
+    run_blocks(gram, paths.n_paths, max(1, TASK_ELEMENTS // K.size))
     out *= params.sigma ** 2
     return out
 
@@ -208,6 +220,16 @@ def _pair_stats(x):
     return mean[..., 0], np.sqrt(var, out=var) / np.sqrt(half)
 
 
+def _group_blocks(n, ns):
+    """CHUNK_OUTER blocks per task of _nested at ns s columns: as many as
+    keep the task's largest temporary, the (blocks, CHUNK_OUTER, 2 + 2 ns,
+    n-k+1) left factor of its GEMMs, within TASK_ELEMENTS at k = 0, and at
+    most 8, so that a pass still splits into tasks for the workers. That is
+    8 blocks for Phi_X at n=64 and 1 for D_s Phi_X at n=256, stride 4
+    (README, Threads)."""
+    return max(1, min(8, TASK_ELEMENTS // (CHUNK_OUTER * (2 + 2 * ns) * (n + 1))))
+
+
 def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
             stage, s_idx=None):
     """Factorised nested estimates at the grid nodes idx for every path.
@@ -217,68 +239,84 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
     over the sorted grid nodes s_idx, each (P, ms, m); ms = 0 without s_idx.
     Every estimate at k = n is 0, and so is every entry with s > t_k.
 
-    At each node k of idx and each block of CHUNK_OUTER paths, the
-    conditional means N come from one product of the block's increments
-    before t_k with the Volterra columns (paths.conditional_means); the last
-    block is zero-padded to CHUNK_OUTER rows (paths.pad_rows), so a path's
-    estimates do not depend on how many paths are drawn. Inner
-    path q of outer path p is N_p + Z_q (a fluctuation shared by the block),
-    so its integrand factors as exp(a t_i + sigma N_{p,i}) exp(sigma Z_{q,i})
-    = A_{p,i} B_{q,i}. Every inner sum over i is then sum_i A_{p,i} c_i B_{q,i}:
-    one GEMM per block and node over the columns c = [1, K(., t_k), K(., s),
-    K(., t_k) K(., s)], with only the columns s <= t_k (a prefix of s_idx).
-    The rows i < k, whose fluctuation is 0 as at node k, are summed into
-    node k's column of the GEMM's left factor.
-    A is scaled by the largest exponent of its path and B by that of its
-    draw, which cancels in every ratio and keeps both factors <= 1.
+    Block-major: each task of functional.run_blocks takes a group of
+    _group_blocks consecutive blocks of CHUNK_OUTER paths, the last one
+    zero-padded (paths.pad_rows), and walks every node of idx for them. At
+    node k the conditional means N come from one product of each block's
+    increments before t_k with the Volterra columns (paths.conditional_means),
+    and each block draws its own inner set from the stream (seed, INNER,
+    stage, k, block). Inner path q of outer path p is N_p + Z_q (a
+    fluctuation shared by the block), so its integrand factors as
+    exp(a t_i + sigma N_{p,i}) exp(sigma Z_{q,i}) = A_{p,i} B_{q,i}. Every
+    inner sum over i is then sum_i A_{p,i} c_i B_{q,i}: one GEMM per block
+    and node over the columns c = [1, K(., t_k), K(., s), K(., t_k) K(., s)],
+    with only the columns s <= t_k (a prefix of s_idx). The rows i < k,
+    whose fluctuation is 0 as at node k, are summed into node k's column of
+    the GEMM's left factor. A is scaled by the largest exponent of its path
+    and B by that of its draw, which cancels in every ratio and keeps both
+    factors <= 1. The products are stacked over the group's blocks, one GEMM
+    per block as np.matmul forms them, so a path's estimates do not depend
+    on the group size, the worker count or how many paths are drawn.
     """
     paths.require_increments()
     P, n, m = paths.n_paths, table.n, len(idx)
     ms = 0 if s_idx is None else len(s_idx)
     est, se = np.zeros((P, m)), np.zeros((P, m))
     est2, se2 = np.zeros((P, ms, m)), np.zeros((P, ms, m))
-    nodes = [(c, int(k)) for c, k in enumerate(idx) if k < n]
-    if not nodes:
-        return est, se, est2, se2
-    if n_inner < 50:
-        raise ValueError("n_inner must be >= 50")
-
     grid = table.grid
     tau = trapezoid_weights(grid)
     sigma = params.sigma
     K = _kernel_columns(table, idx)
     Ks = _kernel_columns(table, s_idx) if ms else None
 
-    for c, k in nodes:
+    nodes = []                                   # (c, k, ns, tauK, W) per node k < n
+    for c, k in enumerate(idx):
+        k = int(k)
+        if k == n:
+            continue
         ns = int(np.searchsorted(s_idx, k, side="right")) if ms else 0
         kcol = K[:, c:c + 1]
         cols = [np.ones_like(kcol), kcol]
         if ns:
             cols += [Ks[:, :ns], kcol * Ks[:, :ns]]
         tauK = tau[:, None] * np.hstack(cols)                            # (n+1, 2 + 2 ns)
-        W = np.ascontiguousarray(tauK[k:].T)                             # (2 + 2 ns, n-k+1)
-        for blk, start, stop in rng.batch_ranges(P, CHUNK_OUTER):
-            gen = rng.stream(seed, rng.INNER, stage, k, blk)
-            logB = sigma * inner_fluctuations(table, k, n_inner, gen)    # (Q, n-k+1)
-            logB_max = logB.max(axis=1)
-            B = np.exp(logB - logB_max[:, None])
-            dB = pad_rows(paths.increments, start, stop, CHUNK_OUTER)
+        nodes.append((c, k, ns, tauK, np.ascontiguousarray(tauK[k:].T)))  # W: (2 + 2 ns, n-k+1)
+    if not nodes:
+        return est, se, est2, se2
+    if n_inner < 50:
+        raise ValueError("n_inner must be >= 50")
+
+    def group(_, start, stop):
+        rows = stop - start
+        nb = -(-rows // CHUNK_OUTER)
+        blks = range(start // CHUNK_OUTER, start // CHUNK_OUTER + nb)
+        dB = pad_rows(paths.increments, start, stop, nb * CHUNK_OUTER)
+        dB = dB.reshape(nb, CHUNK_OUTER, n)
+        for c, k, ns, tauK, W in nodes:
+            logB = np.stack([inner_fluctuations(table, k, n_inner,
+                                                rng.stream(seed, rng.INNER, stage, k, b))
+                             for b in blks])
+            logB *= sigma                                                # (g, Q, n-k+1)
+            B = np.exp(logB - logB.max(axis=2, keepdims=True))
             logA = params.a * grid + sigma * conditional_means(table, dB, k)
-            A = np.exp(logA - logA.max(axis=1, keepdims=True))           # (C, n+1)
-            G = np.ascontiguousarray(A[:, k:])[:, None, :] * W[None]     # (C, c, n-k+1)
+            A = np.exp(logA - logA.max(axis=2, keepdims=True))           # (g, C, n+1)
+            G = np.ascontiguousarray(A[..., k:])[:, :, None, :] * W      # (g, C, c, n-k+1)
             # rows i < k are the frozen past: fluctuation 0, as at node k, so
             # their B is column 0's exp(-logB_max) and their sums join column 0
-            G[:, :, 0] += A[:, :k] @ tauK[:k]
-            S = (G.reshape(-1, n - k + 1) @ B.T).reshape(CHUNK_OUTER, -1, n_inner)
-            S = S[: stop - start]                                        # the real rows
-            r = 1.0 / S[:, 0]                                            # (C, Q)
+            G[..., 0] += A[..., :k] @ tauK[:k]
+            S = G.reshape(nb, -1, n - k + 1) @ B.transpose(0, 2, 1)
+            S = S.reshape(nb * CHUNK_OUTER, -1, n_inner)[:rows]          # the real rows
+            r = 1.0 / S[:, 0]                                            # (rows, Q)
             Dth = S[:, 1] * r
             est[start:stop, c], se[start:stop, c] = _pair_stats(sigma * Dth)
             if ns:
                 A_all = S[:, 2:2 + ns] * r[:, None]
                 T1 = S[:, 2 + ns:] * r[:, None]
-                d2 = sigma ** 2 * (T1 - A_all * Dth[:, None])            # (C, ns, Q)
+                d2 = sigma ** 2 * (T1 - A_all * Dth[:, None])            # (rows, ns, Q)
                 est2[start:stop, :ns, c], se2[start:stop, :ns, c] = _pair_stats(d2)
+
+    ns_max = max(ns for _, _, ns, _, _ in nodes)
+    run_blocks(group, P, _group_blocks(n, ns_max) * CHUNK_OUTER)
     return est, se, est2, se2
 
 

@@ -208,13 +208,14 @@ def conditional_law(paths: FbmPaths, table: KernelTable, theta) -> ConditionalLa
 
 
 def conditional_means(table: KernelTable, increments, k):
-    """N[p, i] = E[B^H_{t_i} | F_{t_k}], (P, n+1): one product of the
-    increments before t_k with their Volterra columns. N holds the realized
+    """N[..., p, i] = E[B^H_{t_i} | F_{t_k}], (..., P, n+1) for increments
+    (..., P, n): one product of the increments before t_k with their
+    Volterra columns, per (P, n) slice of a stack. N holds the realized
     value for i <= k and the conditional mean of the future for i > k."""
     increments = np.atleast_2d(increments)
     if k == 0:
-        return np.zeros((increments.shape[0], table.n + 1))
-    return increments[:, :k] @ table.volterra_matrix[:, :k].T
+        return np.zeros(increments.shape[:-1] + (table.n + 1,))
+    return increments[..., :k] @ table.volterra_matrix[:, :k].T
 
 
 def inner_fluctuations(table: KernelTable, k, n_inner, gen):

@@ -246,10 +246,10 @@ class TestCaches:
                                        "d2x_violations")}
         old.update(phi=np.zeros(P), phi_se=np.zeros(P), lower=np.zeros(P),
                    cond=np.zeros((P, m)), cond_se=np.zeros((P, m)))
-        # schemas 12 to 14: today's layout, whose lower bound had other last
-        # bits; here the poisoned summary of the lower bound
+        # schemas 12 to 15: today's layout, whose lower bound had other last
+        # bits up to 14; here the poisoned summary of the lower bound
         poisoned = dict(current, phi_lower_min=-np.ones_like(current["phi_lower_min"]))
-        stale = {11: old, 12: poisoned, 13: poisoned, 14: poisoned}
+        stale = {11: old, 12: poisoned, 13: poisoned, 14: poisoned, 15: poisoned}
         mal.unlink()
         cfg = ExperimentConfig.from_file(argv[1])
         for schema, arrays in stale.items():
@@ -262,7 +262,7 @@ class TestCaches:
         assert main(argv) == EXIT_OK
         assert "treating it as a miss" not in capsys.readouterr().err
         assert self.outputs(run) == clean
-        assert len(list((run / "cache").glob("mal-*.npz"))) == 5
+        assert len(list((run / "cache").glob("mal-*.npz"))) == 6
 
     def test_nested_cache_ignores_outer_path_count(self, cached_run, capsys):
         # the nested run reads neither the outer nor the centering path

@@ -184,7 +184,7 @@ class TestCellRules:
             qK, qK2 = reference_cell_integrals(H, c_H, t, lo, t)
             assert abs(wK / qK - 1.0) < 1e-13 and abs(wK2 / qK2 - 1.0) < 1e-13, t
 
-    @pytest.mark.parametrize("H", HURST_SWEEP)
+    @pytest.mark.parametrize("H", sorted(HURST_SWEEP + [0.995, 0.999]))
     def test_first_cells_against_quad(self, H):
         c_H = kn.ch_closed_form(H)
         dt = 1.0 / 16

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -404,6 +405,95 @@ class TestFactorisedNested:
         assert np.array_equal(x, before)
 
 
+class TestNestedWorkers:
+    """_nested runs one group of CHUNK_OUTER blocks per task, and d2x one
+    block of paths per task, on functional.run_blocks."""
+
+    @pytest.fixture(scope="class")
+    def setup16(self):
+        # nine full blocks and a partial tenth
+        table = kn.build_kernel_table(0.7, 1.0, 16)
+        return table, pth.sample_fbm_volterra(table, 9 * ml.CHUNK_OUTER + 37, seed=45)
+
+    def test_bits_do_not_depend_on_workers(self, setup16, monkeypatch):
+        # three task budgets: groups of 1, 7 and 8 blocks for Phi_X (1, 1 and
+        # 8 with the s columns of D_s Phi_X), and d2x blocks of 34, 275 and
+        # 2202 paths; each with one worker, the default count and more
+        # workers than cores
+        table, paths = setup16
+        params = make_params(a=0.3, sigma=1.5)
+        idx = ml.phi_subgrid(16, stride=4)
+
+        def run():
+            prof = ml.phi_x_batch(paths, table, params, 50, seed=5, stride=4)
+            out = ml.dphi_bound_check(paths, table, params, 50, seed=6, stride=4)
+            return ([prof.cond_dX, prof.cond_se, prof.phi, prof.phi_se,
+                     ml.d2x(paths, table, params, idx)]
+                    + [out[k] for k in ("dphi", "dphi_se", "integral", "cond", "cond_se",
+                                        "cond2", "cond2_se")])
+
+        ref = run()
+        default_workers = fn._workers
+        for budget, groups, gram in ((2 ** 12, (1, 1), 34), (2 ** 15, (7, 1), 275),
+                                     (ml.TASK_ELEMENTS, (8, 8), 2202)):
+            monkeypatch.setattr(ml, "TASK_ELEMENTS", budget)
+            assert (ml._group_blocks(16, 0), ml._group_blocks(16, 6)) == groups
+            assert budget // (17 * len(idx)) == gram
+            for workers in (1, None, 5):
+                monkeypatch.setattr(fn, "_workers", default_workers if workers is None
+                                    else lambda n_blocks: min(n_blocks, workers))
+                for x, y in zip(run(), ref):
+                    assert np.array_equal(x, y), (budget, workers)
+
+    @pytest.fixture(scope="class")
+    def setup32(self):
+        # at n = 32 and stride 8, 2000 paths make four nested groups of four
+        # blocks and two d2x blocks
+        table = kn.build_kernel_table(0.7, 1.0, 32)
+        return table, pth.sample_fbm_volterra(table, 2000, seed=3)
+
+    def test_workers_keep_the_callers_errstate(self, setup32, monkeypatch):
+        # at sigma = 400 the nested sums overflow and underflow; the caller's
+        # np.errstate must hold in the worker's tasks too
+        table, paths = setup32
+        params = make_params(sigma=400.0)
+        monkeypatch.setattr(fn, "_workers", lambda n_blocks: 2)
+
+        def passes():
+            ml.phi_x_batch(paths, table, params, 50, seed=5, stride=8)
+            ml.dphi_bound_check(paths, table, params, 50, seed=6, stride=8)
+            ml.d2x(paths, table, params, ml.phi_subgrid(32, stride=8))
+
+        for quiet in (False, True):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with np.errstate(all="ignore" if quiet else "warn"):
+                    passes()
+            warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert bool(warned) is not quiet      # they do warn, unless told not to
+
+    def test_worker_exception_reaches_the_caller(self, setup32, monkeypatch):
+        table, paths = setup32
+        monkeypatch.setattr(fn, "_workers", lambda n_blocks: 2)
+        main = threading.main_thread()
+        taken = threading.Event()
+        inner = pth.inner_fluctuations
+
+        def failing(*args):
+            if threading.current_thread() is main:
+                # the main thread takes a group too: it waits here until the
+                # worker thread has taken one
+                assert taken.wait(timeout=30)
+                return inner(*args)
+            taken.set()
+            raise RuntimeError("inner draw failed")
+
+        monkeypatch.setattr(ml, "inner_fluctuations", failing)
+        with pytest.raises(RuntimeError, match="inner draw failed"):
+            ml.phi_x_batch(paths, table, make_params(), 50, seed=5, stride=8)
+        assert taken.is_set()
+
+
 class TestQuadratureWeights:
     def test_exact_for_linear_smooth_part(self, table64):
         # f(theta) = theta^(1-2H) (c0 + c1 theta): product rule is exact once
@@ -629,10 +719,11 @@ class TestConditionalMeanSweep:
         direct = ml._nested(paths, table64, params, idx, 50, 6, 1, idx)
 
         def swept_means(table, increments, k):
+            # the driver passes a stack of blocks, (..., CHUNK_OUTER, n)
             if k == 0:
-                return np.zeros((increments.shape[0], table.n + 1))
-            cells = table.volterra_matrix[None, :, :k] * increments[:, None, :k]
-            return np.cumsum(cells, axis=2)[:, :, -1]
+                return np.zeros(increments.shape[:-1] + (table.n + 1,))
+            cells = table.volterra_matrix[:, :k] * increments[..., None, :k]
+            return np.cumsum(cells, axis=-1)[..., -1]
 
         monkeypatch.setattr(ml, "conditional_means", swept_means)
         swept = ml._nested(paths, table64, params, idx, 50, 6, 1, idx)

@@ -103,9 +103,10 @@ def test_cache_saves_run_on_the_main_thread(tmp_path, monkeypatch):
 
 def test_bounds_run_opens_no_span_off_the_main_thread(tmp_path, monkeypatch):
     # a bounds run with the clark_ocone and derivatives suites, and the tail
-    # suite for its outer sample: the ln F draws, the Clark-Ocone sweep and
-    # the Phi_X lower-bound sweep run their blocks on worker threads, and only
-    # the calls into them are traced
+    # suite for its outer sample: the ln F draws, the Clark-Ocone sweep, the
+    # Phi_X lower-bound sweep, the nested Phi_X pass and the D^2 X Gram
+    # products run their blocks on worker threads, and only the calls into
+    # them are traced
     opened = install_thread_tracer(monkeypatch)
     monkeypatch.setattr(fn, "_workers", lambda n_blocks: min(n_blocks, 3))
     main = threading.main_thread().ident
@@ -126,10 +127,11 @@ def test_bounds_run_opens_no_span_off_the_main_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fn, "run_blocks", recording_run_blocks)
     monkeypatch.setattr(ml, "run_blocks", recording_run_blocks)
+    nested_paths = ml._sweep_paths(16) + 1
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "grid_n": 16, "outer_paths": 2 * rng.BATCH + 1, "centering_paths": rng.BATCH + 1,
-        "nested_paths": ml._sweep_paths(16) + 1, "inner_paths": 50,
+        "nested_paths": nested_paths, "inner_paths": 50,
         "subgrid_stride": 4, "seed": 6,
         "suites": ["tail", "clark_ocone", "derivatives"], "out_dir": str(tmp_path)}))
     assert cli.main(["--config", str(cfg_path), "bounds"]) in (0, 1)
@@ -138,7 +140,20 @@ def test_bounds_run_opens_no_span_off_the_main_thread(tmp_path, monkeypatch):
             "malliavin.d2x", "density.sample_X_batch"} <= names
     assert {ident for _, ident in opened} == {main}
     assert set(ran) - {main}
-    assert len(ran) == 3 + 2 + 2 + 2        # outer, centering and both sweeps' blocks
+    # blocks per pass: the outer and centering ln F draws take 3 and 2
+    # batches, each sweep 2 blocks of _sweep_paths(16), the Phi_X pass 4
+    # groups of 8 nested blocks (no s columns), and the D^2 X Gram products
+    # (17 rows, 7 subgrid nodes) 2 blocks of TASK_ELEMENTS // 119 paths
+    def blocks(n, block):
+        return len(list(rng.batch_ranges(n, block)))
+
+    per_pass = [blocks(2 * rng.BATCH + 1, rng.BATCH), blocks(rng.BATCH + 1, rng.BATCH),
+                blocks(nested_paths, ml._sweep_paths(16)),
+                blocks(nested_paths, ml._sweep_paths(16)),
+                blocks(nested_paths, ml._group_blocks(16, 0) * ml.CHUNK_OUTER),
+                blocks(nested_paths, ml.TASK_ELEMENTS // (17 * len(ml.phi_subgrid(16, 4))))]
+    assert per_pass == [3, 2, 2, 2, 4, 2]
+    assert len(ran) == sum(per_pass)
 
 
 def test_rate_attributes_exist():
