@@ -453,8 +453,9 @@ class TestNestedWorkers:
         return table, pth.sample_fbm_volterra(table, 2000, seed=3)
 
     def test_workers_keep_the_callers_errstate(self, setup32, monkeypatch):
-        # at sigma = 400 the nested sums overflow and underflow; the caller's
-        # np.errstate must hold in the worker's tasks too
+        # at sigma = 400 1 / S_0 overflows where S_0 underflows, and the
+        # D_s Phi_X terms meet inf - inf; the caller's np.errstate must hold
+        # in the worker's tasks too
         table, paths = setup32
         params = make_params(sigma=400.0)
         monkeypatch.setattr(fn, "_workers", lambda n_blocks: 2)
@@ -465,9 +466,10 @@ class TestNestedWorkers:
             ml.d2x(paths, table, params, ml.phi_subgrid(32, stride=8))
 
         for quiet in (False, True):
+            state = "ignore" if quiet else "warn"
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                with np.errstate(all="ignore" if quiet else "warn"):
+                with np.errstate(over=state, invalid=state):
                     passes()
             warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
             assert bool(warned) is not quiet      # they do warn, unless told not to
