@@ -1,4 +1,5 @@
-"""Reproducible experiment driver.
+"""Reproducible experiment driver: configuration, caches, suite selection
+and output; the checks themselves live beside their estimators.
 
 Subcommands: kernel-verify, simulate, density, bounds, malliavin, report.
 A run is a pure function of its configuration: the effective config (all
@@ -6,10 +7,11 @@ defaults resolved), its hash, the seed and the code version are embedded in
 every output file (the BLAS setup and worker count in the JSON files), and
 identical configs produce byte-identical CSV/JSON at one BLAS thread count.
 
-bounds, malliavin and density share one runner: each writes <command>.json
-(provenance, reports, summary) and a bound-<id>.csv per report, and prints
-one `reports.summarize` line per report, as report does. `--only` is a
-bounds option.
+Every command but report ends in _emit: it writes <command>.json and prints
+it (--json) or its text lines. bounds, malliavin and density share one
+runner, which writes a bound-<id>.csv per report (reports.write_columns)
+and prints one `reports.summarize` line per report, as report does.
+`--only` is a bounds option.
 
 Exit codes, the same for every command: 0 all selected suites pass, 1 bound
 violation, 2 configuration error, 3 resource/budget exceeded (also when a
@@ -18,7 +20,6 @@ cache or output file cannot be written).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -40,7 +41,7 @@ from . import kernel as kn
 from . import malliavin as ml
 from . import paths as pth
 from . import rng
-from .reports import Z, point_report, range_violations, summarize, summary_report
+from .reports import Z, point_report, summarize, write_columns
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -212,14 +213,6 @@ def _writing(path):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_json(path, payload):
-    with _writing(path):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # caches
 # ---------------------------------------------------------------------------
@@ -327,55 +320,18 @@ def _nested_paths(cfg, table, ctx):
                  lambda: pth.sample_fbm_volterra(table, cfg.nested_paths, cfg.seed))
 
 
-def _range_summary(name, values, bound, se=None):
-    """The summary of values (one row per path; a vector is one column) that
-    a range report and malliavin-profile.csv read, keyed name_<field>:
-    per column max, mean (the bits of values[:, c].mean(); an axis-0 mean
-    sums in another order) and violations, the count outside 0 <= v <= bound
-    within 1e-9 bound + Z se; with se, also se_max and se_mean."""
-    def columns(a):
-        a = np.asarray(a).reshape(len(a), -1)
-        return a, a.max(axis=0), np.array([a[:, c].mean() for c in range(a.shape[1])])
-
-    values, vmax, vmean = columns(values)
-    out = {f"{name}_max": vmax, f"{name}_mean": vmean}
-    if se is None:
-        out[f"{name}_violations"] = range_violations(values, bound)
-    else:
-        se, out[f"{name}_se_max"], out[f"{name}_se_mean"] = columns(se)
-        out[f"{name}_violations"] = range_violations(values, bound, se)
-    return out
-
-
 def _nested_run(cfg, table, ctx):
-    """Per-path ln F and Phi_X (the w suite reads both), and the summaries
-    that the derivative reports and malliavin-profile.csv read (cached): the
-    _range_summary of D_theta X, E[D_theta X | F_theta] and Phi_X, the least
-    Phi_X - lower with its violations, and the D^2 X summary."""
-    params = cfg.model_params()
-
+    """The malliavin.derivative_summary of the nested paths (cached): per
+    path ln F and Phi_X, which the w suite reads, and the summaries that the
+    derivative reports and malliavin-profile.csv read."""
     def load(path):
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             return {k: data[k] for k in data.files}
 
     def build():
-        paths = _nested_paths(cfg, table, ctx)
-        prof = ml.phi_x_batch(paths, table, params, cfg.inner_paths, cfg.seed,
-                              stride=cfg.subgrid_stride)
-        idx = np.asarray(prof.meta["indices"])
-        bounds = ml.dx_bounds(table, params, idx)
-        s2T = params.sigma ** 2 * params.T ** (2 * params.H)
-        phi, phi_se = prof.phi, prof.phi_se
-        lower, _ = ml.phi_lower_bound_terms(paths, table, params)
-        d2x_max, d2x_min, d2x_violations = _d2x_summary(paths, table, params, idx)
-        return {"lnF": fn.LogFunctional(paths, params).lnF, "phi": phi, "indices": idx,
-                **_range_summary("dx", prof.dX, bounds),
-                **_range_summary("cond", prof.cond_dX, bounds, prof.cond_se),
-                **_range_summary("phi", phi, s2T, phi_se),
-                "phi_lower_min": (phi - lower).min(),
-                "phi_lower_violations": int(np.sum(phi < lower - Z * phi_se - 1e-9 * s2T)),
-                "d2x_max": d2x_max, "d2x_min": d2x_min,
-                "d2x_violations": d2x_violations}
+        return ml.derivative_summary(_nested_paths(cfg, table, ctx), table,
+                                     cfg.model_params(), cfg.inner_paths, cfg.seed,
+                                     stride=cfg.subgrid_stride)
 
     return _once(ctx, "nested", lambda: _cached(
         _cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz", load, build,
@@ -446,18 +402,29 @@ def _check_line(c):
             f"{c['value']:.3e} (tol {c['tolerance']:.1e})")
 
 
-def cmd_kernel_verify(cfg, args):
-    checks = kernel_checks(cfg)
-    payload = dict(_provenance(cfg), checks=checks)
-    out = Path(cfg.out_dir) / "kernel-verify.json"
-    _write_json(out, payload)
-    failed = [c for c in checks if not c["pass"]]
+def _emit(cfg, args, command, fields, lines, failed=False):
+    """Write <command>.json, the provenance plus the command's fields; print
+    that JSON with --json, else the text lines; return the exit code."""
+    payload = dict(_provenance(cfg), **fields)
+    path = Path(cfg.out_dir) / f"{command}.json"
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write("\n")
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for c in checks:
-            print(_check_line(c))
+        for line in lines:
+            print(line)
     return EXIT_VIOLATION if failed else EXIT_OK
+
+
+def cmd_kernel_verify(cfg, args):
+    checks = kernel_checks(cfg)
+    return _emit(cfg, args, "kernel-verify", {"checks": checks},
+                 [_check_line(c) for c in checks],
+                 failed=any(not c["pass"] for c in checks))
 
 
 # ---------------------------------------------------------------------------
@@ -466,30 +433,20 @@ def cmd_kernel_verify(cfg, args):
 
 def cmd_simulate(cfg, args):
     table = _table_for(cfg)
-    params = cfg.model_params()
-    out_dir = Path(cfg.out_dir)
-    csv_path = out_dir / f"samples-{cfg.sim_hash()}.csv"
-
-    if cfg.outer_paths == 0:
-        centering = fn.CenteringEstimate(0.0, 0.0, 0, cfg.seed)
-        with _writing(csv_path):
-            fn.write_samples_csv(csv_path, np.empty(0), params, centering,
-                                 header_meta=_csv_meta(cfg))
-        print(f"wrote {csv_path} (empty batch)")
-        return EXIT_OK
-
-    batch = _sim_batch(cfg, table)
-    with _writing(csv_path):
-        fn.write_samples_csv(csv_path, batch.lnF, params, batch.centering,
-                             header_meta=_csv_meta(cfg))
-    payload = dict(_provenance(cfg), summary=batch.meta, samples_csv=csv_path.name)
-    _write_json(out_dir / "simulate.json", payload)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
+    csv_path = Path(cfg.out_dir) / f"samples-{cfg.sim_hash()}.csv"
+    if cfg.outer_paths == 0:        # an empty batch, with an empty summary
+        batch = dn.SampleBatch(lnF=np.empty(0), params=cfg.model_params(),
+                               centering=fn.CenteringEstimate(0.0, 0.0, 0, cfg.seed))
+        line = f"wrote {csv_path} (empty batch)"
     else:
-        print(f"wrote {csv_path} ({batch.n_samples} paths), "
-              f"mean F {batch.meta['mean_F']:.6f}")
-    return EXIT_OK
+        batch = _sim_batch(cfg, table)
+        line = (f"wrote {csv_path} ({batch.n_samples} paths), "
+                f"mean F {batch.meta['mean_F']:.6f}")
+    with _writing(csv_path):
+        fn.write_samples_csv(csv_path, batch.lnF, batch.params, batch.centering,
+                             header_meta=_csv_meta(cfg))
+    return _emit(cfg, args, "simulate",
+                 {"summary": batch.meta, "samples_csv": csv_path.name}, [line])
 
 
 def _csv_meta(cfg):
@@ -524,74 +481,10 @@ def _suite_envelopes(cfg, table, ctx):
                                sample_var_F=batch.meta["var_F"])
 
 
-def _summary_range_report(nested, name, bound_id, description, points, bound):
-    """The range report of a quantity from its _range_summary in nested."""
-    return summary_report(bound_id, description, points, nested[f"{name}_max"], bound,
-                          nested[f"{name}_violations"], len(nested["phi"]),
-                          se=nested.get(f"{name}_se_max", 0.0))
-
-
 def _suite_derivatives(cfg, table, ctx):
     if cfg.nested_paths < 1:
         raise ValueError("derivatives needs nested_paths >= 1")
-    nested = _nested_run(cfg, table, ctx)
-    params = cfg.model_params()
-    idx = nested["indices"].astype(int)
-    bounds = ml.dx_bounds(table, params, idx)
-    theta = table.grid[idx]
-    s2T = params.sigma ** 2 * params.T ** (2 * params.H)
-    reports = [
-        _summary_range_report(nested, "dx", "dx_range",
-                              "0 <= D_theta X <= sigma K(T, theta)", theta, bounds),
-        _summary_range_report(nested, "cond", "cond_dx_range",
-                              "0 <= E[D_theta X | F_theta] <= sigma K(T, theta)",
-                              theta, bounds),
-        _summary_range_report(nested, "phi", "phi_upper", "0 <= Phi_X <= sigma^2 T^2H",
-                              [0.0], s2T),
-        # Phi_X - lower >= 0 within Z SE; the tolerance 0 + Z se is the
-        # largest of the paths' Z phi_se
-        summary_report("phi_lower",
-                       ("Phi_X >= (sigma^2/T) e^{-3|a|T + sigma(min B - max B + "
-                        "min N)} T^(2H+2)/((2H+2) max M)"),
-                       [0.0], nested["phi_lower_min"], 0.0,
-                       nested["phi_lower_violations"], len(nested["phi"]),
-                       se=nested["phi_se_max"])]
-
-    d2_bounds, d2_tol = _d2x_limits(table, params, idx)
-    reports.append(summary_report(
-        "d2x_range", "0 <= D_r D_theta X <= 2 sigma^2 K(T,theta) K(T,r)",
-        [0.0], nested["d2x_max"], d2_bounds.max(), nested["d2x_violations"],
-        cfg.nested_paths, tolerance=d2_tol.max(),
-        meta={"min_entry": float(nested["d2x_min"])}))
-    return reports
-
-
-def _d2x_limits(table, params, idx):
-    """The d2x_range bound 2 sigma^2 K(T, theta) K(T, r) at the nodes idx,
-    and its tolerance."""
-    bounds = ml.d2x_bounds(table, params, idx)
-    return bounds, 1e-9 * np.maximum(bounds, 1e-300)
-
-
-def _d2x_summary(paths, table, params, idx):
-    """(max, min, violations) of D_r D_theta X at the nodes idx over the
-    paths, computed in path chunks, for the nested cache (which keeps no D^2 X).
-    A negative entry is a violation beyond rounding, 1e-12 of its own path's
-    largest |entry|."""
-    d2_bounds, d2_tol = _d2x_limits(table, params, idx)
-    d2_viol = 0
-    d2_max = -np.inf
-    d2_min = np.inf
-    chunk = max(64, 2 ** 22 // max(1, len(idx) ** 2))
-    for start in range(0, paths.n_paths, chunk):
-        sub = paths.subset(slice(start, min(start + chunk, paths.n_paths)))
-        d2 = ml.d2x(sub, table, params, indices=idx)
-        scale = np.maximum(np.abs(d2).max(axis=(1, 2)), 1e-300)[:, None, None]
-        d2_viol += int(np.sum(d2 > d2_bounds[None] + d2_tol[None])
-                       + np.sum(d2 < -1e-12 * scale))
-        d2_max = max(d2_max, float(d2.max()))
-        d2_min = min(d2_min, float(d2.min()))
-    return d2_max, d2_min, d2_viol
+    return ml.derivative_reports(_nested_run(cfg, table, ctx), table, cfg.model_params())
 
 
 def _suite_w(cfg, table, ctx):
@@ -601,14 +494,12 @@ def _suite_w(cfg, table, ctx):
 
 
 def _suite_dphi(cfg, table, ctx):
-    # doubly nested and expensive: runs on the first 2000 nested paths, and
-    # the reports carry the covered fraction
+    # on the first malliavin.DPHI_PATHS nested paths
     if cfg.nested_paths < 1:
         raise ValueError("dphi needs nested_paths >= 1")
-    out = ml.dphi_bound_check(_nested_paths(cfg, table, ctx), table, cfg.model_params(),
-                              cfg.inner_paths, cfg.seed, stride=cfg.subgrid_stride,
-                              max_paths=2_000)
-    return out["reports"]
+    return ml.dphi_bound_check(_nested_paths(cfg, table, ctx), table, cfg.model_params(),
+                               cfg.inner_paths, cfg.seed,
+                               stride=cfg.subgrid_stride)["reports"]
 
 
 def _suite_clark_ocone(cfg, table, ctx):
@@ -650,9 +541,9 @@ BOUND_IDS = {
 def _run_suites(cfg, args, command, names, only=None, finish=None):
     """Run the named suites (with `only`, those holding that suite or bound
     id, keeping only its reports), then finish(cfg, table, ctx), which writes
-    the command's own files and returns its extra JSON fields. Write
-    <command>.json and bound-<id>.csv per report, print, return the exit code.
-    A ValueError is a configuration error."""
+    the command's own files and returns its extra JSON fields. Write a
+    bound-<id>.csv per report, then _emit the reports. A ValueError is a
+    configuration error."""
     table = _table_for(cfg)
     ctx = {"allow_simulate": not args.no_simulate}
     try:
@@ -667,21 +558,15 @@ def _run_suites(cfg, args, command, names, only=None, finish=None):
         print(f"configuration error in {command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(cfg.out_dir)
-    payload = dict(_provenance(cfg), **extra,
-                   reports=[r.to_dict() for r in reports],
-                   summary={r.bound_id: r.description for r in reports})
-    _write_json(out_dir / f"{command}.json", payload)
     for r in reports:
-        path = out_dir / f"bound-{r.bound_id}.csv"
+        path = Path(cfg.out_dir) / f"bound-{r.bound_id}.csv"
         with _writing(path):
             r.write_csv(path)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in summarize(payload["reports"]):
-            print(line)
-    return EXIT_VIOLATION if any(not r.passed for r in reports) else EXIT_OK
+    dicts = [r.to_dict() for r in reports]
+    return _emit(cfg, args, command,
+                 dict(extra, reports=dicts,
+                      summary={r.bound_id: r.description for r in reports}),
+                 summarize(dicts), failed=any(not r.passed for r in reports))
 
 
 def cmd_bounds(cfg, args):
@@ -694,18 +579,12 @@ def _malliavin_profile(cfg, table, ctx):
     idx = nested["indices"].astype(int)
     bounds = ml.dx_bounds(table, cfg.model_params(), idx)
     path = Path(cfg.out_dir) / "malliavin-profile.csv"
-    with _writing(path), open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "mean_dX", "bound_sigma_K", "margin",
-                         "mean_cond_dX", "mean_inner_se"])
-        for c, k in enumerate(idx):
-            mean_dx = float(nested["dx_mean"][c])
-            writer.writerow([repr(float(table.grid[k])),
-                             repr(mean_dx),
-                             repr(float(bounds[c])),
-                             repr(mean_dx - float(bounds[c])),
-                             repr(float(nested["cond_mean"][c])),
-                             repr(float(nested["cond_se_mean"][c]))])
+    with _writing(path):
+        write_columns(path, ["theta", "mean_dX", "bound_sigma_K", "margin",
+                             "mean_cond_dX", "mean_inner_se"],
+                      [table.grid[idx], nested["dx_mean"], bounds,
+                       nested["dx_mean"] - bounds, nested["cond_mean"],
+                       nested["cond_se_mean"]])
     return {}
 
 
@@ -719,13 +598,9 @@ def _density_fields(cfg, table, ctx):
     dens = _density(cfg, table, ctx)
     densF = dn.induced_density_F(dens, _batch(cfg, table, ctx).centering)
     path = Path(cfg.out_dir) / "density.csv"
-    with _writing(path), open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "density", "se", "x_F", "density_F"])
-        for i in range(len(dens.x)):
-            writer.writerow([repr(float(dens.x[i])), repr(float(dens.density[i])),
-                             repr(float(dens.se[i])), repr(float(densF.x[i])),
-                             repr(float(densF.density[i]))])
+    with _writing(path):
+        write_columns(path, ["x", "density", "se", "x_F", "density_F"],
+                      [dens.x, dens.density, dens.se, densF.x, densF.density])
     return {"density": dens.to_dict(), "density_F": densF.to_dict()}
 
 

@@ -87,8 +87,11 @@ def sample_X_batch(params: ModelParams, table: KernelTable, n_paths, seed,
     uses the same constant. ln F comes from functional.sample_lnF: worker
     threads hold one batch of increments each and no path array, and the
     ln F of path p is bit-identical to LogFunctional on
-    sample_fbm_volterra(table, P, seed) for any P > p.
+    sample_fbm_volterra(table, P, seed) for any P > p. The sample moments
+    need n_paths >= 2.
     """
+    if n_paths < 2:
+        raise ValueError(f"the sample needs outer_paths >= 2, got {n_paths}")
     batch = SampleBatch(lnF=sample_lnF(params, table, n_paths, seed), params=params,
                         centering=centering)
     F, X = batch.F, batch.X

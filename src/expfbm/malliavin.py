@@ -46,7 +46,10 @@ dt), with the matching cell-averaged upper bound. Index n is exact (value 0).
 The theta-integral of Phi_X uses a product-trapezoid rule with weight
 theta^(1-2H) and exact moments, which integrates the left-end singularity of
 the integrand instead of truncating it.
-"""
+
+The checks sit beside their estimators: derivative_reports builds the
+derivative reports from a derivative_summary (what the CLI's nested cache
+holds); dphi_bound_check reports on the first DPHI_PATHS paths."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -59,7 +62,7 @@ from .kernel import KernelTable
 from .paths import (FbmPaths, _lognormal_shift, conditional_lognormal,
                     conditional_lognormal_sweep, conditional_means, inner_fluctuations,
                     map_rows, pad_rows, trapezoid_weights)
-from .reports import range_report
+from .reports import Z, range_report, range_summary, summary_report
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
                            # determinism contract, stream keys include the block)
@@ -67,6 +70,10 @@ CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
 # Elements of the largest temporary of a task of d2x or _nested: the
 # paths per d2x block and the blocks per _nested group (_group_blocks).
 TASK_ELEMENTS = 2 ** 18
+
+# Paths that dphi_bound_check covers: it is doubly nested, the costliest
+# pass, so its reports carry the covered fraction.
+DPHI_PATHS = 2_000
 
 
 @dataclass
@@ -154,6 +161,34 @@ def d2x_bounds(table: KernelTable, params, indices):
     """2 sigma^2 K(T,theta) K(T,r) on the same index convention."""
     cols = _kernel_columns(table, indices)[-1]
     return 2.0 * params.sigma ** 2 * cols[:, None] * cols[None, :]
+
+
+def _d2x_limits(table, params, idx):
+    """The d2x_range bound 2 sigma^2 K(T, theta) K(T, r) at the nodes idx,
+    and its tolerance."""
+    bounds = d2x_bounds(table, params, idx)
+    return bounds, 1e-9 * np.maximum(bounds, 1e-300)
+
+
+def _d2x_summary(paths, table, params, idx):
+    """max, min and violations of D_r D_theta X at the nodes idx over the
+    paths, keyed d2x_max, d2x_min and d2x_violations, computed in path chunks
+    (the summary keeps no D^2 X). A negative entry is a violation beyond
+    rounding, 1e-12 of its own path's largest |entry|."""
+    d2_bounds, d2_tol = _d2x_limits(table, params, idx)
+    d2_viol = 0
+    d2_max = -np.inf
+    d2_min = np.inf
+    chunk = max(64, 2 ** 22 // max(1, len(idx) ** 2))
+    for start in range(0, paths.n_paths, chunk):
+        sub = paths.subset(slice(start, min(start + chunk, paths.n_paths)))
+        d2 = d2x(sub, table, params, indices=idx)
+        scale = np.maximum(np.abs(d2).max(axis=(1, 2)), 1e-300)[:, None, None]
+        d2_viol += int(np.sum(d2 > d2_bounds[None] + d2_tol[None])
+                       + np.sum(d2 < -1e-12 * scale))
+        d2_max = max(d2_max, float(d2.max()))
+        d2_min = min(d2_min, float(d2.min()))
+    return {"d2x_max": d2_max, "d2x_min": d2_min, "d2x_violations": d2_viol}
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +471,72 @@ def phi_lower_bound_terms(paths: FbmPaths, table: KernelTable, params):
 
 
 # ---------------------------------------------------------------------------
+# derivative checks
+# ---------------------------------------------------------------------------
+
+def derivative_summary(paths: FbmPaths, table: KernelTable, params, n_inner, seed,
+                       stride=4) -> dict:
+    """What the derivative reports read, as arrays: per path ln F and Phi_X;
+    the subgrid indices; the range_summary of D_theta X, E[D_theta X |
+    F_theta] and Phi_X, keyed dx_, cond_ and phi_<field>; the least Phi_X
+    minus its lower bound and that bound's violations, Phi_X below it by
+    more than Z phi_se + 1e-9 sigma^2 T^2H; and the D^2 X summary."""
+    prof = phi_x_batch(paths, table, params, n_inner, seed, stride=stride)
+    idx = np.asarray(prof.meta["indices"])
+    bounds = dx_bounds(table, params, idx)
+    s2T = params.sigma ** 2 * params.T ** (2 * params.H)
+    phi, phi_se = prof.phi, prof.phi_se
+    lower, _ = phi_lower_bound_terms(paths, table, params)
+    d2 = _d2x_summary(paths, table, params, idx)
+
+    def keyed(name, summary):
+        return {f"{name}_{k}": v for k, v in summary.items()}
+
+    return {"lnF": LogFunctional(paths, params).lnF, "phi": phi, "indices": idx,
+            **keyed("dx", range_summary(prof.dX, bounds)),
+            **keyed("cond", range_summary(prof.cond_dX, bounds, prof.cond_se)),
+            **keyed("phi", range_summary(phi, s2T, phi_se)),
+            "phi_lower_min": (phi - lower).min(),
+            "phi_lower_violations": int(np.sum(phi < lower - Z * phi_se - 1e-9 * s2T)),
+            **d2}
+
+
+def derivative_reports(summary, table: KernelTable, params):
+    """The reports dx_range, cond_dx_range, phi_upper, phi_lower and
+    d2x_range from a derivative_summary."""
+    idx = summary["indices"].astype(int)
+    bounds = dx_bounds(table, params, idx)
+    theta = table.grid[idx]
+    s2T = params.sigma ** 2 * params.T ** (2 * params.H)
+    n_paths = len(summary["phi"])
+
+    def from_summary(name, bound_id, description, points, bound):
+        return summary_report(bound_id, description, points, summary[f"{name}_max"],
+                              bound, summary[f"{name}_violations"], n_paths,
+                              se=summary.get(f"{name}_se_max", 0.0))
+
+    d2_bounds, d2_tol = _d2x_limits(table, params, idx)
+    return [
+        from_summary("dx", "dx_range", "0 <= D_theta X <= sigma K(T, theta)",
+                     theta, bounds),
+        from_summary("cond", "cond_dx_range",
+                     "0 <= E[D_theta X | F_theta] <= sigma K(T, theta)", theta, bounds),
+        from_summary("phi", "phi_upper", "0 <= Phi_X <= sigma^2 T^2H", [0.0], s2T),
+        # Phi_X - lower >= 0 within Z SE; the tolerance 0 + Z se is the
+        # largest of the paths' Z phi_se
+        summary_report("phi_lower",
+                       ("Phi_X >= (sigma^2/T) e^{-3|a|T + sigma(min B - max B + "
+                        "min N)} T^(2H+2)/((2H+2) max M)"),
+                       [0.0], summary["phi_lower_min"], 0.0,
+                       summary["phi_lower_violations"], n_paths,
+                       se=summary["phi_se_max"]),
+        summary_report("d2x_range", "0 <= D_r D_theta X <= 2 sigma^2 K(T,theta) K(T,r)",
+                       [0.0], summary["d2x_max"], d2_bounds.max(),
+                       summary["d2x_violations"], n_paths, tolerance=d2_tol.max(),
+                       meta={"min_entry": float(summary["d2x_min"])})]
+
+
+# ---------------------------------------------------------------------------
 # Clark-Ocone residual
 # ---------------------------------------------------------------------------
 
@@ -486,7 +587,7 @@ def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
 # ---------------------------------------------------------------------------
 
 def dphi_bound_check(paths: FbmPaths, table: KernelTable, params, n_inner,
-                     seed, stride=4, max_paths=None) -> dict:
+                     seed, stride=4) -> dict:
     """Estimate D_s Phi_X and verify its displayed bounds.
 
     D_s Phi_X = int D_s D_theta X * E[D_theta X|F_theta] dtheta
@@ -497,15 +598,14 @@ def dphi_bound_check(paths: FbmPaths, table: KernelTable, params, n_inner,
     E[D_s D_theta X|F_theta] 1{s <= theta} (Nualart 2006, Prop. 1.2.8).
     Checks 0 <= D_s Phi_X <= 4 sigma^3 K(T,s) T^2H and
     0 <= int D_s Phi_X E[D_s X|F_s] ds <= 4 sigma^4 T^4H within combined
-    inner-MC error. Honors a path budget; the report carries the coverage
-    fraction when truncated.
+    inner-MC error. Runs on the first DPHI_PATHS paths; the reports carry
+    the covered fraction.
     """
     paths.require_increments()
-    P_all = paths.n_paths
     coverage = 1.0
-    if max_paths is not None and P_all > max_paths:
-        coverage = max_paths / P_all
-        paths = paths.subset(slice(0, max_paths))
+    if paths.n_paths > DPHI_PATHS:
+        coverage = DPHI_PATHS / paths.n_paths
+        paths = paths.subset(slice(0, DPHI_PATHS))
 
     idx = phi_subgrid(table.n, stride=stride)
     omega = singular_quad_weights(table.grid, table.H, idx)

@@ -1,4 +1,5 @@
-"""Structured pass/fail records for inequality suites."""
+"""Structured pass/fail records for inequality suites, the range summary
+they are built from, and the one CSV writer of the package (write_columns)."""
 from __future__ import annotations
 
 import csv
@@ -84,20 +85,21 @@ class BoundReport:
 
     def write_csv(self, path):
         """Plot-ready rows: (x, lhs, rhs, margin, se, implied_c)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "lhs", "rhs", "margin", "se", "implied_c"])
-            pts = np.asarray(self.points)
-            lhs = np.asarray(self.lhs)
-            rhs = np.asarray(self.rhs)
-            se = np.asarray(self.se)
-            c = self.implied_constant
-            for i in range(len(pts)):
-                writer.writerow([
-                    repr(float(pts[i])), repr(float(lhs[i])), repr(float(rhs[i])),
-                    repr(float(lhs[i] - rhs[i])), repr(float(se[i])),
-                    "" if c is None else repr(float(c[i])),
-                ])
+        write_columns(path, ["x", "lhs", "rhs", "margin", "se", "implied_c"],
+                      [self.points, self.lhs, self.rhs, self.margins, self.se,
+                       self.implied_constant])
+
+
+def write_columns(path, header, columns):
+    """A CSV file of the header row, then one row per entry of the columns,
+    each field repr(float); a column that is None gives empty fields."""
+    rows = len(columns[0])
+    fields = [[""] * rows if c is None else [repr(float(v)) for v in c]
+              for c in columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*fields))
 
 
 _EXCEEDS = {
@@ -128,6 +130,24 @@ def range_violations(values, bound, se=0.0):
     return int(np.sum((values < -tol) | (values > bound + tol)))
 
 
+def range_summary(values, bound, se=None):
+    """The summary of values (one row per sample; a vector is one column)
+    that a range check reads: per column max, mean (the bits of
+    values[:, c].mean(); an axis-0 mean sums in another order) and
+    violations, the count outside 0 <= v <= bound within 1e-9 bound + Z se;
+    with se, also se_max and se_mean."""
+    def columns(a):
+        a = np.asarray(a).reshape(len(a), -1)
+        return a, a.max(axis=0), np.array([a[:, c].mean() for c in range(a.shape[1])])
+
+    values, vmax, vmean = columns(values)
+    out = {"max": vmax, "mean": vmean}
+    if se is not None:
+        se, out["se_max"], out["se_mean"] = columns(se)
+    out["violations"] = range_violations(values, bound, 0.0 if se is None else se)
+    return out
+
+
 def range_report(bound_id, description, values, bound, se=None, points=(0.0,),
                  meta=None) -> BoundReport:
     """0 <= v <= bound for every sample v, within 1e-9 bound + Z SE.
@@ -136,11 +156,10 @@ def range_report(bound_id, description, values, bound, se=None, points=(0.0,),
     scalar bound at one point, or a matrix against one bound per column at
     points. The report keeps each column's largest value and SE.
     """
-    values = np.asarray(values)
-    se = np.zeros(values.shape) if se is None else np.asarray(se)
-    return summary_report(bound_id, description, points, values.max(axis=0), bound,
-                          range_violations(values, bound, se), len(values),
-                          se=se.max(axis=0), meta=meta)
+    s = range_summary(values, bound, se)
+    return summary_report(bound_id, description, points, s["max"], bound,
+                          s["violations"], len(values), se=s.get("se_max", 0.0),
+                          meta=meta)
 
 
 def summary_report(bound_id, description, points, lhs, bound, violations, n_samples,

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import errno
 import json
@@ -41,6 +42,17 @@ def cached_run(tmp_path):
         "nested_paths": 300, "inner_paths": 50, "seed": 5,
         "suites": ["tail", "derivatives"], "out_dir": str(tmp_path / "run")}))
     return ["--config", str(cfg), "bounds"], tmp_path / "run"
+
+
+def read_columns(path):
+    """The header of a CSV file and its columns, as lists of fields."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, [list(c) for c in zip(*rows)] or [[] for _ in header]
+
+
+def assert_floats(fields, values):
+    np.testing.assert_array_equal([float(f) for f in fields], values)
 
 
 def sigma_zero_config(tmp_path, **fields):
@@ -444,6 +456,17 @@ class TestSimulate:
         data = [l for l in lines if not l.startswith("#")]
         assert data == ["path_id,F,lnF,X"]
 
+    def test_zero_paths_json(self, tmp_path, capsys):
+        # --json promises JSON on stdout, for an empty batch too
+        argv = ["--out", str(tmp_path), "--grid", "16", "--paths", "0", "--json",
+                "simulate"]
+        assert main(argv) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads((tmp_path / "simulate.json").read_text())
+        assert printed["summary"] == {}
+        assert (tmp_path / printed["samples_csv"]).is_file()
+        assert printed["samples_csv"] == f"samples-{printed['sim_hash']}.csv"
+
 
 class TestBounds:
     def test_full_suite_passes(self, small_config, capsys):
@@ -539,6 +562,23 @@ class TestBounds:
         assert main(["--config", str(p2), "bounds"]) in (EXIT_OK, EXIT_VIOLATION)
         assert calls == [3000]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["bounds", "--only", "tail"],
+                                         ["bounds", "--only", "mgf"],
+                                         ["bounds", "--only", "envelopes"],
+                                         ["bounds", "--only", "w"], ["density"]],
+                             ids=["tail", "mgf", "envelopes", "w", "density"])
+    def test_no_outer_paths_is_config_error(self, tmp_path, capsys, command):
+        # outer_paths = 0 leaves no sample: every suite that reads it (w for
+        # its centering constant) exits 2 before it is drawn or cached
+        cfg = tmp_path / "p0.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "centering_paths": 1000, "nested_paths": 300,
+            "inner_paths": 50, "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "--paths", "0", *command]) == EXIT_CONFIG
+        assert "outer_paths >= 2" in capsys.readouterr().err
+        assert not list((tmp_path / "run" / "cache").glob("sim-*"))
+
     def test_dphi_reports_its_coverage(self, tmp_path, capsys):
         # dphi runs on the first 2000 of the 3000 nested paths
         cfg = tmp_path / "dphi.json"
@@ -605,8 +645,9 @@ def test_d2x_violations_are_counted_path_by_path(table64, params, monkeypatch):
 
     monkeypatch.setattr(ml, "d2x", small_first_path)
     assert np.abs(d2x(paths, table64, params, indices=idx)).max() > 0.1
-    whole = cli._d2x_summary(paths, table64, params, idx)[2]
-    singles = [cli._d2x_summary(paths.subset(slice(p, p + 1)), table64, params, idx)[2]
+    whole = ml._d2x_summary(paths, table64, params, idx)["d2x_violations"]
+    singles = [ml._d2x_summary(paths.subset(slice(p, p + 1)), table64, params,
+                               idx)["d2x_violations"]
                for p in range(paths.n_paths)]
     assert singles[0] >= 1
     assert whole == sum(singles)
@@ -702,6 +743,59 @@ class TestReportCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["config_hash"] == ExperimentConfig.from_file(path).hash()
         assert set(payload["summary"]) == {r["bound_id"] for r in payload["reports"]}
+
+    @pytest.mark.parametrize("command", ["kernel-verify", "simulate", "bounds",
+                                         "malliavin", "density"])
+    def test_json_stdout_is_the_json_file(self, small_config, capsys, command):
+        path, out = small_config
+        assert main(["--config", str(path), "--json", command]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        written = json.loads((out / "run" / f"{command}.json").read_text())
+        # through dumps, so that a NaN equals itself
+        assert json.dumps(printed, sort_keys=True) == json.dumps(written, sort_keys=True)
+
+    def test_csv_fields_are_the_written_values(self, small_config, capsys):
+        # every CSV field parses back to the value of the JSON or the cache
+        # it came from; a report without an implied constant has empty ones
+        path, out = small_config
+        run = out / "run"
+        implied = set()
+        for command in ("bounds", "malliavin", "density"):
+            assert main(["--config", str(path), command]) == EXIT_OK
+            for r in json.loads((run / f"{command}.json").read_text())["reports"]:
+                header, cols = read_columns(run / f"bound-{r['bound_id']}.csv")
+                assert header == ["x", "lhs", "rhs", "margin", "se", "implied_c"]
+                for col, key in zip(cols, ("points", "lhs", "rhs", "margins", "se")):
+                    assert_floats(col, r[key])
+                if r["implied_constant"] is None:
+                    assert cols[5] == [""] * len(r["points"])
+                else:
+                    assert_floats(cols[5], r["implied_constant"])
+                    implied.add(r["bound_id"])
+        assert {"left_envelope", "right_envelope"} <= implied
+
+        cfg = ExperimentConfig.from_file(path)
+        table = cli._table_for(cfg)
+        mal = run / "cache" / f"mal-{cfg.cache_key(cli.NESTED_FIELDS)}.npz"
+        with np.load(mal) as nested:
+            idx = nested["indices"]
+            bounds = ml.dx_bounds(table, cfg.model_params(), idx)
+            expected = [table.grid[idx], nested["dx_mean"], bounds,
+                        nested["dx_mean"] - bounds, nested["cond_mean"],
+                        nested["cond_se_mean"]]
+        header, cols = read_columns(run / "malliavin-profile.csv")
+        assert header == ["theta", "mean_dX", "bound_sigma_K", "margin",
+                          "mean_cond_dX", "mean_inner_se"]
+        for col, values in zip(cols, expected, strict=True):
+            assert_floats(col, values)
+
+        payload = json.loads((run / "density.json").read_text())
+        dens, densF = payload["density"], payload["density_F"]
+        header, cols = read_columns(run / "density.csv")
+        assert header == ["x", "density", "se", "x_F", "density_F"]
+        expected = [dens["x"], dens["density"], dens["se"], densF["x"], densF["density"]]
+        for col, values in zip(cols, expected, strict=True):
+            assert_floats(col, values)
 
     def test_malliavin_writes_bound_csvs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -862,9 +862,9 @@ class TestDphi:
             dphi = out["dphi"][:, np.searchsorted(idx, s)].mean()
             assert abs(dphi / np.mean(diffs) - 1.0) < 0.1, s
 
-    def test_budget_coverage(self, table64, params):
+    def test_budget_coverage(self, table64, params, monkeypatch):
         paths = pth.sample_fbm_volterra(table64, 100, seed=22)
-        out = ml.dphi_bound_check(paths, table64, params, 100, seed=10,
-                                  max_paths=40)
+        monkeypatch.setattr(ml, "DPHI_PATHS", 40)
+        out = ml.dphi_bound_check(paths, table64, params, 100, seed=10)
         assert out["reports"][0].meta["coverage"] == pytest.approx(0.4)
         assert out["dphi"].shape[0] == 40

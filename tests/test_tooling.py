@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps package functions by name, and its checks
-expect each command's bound ids: keep them there."""
+expect each command's bound ids: keep them there. tests/compare_outputs.py
+tells two output directories apart."""
 import functools
 import importlib
 import importlib.util
@@ -7,6 +8,8 @@ import json
 import sys
 import threading
 from pathlib import Path
+
+import numpy as np
 
 import expfbm.cli as cli
 from expfbm import density as dn
@@ -19,13 +22,16 @@ from expfbm.malliavin import MalliavinProfile
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(f"{path.parent.name}_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module          # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def load_perfbench(name):
+    return load_script(PERFBENCH / f"{name}.py")
 
 
 def test_traced_names_resolve():
@@ -183,3 +189,38 @@ def test_bound_ids_match_benchmark(tmp_path, monkeypatch, capsys):
     assert set(cli.BOUND_IDS) == set(cli.SUITES)
     for name, suite in cli.SUITES.items():
         assert [r.bound_id for r in suite(cfg, table, ctx)] == cli.BOUND_IDS[name]
+
+
+def test_compare_outputs_flags_a_changed_float(tmp_path, capsys):
+    # two runs of one config into two directories compare equal (their
+    # out_dir and config_hash differ); one changed float in bounds.json and
+    # one in a nested-cache array are each flagged
+    compare = load_script(Path(__file__).parent / "compare_outputs.py")
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        cfg_path = tmp_path / f"{run.name}.json"
+        cfg_path.write_text(json.dumps({
+            "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+            "nested_paths": 300, "inner_paths": 50, "seed": 5,
+            "suites": ["tail", "derivatives"], "out_dir": str(run)}))
+        assert cli.main(["--config", str(cfg_path), "bounds"]) == 0
+    capsys.readouterr()
+    assert compare.main([str(r) for r in runs]) == 0
+    assert capsys.readouterr().out == "identical: 10 files\n"
+
+    bounds_json = runs[1] / "bounds.json"
+    payload = json.loads(bounds_json.read_text())
+    lhs = payload["reports"][0]["lhs"]
+    lhs[0] = float(np.nextafter(lhs[0], np.inf))
+    bounds_json.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    (mal,) = (runs[1] / "cache").glob("mal-*.npz")
+    with np.load(mal) as data:
+        arrays = {k: data[k] for k in data.files}      # in the file's order
+    arrays["phi"][3] = np.nextafter(arrays["phi"][3], np.inf)
+    with open(mal, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert compare.main([str(r) for r in runs]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "2 differences"
+    assert out[0].startswith("bounds.json: .reports[0].lhs[0]: ")
+    assert out[1] == f"cache/{mal.name}: phi: bytes differ"
