@@ -21,8 +21,9 @@ each task takes a group of consecutive blocks of CHUNK_OUTER paths (the
 last one zero-padded by paths.pad_rows) and walks every subgrid node for
 them. At each node it forms N as one product of each block's past
 increments with the Volterra columns (paths.conditional_means), draws one
-inner set Z per block and forms every inner sum in one GEMM of A with B^T
-per block, stacked over the group. Per-path estimates and
+inner set Z per block through paths.increment_stream, the package's one
+Gaussian sampler, and forms every inner sum in one GEMM of A with B^T per
+block, stacked over the group. Per-path estimates and
 their inner SEs keep their law, but the paths of one block share inner
 noise: the SE of a mean over paths must come from block means
 (block_mean_se). The Gram products of d2x run on run_blocks too.
@@ -60,8 +61,8 @@ from . import rng
 from .functional import LogFunctional, run_blocks
 from .kernel import KernelTable
 from .paths import (FbmPaths, _lognormal_shift, conditional_lognormal,
-                    conditional_lognormal_sweep, conditional_means, inner_fluctuations,
-                    map_rows, pad_rows, trapezoid_weights)
+                    conditional_lognormal_sweep, conditional_means, increment_stream,
+                    inner_fluctuations, map_rows, pad_rows, trapezoid_weights)
 from .reports import Z, range_report, range_summary, summary_report
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
@@ -279,9 +280,11 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
     zero-padded (paths.pad_rows), and walks every node of idx for them. At
     node k the conditional means N come from one product of each block's
     increments before t_k with the Volterra columns (paths.conditional_means),
-    and each block draws its own inner set from the stream (seed, INNER,
-    stage, k, block). Inner path q of outer path p is N_p + Z_q (a
-    fluctuation shared by the block), so its integrand factors as
+    each block draws its future increments from paths.increment_stream keyed
+    (seed, INNER, stage, k, block) into one buffer of the group, and
+    paths.inner_fluctuations maps them in one stacked product. Inner path q
+    of outer path p is N_p + Z_q (a fluctuation shared by the block), so its
+    integrand factors as
     exp(a t_i + sigma N_{p,i}) exp(sigma Z_{q,i}) = A_{p,i} B_{q,i}. Every
     inner sum over i is then sum_i A_{p,i} c_i B_{q,i}: one GEMM per block
     and node over the columns c = [1, K(., t_k), K(., s), K(., t_k) K(., s)],
@@ -318,8 +321,8 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
         nodes.append((c, k, ns, tauK, np.ascontiguousarray(tauK[k:].T)))  # W: (2 + 2 ns, n-k+1)
     if not nodes:
         return est, se, est2, se2
-    if n_inner < 50:
-        raise ValueError("n_inner must be >= 50")
+    if n_inner < 50 or n_inner % 2:
+        raise ValueError(f"n_inner must be even (antithetic pairs) and >= 50, got {n_inner}")
 
     def group(_, start, stop):
         rows = stop - start
@@ -328,13 +331,16 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
         dB = pad_rows(paths.increments, start, stop, nb * CHUNK_OUTER)
         dB = dB.reshape(nb, CHUNK_OUTER, n)
         for c, k, ns, tauK, W in nodes:
-            logB = np.stack([inner_fluctuations(table, k, n_inner,
-                                                rng.stream(seed, rng.INNER, stage, k, b))
-                             for b in blks])
+            z = np.empty((nb, n_inner // 2, n - k))
+            for z_b, b in zip(z, blks):
+                increment_stream(grid, seed, rng.INNER, stage, k, b)(z_b)
+            logB = inner_fluctuations(table, k, z)
             logB *= sigma                                                # (g, Q, n-k+1)
-            B = np.exp(logB - logB.max(axis=2, keepdims=True))
+            logB -= logB.max(axis=2, keepdims=True)
+            B = np.exp(logB, out=logB)
             logA = params.a * grid + sigma * conditional_means(table, dB, k)
-            A = np.exp(logA - logA.max(axis=2, keepdims=True))           # (g, C, n+1)
+            logA -= logA.max(axis=2, keepdims=True)
+            A = np.exp(logA, out=logA)                                   # (g, C, n+1)
             G = np.ascontiguousarray(A[..., k:])[:, :, None, :] * W      # (g, C, c, n-k+1)
             # rows i < k are the frozen past: fluctuation 0, as at node k, so
             # their B is column 0's exp(-logB_max) and their sums join column 0

@@ -1,15 +1,15 @@
 """fBm path generation and the conditional Gaussian structure of the driving BM.
 
-Two generators:
+Every Gaussian draw of the package is made by increment_stream, one Philox
+substream per key. Two generators:
 
   * Volterra map (default): draws Brownian increments and applies the
     cell-integrated kernel weights. Keeps the increments, so conditional
     means, nested resampling and Clark-Ocone sums are available. The
-    increments of a batch are drawn in one place (increment_stream, one
-    Philox substream per batch) and mapped in padded blocks (map_rows,
-    below), so a path's values do not depend on the path count, on the
-    batch it is drawn in or on the thread that draws it (functional.sample_lnF
-    streams blocks of the same size on worker threads).
+    increments of a batch come from one substream and are mapped in padded
+    blocks (map_rows, below), so a path's values do not depend on the path
+    count, on the batch it is drawn in or on the thread that draws it
+    (functional.sample_lnF streams blocks of the same size on worker threads).
   * Cholesky factorization of the exact covariance: unbiased joint law at the
     grid nodes, used as the referee for the Volterra map's discretization bias.
     No driving increments, so conditional operations reject these paths.
@@ -27,8 +27,8 @@ One function per conditional object:
     means and the means themselves at every node k = 0..n, the exponent
     carried by a rank-2 update per node (the per-path passes; the lower
     bound reads sigma N off the exponent);
-  * inner_fluctuations: the conditional law's centred part, for nested
-    resampling.
+  * inner_fluctuations: the conditional law's centred part, the antithetic
+    Volterra map of future increments, for nested resampling.
 
 A product may round by its row count, so every product over path rows
 runs on fixed-size blocks, the last one zero-padded: pad_rows cuts a block,
@@ -100,17 +100,18 @@ class ConditionalLaw:
     variances: np.ndarray
 
 
-def increment_stream(grid, seed, purpose, b):
-    """The draw of batch b: a function that fills out (rows, n) with the
-    batch's next rows of i.i.d. N(0, dt) increments and returns it.
+def increment_stream(grid, seed, *key):
+    """The draw of substream rng.stream(seed, *key): a function that fills
+    out (rows, n) with the stream's next rows of i.i.d. N(0, dt) increments
+    and returns it.
 
-    Batch b of rng.batch_ranges comes from its own Philox substream
-    rng.stream(seed, purpose, b), so the increments of global path p never
-    depend on the path count, and batches can be drawn in any order. The
-    stream fills rows in order, so a batch drawn in pieces has the bits of
-    the batch drawn whole.
+    Batch b of rng.batch_ranges is keyed (purpose, b), so the increments of
+    global path p never depend on the path count, and batches can be drawn
+    in any order; malliavin's inner future of block b at node k is keyed
+    (INNER, stage, k, b). The stream fills rows in order, so a batch drawn
+    in pieces has the bits of the batch drawn whole.
     """
-    gen = rng.stream(seed, purpose, b)
+    gen = rng.stream(seed, *key)
     scale = np.sqrt(grid[1] - grid[0])
 
     def draw(out):
@@ -191,9 +192,8 @@ def sample_fbm_cholesky(H, grid, n_paths, seed):
         raise ValueError("Cholesky sampler limited to n <= 4096")
     L = cholesky_factor(H, grid)
     values = np.zeros((n_paths, n + 1))
-    for b, start, stop in rng.batch_ranges(n_paths):
-        gen = rng.stream(seed, rng.CHOLESKY, b)
-        values[start:stop, 1:] = map_rows(gen.standard_normal((stop - start, n)), L.T)
+    incr = sample_bm_increments(grid, seed, n_paths, purpose=rng.CHOLESKY)
+    values[:, 1:] = map_rows(incr, L.T / np.sqrt(grid[1] - grid[0]))
     return FbmPaths(grid=np.asarray(grid), values=values, increments=None,
                     seed=seed, method="cholesky")
 
@@ -218,20 +218,18 @@ def conditional_means(table: KernelTable, increments, k):
     return increments[..., :k] @ table.volterra_matrix[:, :k].T
 
 
-def inner_fluctuations(table: KernelTable, k, n_inner, gen):
-    """Antithetic draws of B_{t_i} - E[B_{t_i} | F_{t_k}] at the nodes i = k..n.
+def inner_fluctuations(table: KernelTable, k, dB):
+    """Antithetic fluctuations B_{t_i} - E[B_{t_i} | F_{t_k}] at the nodes i = k..n.
 
-    The future driving increments are resampled through the shared table, so
-    conditional mean plus fluctuation has exactly the conditional law of the
-    outer discrete model. The fluctuation does not depend on the past, so one
-    draw set serves every outer path. Returns (n_inner, n - k + 1); row q and
-    row q + n_inner/2 are an antithetic pair, and column 0 (node k) is zero.
+    The future driving increments dB (..., Q/2, n - k) are mapped through
+    the shared table in one product, so conditional mean plus fluctuation
+    has exactly the conditional law of the outer discrete model. The
+    fluctuation does not depend on the past, so one draw set serves every
+    outer path. Returns (..., Q, n - k + 1) = [zV, -zV]; rows q and q + Q/2
+    are an exact antithetic pair, and column 0 (node k) is zero.
     """
-    if n_inner % 2:
-        raise ValueError("antithetic inner sampling needs an even n_inner")
-    z = gen.standard_normal((n_inner // 2, table.n - k)) * np.sqrt(table.dt)
-    zV = z @ table.volterra_matrix[k:, k:].T       # rows t_k..T, future cells
-    return np.concatenate([zV, -zV])               # exact antithetic pairs
+    zV = dB @ table.volterra_matrix[k:, k:].T      # rows t_k..T, future cells
+    return np.concatenate([zV, -zV], axis=-2)
 
 
 def _lognormal_shift(table: KernelTable, params, k):

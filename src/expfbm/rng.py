@@ -2,7 +2,9 @@
 
 Every sampling stage draws from a stream keyed by (seed, purpose, *indices), so
 nested inner simulations never share a stream with outer paths and results are
-independent of how work is partitioned into batches.
+independent of how work is partitioned into batches. Two functions open
+streams: paths.increment_stream, for every Gaussian draw, and
+density.kde_log_domain, for the bootstrap's multinomial draw.
 """
 from __future__ import annotations
 

@@ -579,6 +579,29 @@ class TestBounds:
         assert "outer_paths >= 2" in capsys.readouterr().err
         assert not list((tmp_path / "run" / "cache").glob("sim-*"))
 
+    def test_no_outer_paths_w_skips_the_nested_pass(self, tmp_path, capsys):
+        # the w suite reads the sample first, so its nested pass neither runs
+        # nor is cached
+        cfg = tmp_path / "p0.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "centering_paths": 1000, "nested_paths": 300,
+            "inner_paths": 50, "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "--paths", "0", "bounds", "--only", "w"]) \
+            == EXIT_CONFIG
+        assert "outer_paths >= 2" in capsys.readouterr().err
+        assert not list((tmp_path / "run" / "cache").glob("mal-*.npz"))
+
+    def test_no_outer_paths_tail_skips_the_centering(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fn, "estimate_mean_lnF", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "p0.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "centering_paths": 1000, "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "--paths", "0", "bounds", "--only", "tail"]) \
+            == EXIT_CONFIG
+        assert "outer_paths >= 2" in capsys.readouterr().err
+        assert calls == []
+
     def test_dphi_reports_its_coverage(self, tmp_path, capsys):
         # dphi runs on the first 2000 of the 3000 nested paths
         cfg = tmp_path / "dphi.json"

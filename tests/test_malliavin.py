@@ -288,6 +288,8 @@ class TestConditionalDx:
         k = table64.index_of(0.5)
         with pytest.raises(ValueError):
             ml.conditional_dx_at(paths, table64, params, k, 10, seed=1)
+        with pytest.raises(ValueError, match="even"):
+            ml.conditional_dx_at(paths, table64, params, k, 51, seed=1)
         chol = pth.sample_fbm_cholesky(0.7, table64.grid, 2, seed=1)
         with pytest.raises(ValueError):
             ml.conditional_dx_at(chol, table64, params, k, 200, seed=1)
@@ -300,6 +302,32 @@ class TestConditionalDx:
             est, se = ml.conditional_dx_at(paths, table64, params, int(k), 50, seed=4)
             assert np.array_equal(est, prof.cond_dX[:, col])
             assert np.array_equal(se, prof.cond_se[:, col])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_inner_stream_keys(self, table64, params, monkeypatch, workers):
+        # each pass draws every inner stream (seed, INNER, stage, k, block)
+        # exactly once, for every subgrid node k < n and every block
+        keys = []
+        draw = pth.increment_stream
+
+        def recording(grid, seed, *key):
+            keys.append((seed,) + key)
+            return draw(grid, seed, *key)
+
+        monkeypatch.setattr(ml, "increment_stream", recording)
+        monkeypatch.setattr(fn, "_workers", lambda n_blocks: min(workers, n_blocks))
+        paths = pth.sample_fbm_volterra(table64, 3 * ml.CHUNK_OUTER + 5, seed=15)
+        idx = ml.phi_subgrid(table64.n, stride=16)
+        assert idx[-1] == table64.n
+        passes = {0: lambda: ml.phi_x_batch(paths, table64, params, 50, seed=6, stride=16),
+                  1: lambda: ml.dphi_bound_check(paths, table64, params, 50, seed=6,
+                                                 stride=16)}
+        for stage, run in passes.items():
+            keys.clear()
+            run()
+            expected = [(6, rng.INNER, stage, int(k), b)
+                        for k in idx[:-1] for b in range(4)]
+            assert sorted(keys) == sorted(expected)
 
     def test_nested_calls_no_conditional_law(self, table64, params, monkeypatch):
         # the nested estimates take their means from paths.conditional_means,

@@ -129,34 +129,36 @@ class TestConditionalLaw:
 
 class TestInnerFluctuations:
     def test_shapes_antithetic_and_zero_at_node(self, table64):
-        gen = np.random.Generator(np.random.Philox(1))
         k = 32
-        Z = pth.inner_fluctuations(table64, k, 8, gen)
+        dB = pth.increment_stream(table64.grid, 1, k)(np.empty((4, table64.n - k)))
+        Z = pth.inner_fluctuations(table64, k, dB)
         assert Z.shape == (8, table64.n - k + 1)
         assert np.all(Z[:, 0] == 0.0)
         assert np.array_equal(Z[:4], -Z[4:])
-        with pytest.raises(ValueError):
-            pth.inner_fluctuations(table64, k, 7, gen)
 
     def test_maps_the_half_draw_once(self, table64, table256):
         # [zV, -zV]: the pairs are exact negatives, and the values are those of
         # mapping the concatenated [z, -z] up to the GEMM's rounding, which
-        # depends on its row count (so the bits are not kept)
+        # depends on its row count (so the bits are not kept). A stack of
+        # draws maps as one product with the bits of each draw mapped alone.
         for table in (table64, table256):
             for k in (0, 1, table.n // 3, table.n - 1):
                 for n_inner in (50, 200):
-                    Z = pth.inner_fluctuations(table, k, n_inner, rng.stream(7, k))
-                    z = rng.stream(7, k).standard_normal((n_inner // 2, table.n - k))
-                    z *= np.sqrt(table.dt)
-                    old = np.concatenate([z, -z]) @ table.volterra_matrix[k:, k:].T
-                    assert np.array_equal(Z[: n_inner // 2], -Z[n_inner // 2:])
-                    assert np.abs(Z - old).max() <= 1e-14, (table.n, k, n_inner)
+                    z = np.empty((3, n_inner // 2, table.n - k))
+                    for b in range(3):
+                        pth.increment_stream(table.grid, 7, k, b)(z[b])
+                    Z = pth.inner_fluctuations(table, k, z)
+                    for b in range(3):
+                        assert np.array_equal(Z[b], pth.inner_fluctuations(table, k, z[b]))
+                    old = np.concatenate([z[0], -z[0]]) @ table.volterra_matrix[k:, k:].T
+                    assert np.array_equal(Z[0, : n_inner // 2], -Z[0, n_inner // 2:])
+                    assert np.abs(Z[0] - old).max() <= 1e-14, (table.n, k, n_inner)
 
     def test_conditional_moments(self, table64):
         paths = pth.sample_fbm_volterra(table64, 1, seed=4)
-        gen = np.random.Generator(np.random.Philox(2))
         k = 32
-        Z = pth.inner_fluctuations(table64, k, 4000, gen)
+        dB = pth.increment_stream(table64.grid, 2, k)(np.empty((2000, table64.n - k)))
+        Z = pth.inner_fluctuations(table64, k, dB)
         law = pth.conditional_law(paths, table64, table64.grid[k])
         term = law.means[0, -1] + Z[:, -1]
         # mean matches the conditional mean, variance the discrete map

@@ -1,6 +1,8 @@
 """The benchmark's tracer wraps package functions by name, and its checks
 expect each command's bound ids: keep them there. tests/compare_outputs.py
-tells two output directories apart."""
+tells two output directories apart. The package draws its random numbers
+at two sites."""
+import ast
 import functools
 import importlib
 import importlib.util
@@ -20,6 +22,7 @@ from expfbm.density import SampleBatch
 from expfbm.malliavin import MalliavinProfile
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+PACKAGE = Path(__file__).parents[1] / "src" / "expfbm"
 
 
 def load_script(path):
@@ -224,3 +227,35 @@ def test_compare_outputs_flags_a_changed_float(tmp_path, capsys):
     assert out[-1] == "2 differences"
     assert out[0].startswith("bounds.json: .reports[0].lhs[0]: ")
     assert out[1] == f"cache/{mal.name}: phi: bytes differ"
+
+
+def stream_callers(tree, module):
+    """Dotted names of the functions of a parsed module that call
+    rng.stream, or import it by name ("<module>" outside any function)."""
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        calls = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "stream" and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id == "rng")
+        imports = (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("rng")
+                   and any(alias.name == "stream" for alias in node.names))
+        if calls or imports:
+            callers.add(".".join([module] + (scope or ["<module>"])))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return callers
+
+
+def test_random_streams_are_opened_in_two_places():
+    # every Gaussian draw goes through paths.increment_stream; only the KDE
+    # bootstrap's multinomial draw opens a stream of its own
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "rng":
+            callers |= stream_callers(ast.parse(path.read_text()), path.stem)
+    assert callers == {"paths.increment_stream", "density.kde_log_domain"}
