@@ -57,8 +57,36 @@ NESTED_FIELDS = ("hurst_H", "horizon_T", "drift_a", "sigma_vol", "grid_n", "seed
                  "nested_paths", "inner_paths", "subgrid_stride")
 
 # Part of every cache key, with the code version. Bump it when the contents
-# of a cache change meaning, so files written by older code are not read;
-# README (the cache paragraph) says what each schema changed.
+# of a cache change meaning, so files written by older code are not read.
+# 2: nested estimates share one inner draw set per block of paths.
+# 3: kernel tables built by a running sum over rows (differ in the last bits).
+# 4: sample caches hold ln F and X (not F); tables take c_H from its closed
+#    form; ln F is a max-shifted log-sum (all differ in the last bits).
+# 5: the nested cache's Phi_X lower bound uses the discrete model's
+#    conditional variance (moves by ~1e-3 relative).
+# 6: the nested cache holds the d2x_range summary.
+# 7: nested estimates take the conditional means from the sweep (differ in
+#    the last bits).
+# 8: nested estimates take the conditional means from one product per node
+#    (differ in the last bits).
+# 9: nested estimates sum the frozen past inside the GEMM (differ in the
+#    last bits).
+# 10: sample caches hold ln F only (X = ln F - E[ln F] is formed on use);
+#     tables take the diagonal cells from a Gauss-Jacobi rule and the first
+#     cell from the substitution z = z_max y^m (move by up to 4.3e-6).
+# 11: caches are written without deflate; the nested cache holds a summary of
+#     D X (per-node max and mean, violations) in place of D X.
+# 12: the nested cache keeps per path only ln F and Phi_X; of E[D X | F] with
+#     its SE, Phi_X's SE and the Phi_X lower bound it keeps their summaries.
+# 13: the Phi_X lower bound takes max M from the carried lognormal exponent
+#     on zero-padded sweep blocks (phi_lower_min moves in the last bits).
+# 14: the Phi_X lower bound reads sigma min N off that exponent, and the
+#     nested driver pads its last block (both move in the last bits).
+# 15: D X, the Gibbs means of D^2 X and so Phi_X are formed in zero-padded
+#     blocks of rows (paths.map_rows; move in the last bits at some path
+#     counts); the nested cache is keyed only on the fields it reads.
+# 16: tables above H = 0.99 take the first cell's K^2 weights from a
+#     128-node rule (move by up to 5.4e-7 at H = 0.999).
 CACHE_SCHEMA = 16
 
 
@@ -462,11 +490,9 @@ def _suite_derivatives(cfg, table, ctx):
 
 
 def _suite_w(cfg, table, ctx):
-    # the sample first: it refuses outer_paths < 2 before the nested pass runs
-    centering = _batch(cfg, table, ctx).centering.value
+    X0 = _batch(cfg, table, ctx).centering.value   # refuses outer_paths < 2 first
     nested = _nested_run(cfg, table, ctx)
-    return dn.estimate_w_X(nested["lnF"] - centering, nested["phi"],
-                           cfg.model_params())["reports"]
+    return dn.estimate_w_X(nested["lnF"] - X0, nested["phi"], cfg.model_params())["reports"]
 
 
 def _suite_dphi(cfg, table, ctx):

@@ -25,7 +25,6 @@ from .reports import Z, BoundReport, point_report
 MIN_TAIL_COUNT = 50        # local samples below this: inconclusive, not failed
 KDE_GRID = 512             # output nodes of kde_log_domain
 KDE_FINE_BINS = 4096       # histogram bins the KDE convolves
-KDE_NODE_BLOCK = 64        # grid nodes per weight block of kde_log_domain
 
 
 @dataclass
@@ -136,31 +135,17 @@ def kde_log_domain(samples, n_boot=100, seed=0) -> DensityEstimate:
     kern = np.exp(-0.5 * (offsets / h) ** 2)
     kern /= kern.sum() * bw_bins
 
-    grid = np.linspace(lo, hi, KDE_GRID)
-    dens = np.interp(grid, centers,
-                     np.convolve(counts, kern, mode="same") * bw_bins / (len(x) * bw_bins))
+    def smooth(c):
+        return np.convolve(c, kern, mode="same") * bw_bins / (len(x) * bw_bins)
 
-    # the bootstrap replicates c, smoothed and interpolated as the density is,
-    # in one pass: products with the weights of KDE_NODE_BLOCK nodes at a
-    # time. Node g reads bins j, j + 1 by 1 - w, w, and bin i enters bin j by
-    # kern[j - i + half], a window of the reversed kernel. Sums of terms
-    # >= 0 keep every value's relative precision, and the zeros of the tails.
-    j = np.clip(np.searchsorted(centers, grid, side="right") - 1, 0, KDE_FINE_BINS - 2)
-    w = (np.clip(grid, centers[0], centers[-1]) - centers[j]) / (centers[j + 1] - centers[j])
-    pad = np.zeros(KDE_FINE_BINS + 1)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([pad, kern, pad])[::-1], KDE_FINE_BINS + 1)
-    gen = rng.stream(seed, rng.BOOTSTRAP)
-    reps = gen.multinomial(len(x), counts / counts.sum(), size=n_boot)
-    smooth = np.empty((n_boot, KDE_GRID))
-    for _, start, stop in rng.batch_ranges(KDE_GRID, KDE_NODE_BLOCK):
-        a, b = max(j[start] - half, 0), min(j[stop - 1] + half + 2, KDE_FINE_BINS)
-        # kj[g, i + 1 - a] = kern[j_g - i + half] for the bins i = a - 1..b - 1
-        kj = windows[KDE_FINE_BINS + half - j[start:stop], a:b + 1]
-        wb = w[start:stop, None]
-        smooth[:, start:stop] = reps[:, a:b] @ (kj[:, 1:] * (1.0 - wb) + kj[:, :-1] * wb).T
-    smooth *= bw_bins / (len(x) * bw_bins)
-    se = smooth.std(axis=0, ddof=1)
+    dens_fine = smooth(counts)
+    grid = np.linspace(lo, hi, KDE_GRID)
+    dens = np.interp(grid, centers, dens_fine)
+
+    # every replicate in one draw: the draws of n_boot single calls
+    reps = rng.stream(seed, rng.BOOTSTRAP).multinomial(len(x), counts / counts.sum(),
+                                                       size=n_boot)
+    se = np.array([np.interp(grid, centers, smooth(c)) for c in reps]).std(axis=0, ddof=1)
 
     # effective local support: samples within +-3h of each grid node
     cum = np.concatenate([[0.0], np.cumsum(counts)])

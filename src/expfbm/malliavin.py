@@ -21,9 +21,8 @@ each task takes a group of consecutive blocks of CHUNK_OUTER paths (the
 last one zero-padded by paths.pad_rows) and walks every subgrid node for
 them. At each node it forms N as one product of each block's past
 increments with the Volterra columns (paths.conditional_means), draws one
-inner set Z per block through paths.increment_stream, the package's one
-Gaussian sampler, and forms every inner sum in one GEMM of A with B^T per
-block, stacked over the group. Per-path estimates and
+inner set Z per block (paths.increment_stream) and forms every inner sum in
+one GEMM of A with B^T per block, stacked over the group. Per-path estimates and
 their inner SEs keep their law, but the paths of one block share inner
 noise: the SE of a mean over paths must come from block means
 (block_mean_se). The Gram products of d2x run on run_blocks too.
@@ -280,11 +279,10 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
     zero-padded (paths.pad_rows), and walks every node of idx for them. At
     node k the conditional means N come from one product of each block's
     increments before t_k with the Volterra columns (paths.conditional_means),
-    each block draws its future increments from paths.increment_stream keyed
-    (seed, INNER, stage, k, block) into one buffer of the group, and
-    paths.inner_fluctuations maps them in one stacked product. Inner path q
-    of outer path p is N_p + Z_q (a fluctuation shared by the block), so its
-    integrand factors as
+    each block draws its future from paths.increment_stream keyed (seed,
+    INNER, stage, k, block), and paths.inner_fluctuations maps the group's
+    draws in one product. Inner path q of outer path p is N_p + Z_q (a
+    fluctuation shared by the block), so its integrand factors as
     exp(a t_i + sigma N_{p,i}) exp(sigma Z_{q,i}) = A_{p,i} B_{q,i}. Every
     inner sum over i is then sum_i A_{p,i} c_i B_{q,i}: one GEMM per block
     and node over the columns c = [1, K(., t_k), K(., s), K(., t_k) K(., s)],
@@ -336,11 +334,9 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
                 increment_stream(grid, seed, rng.INNER, stage, k, b)(z_b)
             logB = inner_fluctuations(table, k, z)
             logB *= sigma                                                # (g, Q, n-k+1)
-            logB -= logB.max(axis=2, keepdims=True)
-            B = np.exp(logB, out=logB)
+            B = np.exp(np.subtract(logB, logB.max(axis=2, keepdims=True), out=logB), out=logB)
             logA = params.a * grid + sigma * conditional_means(table, dB, k)
-            logA -= logA.max(axis=2, keepdims=True)
-            A = np.exp(logA, out=logA)                                   # (g, C, n+1)
+            A = np.exp(np.subtract(logA, logA.max(axis=2, keepdims=True), out=logA), out=logA)
             G = np.ascontiguousarray(A[..., k:])[:, :, None, :] * W      # (g, C, c, n-k+1)
             # rows i < k are the frozen past: fluctuation 0, as at node k, so
             # their B is column 0's exp(-logB_max) and their sums join column 0

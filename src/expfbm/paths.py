@@ -1,7 +1,6 @@
 """fBm path generation and the conditional Gaussian structure of the driving BM.
 
-Every Gaussian draw of the package is made by increment_stream, one Philox
-substream per key. Two generators:
+Every Gaussian of the package is drawn by increment_stream. Two generators:
 
   * Volterra map (default): draws Brownian increments and applies the
     cell-integrated kernel weights. Keeps the increments, so conditional
@@ -192,8 +191,10 @@ def sample_fbm_cholesky(H, grid, n_paths, seed):
         raise ValueError("Cholesky sampler limited to n <= 4096")
     L = cholesky_factor(H, grid)
     values = np.zeros((n_paths, n + 1))
-    incr = sample_bm_increments(grid, seed, n_paths, purpose=rng.CHOLESKY)
-    values[:, 1:] = map_rows(incr, L.T / np.sqrt(grid[1] - grid[0]))
+    Lt = L.T / np.sqrt(grid[1] - grid[0])          # increment_stream draws N(0, dt)
+    for b, start, stop in rng.batch_ranges(n_paths):
+        draw = increment_stream(grid, seed, rng.CHOLESKY, b)
+        values[start:stop, 1:] = map_rows(draw(np.empty((stop - start, n))), Lt)
     return FbmPaths(grid=np.asarray(grid), values=values, increments=None,
                     seed=seed, method="cholesky")
 

@@ -2,9 +2,8 @@
 
 Every sampling stage draws from a stream keyed by (seed, purpose, *indices), so
 nested inner simulations never share a stream with outer paths and results are
-independent of how work is partitioned into batches. Two functions open
-streams: paths.increment_stream, for every Gaussian draw, and
-density.kde_log_domain, for the bootstrap's multinomial draw.
+independent of how work is partitioned into batches. Streams are opened only
+by paths.increment_stream (every Gaussian) and density.kde_log_domain.
 """
 from __future__ import annotations
 
@@ -30,10 +29,5 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 def batch_ranges(n: int, batch: int = BATCH):
     """Yield (batch_index, start, stop) covering range(n) in fixed-size batches."""
-    b = 0
-    start = 0
-    while start < n:
-        stop = min(start + batch, n)
-        yield b, start, stop
-        b += 1
-        start = stop
+    for b, start in enumerate(range(0, n, batch)):
+        yield b, start, min(start + batch, n)

@@ -130,7 +130,8 @@ class TestConditionalLaw:
 class TestInnerFluctuations:
     def test_shapes_antithetic_and_zero_at_node(self, table64):
         k = 32
-        dB = pth.increment_stream(table64.grid, 1, k)(np.empty((4, table64.n - k)))
+        gen = np.random.Generator(np.random.Philox(1))
+        dB = gen.standard_normal((4, table64.n - k)) * np.sqrt(table64.dt)
         Z = pth.inner_fluctuations(table64, k, dB)
         assert Z.shape == (8, table64.n - k + 1)
         assert np.all(Z[:, 0] == 0.0)
@@ -157,7 +158,8 @@ class TestInnerFluctuations:
     def test_conditional_moments(self, table64):
         paths = pth.sample_fbm_volterra(table64, 1, seed=4)
         k = 32
-        dB = pth.increment_stream(table64.grid, 2, k)(np.empty((2000, table64.n - k)))
+        gen = np.random.Generator(np.random.Philox(2))
+        dB = gen.standard_normal((2000, table64.n - k)) * np.sqrt(table64.dt)
         Z = pth.inner_fluctuations(table64, k, dB)
         law = pth.conditional_law(paths, table64, table64.grid[k])
         term = law.means[0, -1] + Z[:, -1]
