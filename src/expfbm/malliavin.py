@@ -334,9 +334,11 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
                 increment_stream(grid, seed, rng.INNER, stage, k, b)(z_b)
             logB = inner_fluctuations(table, k, z)
             logB *= sigma                                                # (g, Q, n-k+1)
-            B = np.exp(np.subtract(logB, logB.max(axis=2, keepdims=True), out=logB), out=logB)
+            logB -= logB.max(axis=2, keepdims=True)
+            B = np.exp(logB, out=logB)
             logA = params.a * grid + sigma * conditional_means(table, dB, k)
-            A = np.exp(np.subtract(logA, logA.max(axis=2, keepdims=True), out=logA), out=logA)
+            logA -= logA.max(axis=2, keepdims=True)
+            A = np.exp(logA, out=logA)                                   # (g, C, n+1)
             G = np.ascontiguousarray(A[..., k:])[:, :, None, :] * W      # (g, C, c, n-k+1)
             # rows i < k are the frozen past: fluctuation 0, as at node k, so
             # their B is column 0's exp(-logB_max) and their sums join column 0
