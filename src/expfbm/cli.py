@@ -87,7 +87,9 @@ NESTED_FIELDS = ("hurst_H", "horizon_T", "drift_a", "sigma_vol", "grid_n", "seed
 #     counts); the nested cache is keyed only on the fields it reads.
 # 16: tables above H = 0.99 take the first cell's K^2 weights from a
 #     128-node rule (move by up to 5.4e-7 at H = 0.999).
-CACHE_SCHEMA = 16
+# 17: tables take the diagonal cells from the binomial series of K / g^alpha
+#     (move by up to 4.7e-14 relative at n = 512; other cells by a few ulps).
+CACHE_SCHEMA = 17
 
 
 # field type -> (check, what an error message calls it)
@@ -275,9 +277,13 @@ def _table_for(cfg) -> kn.KernelTable:
                    kn.save_table)
 
 
-def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
-    if cfg.outer_paths < 2:          # refused before the centering estimate
+def _require_sample(cfg):
+    if cfg.outer_paths < 2:
         raise ValueError(f"the sample needs outer_paths >= 2, got {cfg.outer_paths}")
+
+
+def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
+    _require_sample(cfg)             # refused before the centering estimate
     params = cfg.model_params()
 
     def load(path):
@@ -490,7 +496,12 @@ def _suite_derivatives(cfg, table, ctx):
 
 
 def _suite_w(cfg, table, ctx):
-    X0 = _batch(cfg, table, ctx).centering.value   # refuses outer_paths < 2 first
+    # refused before the sample and the nested pass, outer_paths < 2 first
+    _require_sample(cfg)
+    if cfg.nested_paths < dn.W_MIN_SAMPLES:
+        raise ValueError(f"the w suite needs nested_paths >= {dn.W_MIN_SAMPLES}, "
+                         f"got {cfg.nested_paths}")
+    X0 = _batch(cfg, table, ctx).centering.value
     nested = _nested_run(cfg, table, ctx)
     return dn.estimate_w_X(nested["lnF"] - X0, nested["phi"], cfg.model_params())["reports"]
 

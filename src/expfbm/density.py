@@ -25,6 +25,7 @@ from .reports import Z, BoundReport, point_report
 MIN_TAIL_COUNT = 50        # local samples below this: inconclusive, not failed
 KDE_GRID = 512             # output nodes of kde_log_domain
 KDE_FINE_BINS = 4096       # histogram bins the KDE convolves
+W_MIN_SAMPLES = 10_000     # joint samples (X, Phi_X) that estimate_w_X needs
 
 
 @dataclass
@@ -331,8 +332,8 @@ def estimate_w_X(X, phi, params: ModelParams):
     X = np.asarray(X)
     phi = np.asarray(phi)
     n_samples = len(X)
-    if n_samples < 10_000:
-        raise ValueError("w_X estimation needs at least 1e4 joint samples")
+    if n_samples < W_MIN_SAMPLES:
+        raise ValueError(f"w_X estimation needs at least {W_MIN_SAMPLES} joint samples")
     finite = np.isfinite(phi)
     n_bad = int(n_samples - finite.sum())
     if n_bad:

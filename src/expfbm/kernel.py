@@ -29,19 +29,22 @@ only on the offset m - j, so every power is tabulated once.
 
 The diagonal cell integral of K^p (p = 1, 2) is one Gauss-Jacobi rule for
 the weight g^(p(H-1/2)), g = t_i - r, since K / g^(H-1/2) is analytic on the
-cell (_diag_cell_weights); the first cell has its own substitutions.
+cell; there it is a closed-form binomial series in g / t_i <= 1/2, with no
+panel rule (_diag_cell_weights). The first cell has its own substitutions.
 
 The table takes c_H from its closed form; calibrate_ch, the graded-rule
 quadrature of the unit-energy condition, cross-checks it.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 TABLE_FORMAT_VERSION = 1
 
@@ -141,6 +144,24 @@ FIRST_CELL_NODES = ((16, 24), (100, 48), (math.inf, 128))
 # pointwise kernel evaluation
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _unit_constant(alpha, q):
+    """int_0^1 (1 + w^(1/q))^alpha dw by the panel rule: the [s, 2s] piece
+    wherever 2s <= t (xi_max = 1 exactly), one value per H."""
+    return float(np.power(1.0 + np.power(_UX, 1.0 / q), alpha) @ _UW)
+
+
+def _unit_panels(xi_max, alpha, q):
+    """int_0^1 (1 + (W v)^(1/q))^alpha dv with W = xi_max^q, by the panel rule
+    at each xi_max, which runs only where xi_max < 1 (_unit_constant elsewhere)."""
+    out = np.full(xi_max.shape, _unit_constant(alpha, q))
+    part = xi_max != 1.0
+    if part.any():
+        W = np.power(xi_max[part], q)
+        out[part] = np.power(1.0 + np.power(W[:, None] * _UX, 1.0 / q), alpha) @ _UW
+    return out
+
+
 def _inner_integral(H, t, s):
     """int_s^t (u-s)^(H-3/2) u^(H-1/2) du, vectorized over broadcastable t, s.
 
@@ -152,6 +173,8 @@ def _inner_integral(H, t, s):
       [2s, t]   w = (u-s)^(H-1/2) directly; the integrand transition sits at
                 the lower limit w = s^(H-1/2), where the panels are refined.
 
+    Wherever 2s <= t the first piece's panel integral is one constant per H.
+
     Exact 0 when s == t. Result has the broadcast shape of (t, s).
     """
     t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
@@ -161,9 +184,7 @@ def _inner_integral(H, t, s):
     # inner piece on [s, cut]
     xi_max = np.maximum(cut / np.maximum(s, 1e-300) - 1.0, 0.0)
     W1 = np.power(xi_max, alpha)
-    w1 = W1[..., None] * _UX
-    f1 = np.power(1.0 + np.power(w1, 1.0 / alpha), alpha)
-    J1 = np.power(s, 2.0 * H - 1.0) * (W1 / alpha) * (f1 @ _UW)
+    J1 = np.power(s, 2.0 * H - 1.0) * (W1 / alpha) * _unit_panels(xi_max, alpha, alpha)
 
     # outer piece on [cut, t], empty (and skipped) where t <= 2s
     out = np.asarray(J1)
@@ -217,6 +238,7 @@ def ch_closed_form(H):
     return math.sqrt(H * (2.0 * H - 1.0)) * math.exp(-0.5 * log_beta)
 
 
+@functools.lru_cache(maxsize=None)
 def _sq_energy_unnormalized(H, t, depth):
     """int_0^t [s^(1/2-H) I(t,s)]^2 ds via the substitution z = s^(2-2H).
 
@@ -283,12 +305,10 @@ def _time_integral_reduced(H, theta, T):
     # inner piece on [theta, cut]
     xi_max = np.maximum(cut / np.maximum(theta, 1e-300) - 1.0, 0.0)
     W1 = np.power(xi_max, alpha)
-    f1 = np.power(1.0 + np.power(W1[..., None] * _UX, 1.0 / alpha), alpha)
     V1 = np.power(xi_max, 1.0 + alpha)
-    g1 = np.power(1.0 + np.power(V1[..., None] * _UX, 1.0 / (1.0 + alpha)), alpha)
     out = np.power(theta, 2.0 * H - 1.0) * (
-        (T - theta) * (W1 / alpha) * (f1 @ _UW)
-        - theta * (V1 / (1.0 + alpha)) * (g1 @ _UW))
+        (T - theta) * (W1 / alpha) * _unit_panels(xi_max, alpha, alpha)
+        - theta * (V1 / (1.0 + alpha)) * _unit_panels(xi_max, alpha, 1.0 + alpha))
 
     # outer piece on [cut, T], empty where T <= 2 theta
     wlo = np.power(np.maximum(cut - theta, 0.0), alpha)
@@ -446,22 +466,37 @@ def _gauss_jacobi_01(n, b):
     return nodes, vectors[0] ** 2 / (b + 1.0)
 
 
+# Terms of the binomial series in _diag_cell_weights: |a_k| < 1 for k >= 1,
+# so at eps <= 1/2 the remainder is below 2^(1 - DIAG_SERIES_TERMS).
+DIAG_SERIES_TERMS = 64
+
+
 def _diag_cell_weights(H, c_H, t_rows, dt, nodes=24):
     """Cell integrals of K and K^2 over [t_i - dt, t_i], dt <= t_i / 2.
 
-    K / g^(H-1/2), g = t_i - r, is analytic on the cell (its nearest
-    singularity, r = 0, lies at g = t_i >= 2 dt), so int K^p dr =
-    int_0^dt g^(p(H-1/2)) (K / g^(H-1/2))^p dg is one Gauss-Jacobi rule. No
-    node passes through the power 1/(H-1/2), which underflows as H -> 1/2.
+    With alpha = H - 1/2, g = t_i - r and eps = g / t_i <= 1/2, expanding
+    u^alpha about u = t_i in I(t_i, r) and integrating term by term into Beta
+    functions gives
+
+        K / g^alpha = c_H (1 - eps)^(-alpha) sum_k a_k eps^k,
+        a_0 = 1/alpha,  a_k = a_{k-1} (k - 1 - alpha) / (k + alpha),
+
+    analytic on the cell (its nearest singularity, r = 0, lies at eps = 1), so
+    int K^p dr = int_0^dt g^(p alpha) (K / g^alpha)^p dg is one Gauss-Jacobi
+    rule, and DIAG_SERIES_TERMS Horner steps sum the series. No node passes
+    through the power 1/alpha, which underflows as H -> 1/2.
     """
     alpha = H - 0.5
+    a = np.empty(DIAG_SERIES_TERMS)
+    a[0] = 1.0 / alpha
+    for k in range(1, DIAG_SERIES_TERMS):
+        a[k] = a[k - 1] * (k - 1.0 - alpha) / (k + alpha)
     t_rows = np.asarray(t_rows, dtype=float)[:, None]
     out = []
     for p in (1, 2):
         u, w = _gauss_jacobi_01(nodes, p * alpha)
-        g = dt * u
-        r = t_rows - g
-        ratio = c_H * np.power(r, -alpha) * _inner_integral(H, t_rows, r) / np.power(g, alpha)
+        eps = dt * u / t_rows
+        ratio = c_H * np.power(1.0 - eps, -alpha) * polyval(eps, a)
         out.append(dt ** (p * alpha + 1.0) * (ratio ** p @ w))
     return tuple(out)
 

@@ -1,16 +1,25 @@
 """Compare two expfbm output directories file by file.
 
-    python3 tests/compare_outputs.py DIR_A DIR_B
+    python3 tests/compare_outputs.py [--rtol R] DIR_A DIR_B
 
-Both trees must hold the same relative file names. JSON files are compared
-after dropping every `out_dir` and `config_hash` key; `.npz` files member by
-member (name, dtype, shape, bytes) and then by their bytes; other files
-(and a `.json` file that does not parse) as text after dropping the lines
-that carry the config hash, or by their bytes when they are not text.
-Exits 0 when nothing differs, else 1 after listing each difference.
+Both trees must hold the same relative file names, except that a cache file
+(`cache/<kind>-<key>.npz`) is paired with the other tree's only file of its
+kind: its key hashes the cache schema, which a change may bump. JSON files
+are compared after dropping every `out_dir` and `config_hash` key; `.npz`
+files member by member (name, dtype, shape, values; a uint8 member that holds
+JSON, as the cache metadata does, as JSON) and then by their bytes; other
+files (and a `.json` file that does not parse) as text after dropping the
+lines that carry the config hash, field by comma-separated field, or by their
+bytes when they are not text.
+
+Two floats x, y are equal when |x - y| <= R max(|x|, |y|) (NaN equals NaN);
+the default R = 0 asks for the same value. Everything else must match
+exactly. Prints each difference, then the largest relative difference of
+every file whose floats moved; exits 0 when nothing differs, else 1.
 """
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import re
@@ -33,21 +42,105 @@ def _strip(value):
     return value
 
 
-def _json_diffs(a, b, where):
-    """The paths (key or index chains) at which two JSON values differ; NaN
-    equals NaN."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        out = [f"{where}.{k}: only in {'A' if k in a else 'B'}"
-               for k in sorted(set(a) ^ set(b))]
-        for k in sorted(set(a) & set(b)):
-            out += _json_diffs(a[k], b[k], f"{where}.{k}")
-        return out
-    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return [d for i, (x, y) in enumerate(zip(a, b))
-                for d in _json_diffs(x, y, f"{where}[{i}]")]
-    if type(a) is type(b) and (a == b or a != a and b != b):
-        return []
-    return [f"{where}: {a!r} != {b!r}"]
+def relative_difference(x, y):
+    """|x - y| / max(|x|, |y|), elementwise: 0 where x == y or both are
+    NaN, inf where only one is NaN or where two infinities differ."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+    same = (x == y) | (np.isnan(x) & np.isnan(y))
+    return np.where(same, 0.0, np.where(np.isnan(rel), np.inf, rel))
+
+
+class Comparison:
+    """The differences of one file pair beyond rtol, and the largest
+    relative difference of its floats."""
+
+    def __init__(self, rtol):
+        self.rtol = rtol
+        self.diffs = []
+        self.max_rel = 0.0
+
+    def floats(self, x, y, message):
+        """Compare float arrays (or floats) of one shape; record message if
+        they differ beyond rtol."""
+        rel = relative_difference(x, y)
+        worst = float(rel.max()) if rel.size else 0.0
+        self.max_rel = max(self.max_rel, worst)
+        if worst > self.rtol:
+            self.diffs.append(message)
+
+    def json(self, a, b, where):
+        if isinstance(a, dict) and isinstance(b, dict):
+            self.diffs += [f"{where}.{k}: only in {'A' if k in a else 'B'}"
+                           for k in sorted(set(a) ^ set(b))]
+            for k in sorted(set(a) & set(b)):
+                self.json(a[k], b[k], f"{where}.{k}")
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for i, (x, y) in enumerate(zip(a, b)):
+                self.json(x, y, f"{where}[{i}]")
+        elif type(a) is float and type(b) is float:
+            self.floats(a, b, f"{where}: {a!r} != {b!r}")
+        elif type(a) is not type(b) or a != b:
+            self.diffs.append(f"{where}: {a!r} != {b!r}")
+
+    def npz(self, a, b):
+        (names_a, arrays_a), (names_b, arrays_b) = _npz_members(a), _npz_members(b)
+        if names_a != names_b:
+            self.diffs.append(f"members {names_a} != {names_b}")
+        exact = names_a == names_b
+        for k in sorted(set(arrays_a) & set(arrays_b)):
+            x, y = arrays_a[k], arrays_b[k]
+            if (x.dtype, x.shape) != (y.dtype, y.shape):
+                self.diffs.append(f"{k}: {x.dtype}{x.shape} != {y.dtype}{y.shape}")
+            elif x.tobytes() == y.tobytes():
+                continue
+            elif x.dtype.kind == "f":
+                self.floats(x, y, f"{k}: bytes differ")
+            elif x.dtype == np.uint8 and _as_json(x) is not None and _as_json(y) is not None:
+                self.json(_as_json(x), _as_json(y), k)
+            else:
+                self.diffs.append(f"{k}: bytes differ")
+            exact = False
+        if exact and a != b:
+            self.diffs.append("file bytes differ")
+
+    def text(self, lines_a, lines_b):
+        if len(lines_a) != len(lines_b):
+            self.diffs.append(f"{len(lines_a)} lines != {len(lines_b)} lines")
+            return
+        for i, (x, y) in enumerate(zip(lines_a, lines_b)):
+            if x != y and not self._fields(x.split(","), y.split(",")):
+                self.diffs.append(f"line {i + 1}: {x!r} != {y!r}")
+
+    def _fields(self, xs, ys):
+        """True if two lines' fields are equal, floats within rtol."""
+        if len(xs) != len(ys):
+            return False
+        equal = True
+        for x, y in zip(xs, ys):
+            if x != y:
+                fx, fy = _as_float(x), _as_float(y)
+                if fx is None or fy is None:
+                    return False
+                rel = float(relative_difference(fx, fy))
+                self.max_rel = max(self.max_rel, rel)
+                equal = equal and rel <= self.rtol
+        return equal
+
+
+def _as_float(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def _as_json(array):
+    try:
+        return json.loads(array.tobytes())
+    except ValueError:
+        return None
 
 
 def _npz_members(data):
@@ -57,66 +150,92 @@ def _npz_members(data):
         return names, {k: npz[k] for k in npz.files}
 
 
-def _npz_diffs(a, b):
-    (names_a, arrays_a), (names_b, arrays_b) = _npz_members(a), _npz_members(b)
-    out = [] if names_a == names_b else [f"members {names_a} != {names_b}"]
-    for k in sorted(set(arrays_a) & set(arrays_b)):
-        x, y = arrays_a[k], arrays_b[k]
-        if (x.dtype, x.shape) != (y.dtype, y.shape):
-            out.append(f"{k}: {x.dtype}{x.shape} != {y.dtype}{y.shape}")
-        elif x.tobytes() != y.tobytes():
-            out.append(f"{k}: bytes differ")
-    if not out and a != b:
-        out.append("file bytes differ")
-    return out
-
-
 def _text_lines(data):
     return [line for line in data.decode().splitlines()
             if not CONFIG_HASH_LINE.search(line)]
 
 
-def file_diffs(a: Path, b: Path):
-    """The differences between two files of the same name."""
+def compare_files(a: Path, b: Path, rtol=0.0):
+    """The Comparison of two files of the same name."""
+    out = Comparison(rtol)
     data_a, data_b = a.read_bytes(), b.read_bytes()
     if a.suffix == ".json":
         try:
-            return _json_diffs(_strip(json.loads(data_a)), _strip(json.loads(data_b)), "")
+            out.json(_strip(json.loads(data_a)), _strip(json.loads(data_b)), "")
+            return out
         except ValueError:              # not JSON (an empty stdout, say): as text
             pass
     if a.suffix == ".npz":
-        return _npz_diffs(data_a, data_b)
+        out.npz(data_a, data_b)
+        return out
     try:
-        lines_a, lines_b = _text_lines(data_a), _text_lines(data_b)
+        out.text(_text_lines(data_a), _text_lines(data_b))
     except UnicodeDecodeError:
-        return [] if data_a == data_b else ["file bytes differ"]
-    if len(lines_a) != len(lines_b):
-        return [f"{len(lines_a)} lines != {len(lines_b)} lines"]
-    return [f"line {i + 1}: {x!r} != {y!r}"
-            for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y]
-
-
-def compare(dir_a, dir_b):
-    """Every difference between the trees, one string each."""
-    dir_a, dir_b = Path(dir_a), Path(dir_b)
-    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
-    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
-    out = [f"{name}: only in {dir_a if name in files_a else dir_b}"
-           for name in sorted(files_a ^ files_b)]
-    for name in sorted(files_a & files_b):
-        out += [f"{name}: {d}" for d in file_diffs(dir_a / name, dir_b / name)]
+        if data_a != data_b:
+            out.diffs.append("file bytes differ")
     return out
 
 
+def _cache_kind(name: Path):
+    """The kind of a cache file (`cache/table-<key>.npz` -> `cache/table`),
+    None for any other file."""
+    if name.parent.name == "cache" and "-" in name.stem:
+        return name.parent / name.stem.rsplit("-", 1)[0]
+    return None
+
+
+def _pairs(files_a, files_b):
+    """{name in A: name in B} for every file of A matched in B: by name, or
+    for a cache file by its kind when each tree holds one file of it."""
+    pairs = {name: name for name in files_a & files_b}
+    for name in files_a - files_b:
+        kind = _cache_kind(name)
+        same_a = [p for p in files_a if kind is not None and _cache_kind(p) == kind]
+        same_b = [p for p in files_b - files_a
+                  if kind is not None and _cache_kind(p) == kind]
+        if len(same_a) == 1 and len(same_b) == 1:
+            pairs[name] = same_b[0]
+    return pairs
+
+
+def compare(dir_a, dir_b, rtol=0.0):
+    """Every difference between the trees, one string each, and per file
+    pair the largest relative difference of its floats, where it is not 0."""
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    pairs = _pairs(files_a, files_b)
+    unpaired = (files_a - set(pairs)) | (files_b - set(pairs.values()))
+    diffs = [f"{name}: only in {dir_a if name in files_a else dir_b}"
+             for name in sorted(unpaired)]
+    moved = {}
+    for name in sorted(pairs):
+        result = compare_files(dir_a / name, dir_b / pairs[name], rtol)
+        diffs += [f"{name}: {d}" for d in result.diffs]
+        if result.max_rel:
+            moved[name] = result.max_rel
+    return diffs, moved
+
+
 def main(argv):
-    if len(argv) != 2:
-        print("usage: compare_outputs.py DIR_A DIR_B", file=sys.stderr)
-        return 2
-    diffs = compare(*argv)
+    parser = argparse.ArgumentParser(prog="compare_outputs.py",
+                                     description="Compare two expfbm output directories.")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="relative tolerance for floats (default 0: exact)")
+    parser.add_argument("dirs", nargs=2, metavar="DIR")
+    args = parser.parse_args(argv)
+    diffs, moved = compare(*args.dirs, rtol=args.rtol)
     for d in diffs:
         print(d)
-    n_files = sum(1 for p in Path(argv[0]).rglob("*") if p.is_file())
-    print(f"{len(diffs)} differences" if diffs else f"identical: {n_files} files")
+    for name, rel in sorted(moved.items()):
+        print(f"{name}: largest relative difference {rel:.2e}")
+    n_files = sum(1 for p in Path(args.dirs[0]).rglob("*") if p.is_file())
+    if diffs:
+        print(f"{len(diffs)} differences")
+    elif moved:
+        print(f"equal within rtol {args.rtol:g}: {n_files} files")
+    else:
+        print(f"identical: {n_files} files")
     return 1 if diffs else 0
 
 

@@ -591,6 +591,18 @@ class TestBounds:
         assert "outer_paths >= 2" in capsys.readouterr().err
         assert not list((tmp_path / "run" / "cache").glob("mal-*.npz"))
 
+    def test_too_few_nested_paths_w_refused_before_any_work(self, tmp_path, capsys):
+        # estimate_w_X needs 1e4 joint samples: the w suite refuses fewer
+        # before it draws or caches the sample or the nested pass
+        cfg = tmp_path / "w.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+            "nested_paths": 9999, "inner_paths": 50, "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "bounds", "--only", "w"]) == EXIT_CONFIG
+        assert not list((tmp_path / "run" / "cache").glob("sim-*.npz"))
+        assert not list((tmp_path / "run" / "cache").glob("mal-*.npz"))
+        assert "nested_paths >= 10000" in capsys.readouterr().err
+
     def test_no_outer_paths_tail_skips_the_centering(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(fn, "estimate_mean_lnF", lambda *a, **k: calls.append(a))

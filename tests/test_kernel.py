@@ -123,7 +123,9 @@ def reference_cell_integrals(H, c_H, t, lo, hi):
     quadrature: at the diagonal (hi = t) with K's algebraic end behaviour
     (t - r)^(p(H-1/2)) as quad's weight function, at the first cell (lo = 0)
     in z = r^P, P = 1 - p(H-1/2), which absorbs r^(-p(H-1/2)). Reference
-    for the cell rules of the table."""
+    for the cell rules of the table. K comes from the panel rule of
+    kn._inner_integral, so the reference does not share the binomial series
+    of the diagonal cell rule."""
     alpha = H - 0.5
     out = []
     for p in (1, 2):
@@ -174,15 +176,17 @@ HURST_SWEEP = [0.5 + 1e-6, 0.5001, 0.501, 0.55, 0.7, 0.9, 0.99, 1.0 - 1e-6]
 class TestCellRules:
     @pytest.mark.parametrize("H", HURST_SWEEP)
     def test_diagonal_cells_against_quad(self, H):
+        # at dt = 1/256 a panel-rule diagonal misses by up to 1.3e-14
         c_H = kn.ch_closed_form(H)
-        dt = 1.0 / 16
-        rows = np.array([2 * dt, 0.5, 1.0])
-        got = np.column_stack(kn._diag_cell_weights(H, c_H, rows, dt))
-        half = np.column_stack(kn._diag_cell_weights(H, c_H, np.array([dt]), dt / 2))
-        for (t, lo), (wK, wK2) in zip([(t, t - dt) for t in rows] + [(dt, dt / 2)],
-                                      np.vstack([got, half])):
-            qK, qK2 = reference_cell_integrals(H, c_H, t, lo, t)
-            assert abs(wK / qK - 1.0) < 1e-13 and abs(wK2 / qK2 - 1.0) < 1e-13, t
+        for dt, rows, tol in ((1.0 / 16, [2.0 / 16, 0.5, 1.0], 1e-13),
+                              (1.0 / 256, [2.0 / 256, 3.0 / 256, 0.5, 1.0], 1e-14)):
+            rows = np.array(rows)
+            got = np.column_stack(kn._diag_cell_weights(H, c_H, rows, dt))
+            half = np.column_stack(kn._diag_cell_weights(H, c_H, np.array([dt]), dt / 2))
+            for (t, lo), (wK, wK2) in zip([(t, t - dt) for t in rows] + [(dt, dt / 2)],
+                                          np.vstack([got, half])):
+                qK, qK2 = reference_cell_integrals(H, c_H, t, lo, t)
+                assert abs(wK / qK - 1.0) < tol and abs(wK2 / qK2 - 1.0) < tol, (dt, t)
 
     @pytest.mark.parametrize("H", sorted(HURST_SWEEP + [0.995, 0.999]))
     def test_first_cells_against_quad(self, H):
@@ -251,6 +255,18 @@ class TestCalibration:
 
     def test_deterministic(self):
         assert kn.calibrate_ch(0.7) == kn.calibrate_ch(0.7)
+
+    def test_kernel_checks_share_the_unit_energy(self):
+        # at T = 1 calibrate_ch's energy at QUAD_DEPTH is the energy check's
+        # at t = T: three evaluations (t = 1 at two depths, t = 1/2), not four
+        from expfbm import cli
+
+        cfg = cli.ExperimentConfig(hurst_H=0.7, horizon_T=1.0, grid_n=16)
+        table = kn.build_kernel_table(0.7, 1.0, 16)
+        kn._sq_energy_unnormalized.cache_clear()
+        cli.kernel_checks(cfg, table)
+        info = kn._sq_energy_unnormalized.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -342,6 +358,16 @@ class TestKernelEval:
             for (t, s) in ((1.0, 0.25), (2.0, 1.5), (1.0, 0.9)):
                 oracle = ch * s ** (0.5 - H) * inner_integral_oracle(H, t, s)
                 assert abs(kn.kernel_eval(H, ch, t, s) / oracle - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("H", HURST_SWEEP)
+    def test_inner_integral_against_oracle(self, H):
+        # s/t on both sides of 1/2, where the [s, 2s] piece is one constant,
+        # and exactly at 1/2
+        for t in (0.5, 1.0, 2.0):
+            s = t * np.array([0.05, 0.3, 0.5, 0.7, 0.95])
+            got = kn._inner_integral(H, t, s)
+            want = np.array([inner_integral_oracle(H, t, x) for x in s])
+            assert np.max(np.abs(got / want - 1.0)) < 1e-13, t
 
     def test_monotone_in_first_argument(self):
         ch = kn.calibrate_ch(0.7)

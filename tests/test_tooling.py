@@ -229,6 +229,38 @@ def test_compare_outputs_flags_a_changed_float(tmp_path, capsys):
     assert out[1] == f"cache/{mal.name}: phi: bytes differ"
 
 
+def test_compare_outputs_rtol(tmp_path, capsys):
+    # a float moved by 1e-15 relative (in JSON, a CSV field and a cache
+    # array, whose file is named by another cache key) passes at --rtol 1e-13
+    # and fails by default; a non-float difference fails either way
+    compare = load_script(Path(__file__).parent / "compare_outputs.py")
+    runs = [tmp_path / "a", tmp_path / "b"]
+    moved = 0.75 * (1.0 + 1e-15)
+    for run, x, key in zip(runs, (0.75, moved), ("0123", "4567")):
+        (run / "cache").mkdir(parents=True)
+        (run / "bounds.json").write_text(json.dumps({"lhs": [x, 2.0], "id": "tail"}))
+        (run / "bound-tail.csv").write_text(f"x,lhs\n0.5,{x!r}\n")
+        np.savez(run / "cache" / f"table-{key}.npz", values=np.array([1.0, x]))
+    capsys.readouterr()
+    assert compare.main([str(r) for r in runs]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [f"bound-tail.csv: line 2: '0.5,0.75' != '0.5,{moved!r}'",
+                       f"bounds.json: .lhs[0]: 0.75 != {moved!r}",
+                       "cache/table-0123.npz: values: bytes differ"]
+    assert out[-1] == "3 differences"
+    assert compare.main(["--rtol", "1e-13", *map(str, runs)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rel = f"{(moved - 0.75) / moved:.2e}"
+    assert out[:3] == [f"{name}: largest relative difference {rel}" for name in
+                       ("bound-tail.csv", "bounds.json", "cache/table-0123.npz")]
+    assert out[-1] == "equal within rtol 1e-13: 3 files"
+
+    (runs[1] / "bounds.json").write_text(json.dumps({"lhs": [0.75, 2.0], "id": "mgf"}))
+    for argv in ([], ["--rtol", "1e-13"]):
+        assert compare.main([*argv, *map(str, runs)]) == 1
+        assert "bounds.json: .id: 'tail' != 'mgf'" in capsys.readouterr().out
+
+
 def stream_callers(tree, module):
     """Dotted names of the functions of a parsed module that call
     rng.stream, or import it by name ("<module>" outside any function)."""
