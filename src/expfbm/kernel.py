@@ -144,7 +144,7 @@ FIRST_CELL_NODES = ((16, 24), (100, 48), (math.inf, 128))
 # pointwise kernel evaluation
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache
 def _unit_constant(alpha, q):
     """int_0^1 (1 + w^(1/q))^alpha dw by the panel rule: the [s, 2s] piece
     wherever 2s <= t (xi_max = 1 exactly), one value per H."""
@@ -238,7 +238,7 @@ def ch_closed_form(H):
     return math.sqrt(H * (2.0 * H - 1.0)) * math.exp(-0.5 * log_beta)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache
 def _sq_energy_unnormalized(H, t, depth):
     """int_0^t [s^(1/2-H) I(t,s)]^2 ds via the substitution z = s^(2-2H).
 

@@ -230,9 +230,10 @@ def test_compare_outputs_flags_a_changed_float(tmp_path, capsys):
 
 
 def test_compare_outputs_rtol(tmp_path, capsys):
-    # a float moved by 1e-15 relative (in JSON, a CSV field and a cache
-    # array, whose file is named by another cache key) passes at --rtol 1e-13
-    # and fails by default; a non-float difference fails either way
+    # a float moved by 1e-15 relative (in JSON, a CSV field, a cache array
+    # and the cache's JSON metadata, whose length changes; the cache file is
+    # named by another cache key) passes at --rtol 1e-13 and fails by
+    # default; a non-float difference fails either way
     compare = load_script(Path(__file__).parent / "compare_outputs.py")
     runs = [tmp_path / "a", tmp_path / "b"]
     moved = 0.75 * (1.0 + 1e-15)
@@ -240,14 +241,16 @@ def test_compare_outputs_rtol(tmp_path, capsys):
         (run / "cache").mkdir(parents=True)
         (run / "bounds.json").write_text(json.dumps({"lhs": [x, 2.0], "id": "tail"}))
         (run / "bound-tail.csv").write_text(f"x,lhs\n0.5,{x!r}\n")
-        np.savez(run / "cache" / f"table-{key}.npz", values=np.array([1.0, x]))
+        meta = np.frombuffer(json.dumps({"mean": x}).encode(), dtype=np.uint8)
+        np.savez(run / "cache" / f"table-{key}.npz", values=np.array([1.0, x]), meta=meta)
     capsys.readouterr()
     assert compare.main([str(r) for r in runs]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[:3] == [f"bound-tail.csv: line 2: '0.5,0.75' != '0.5,{moved!r}'",
+    assert out[:4] == [f"bound-tail.csv: line 2: '0.5,0.75' != '0.5,{moved!r}'",
                        f"bounds.json: .lhs[0]: 0.75 != {moved!r}",
+                       f"cache/table-0123.npz: meta.mean: 0.75 != {moved!r}",
                        "cache/table-0123.npz: values: bytes differ"]
-    assert out[-1] == "3 differences"
+    assert out[-1] == "4 differences"
     assert compare.main(["--rtol", "1e-13", *map(str, runs)]) == 0
     out = capsys.readouterr().out.splitlines()
     rel = f"{(moved - 0.75) / moved:.2e}"
