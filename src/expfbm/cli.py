@@ -89,7 +89,9 @@ NESTED_FIELDS = ("hurst_H", "horizon_T", "drift_a", "sigma_vol", "grid_n", "seed
 #     128-node rule (move by up to 5.4e-7 at H = 0.999).
 # 17: tables take the diagonal cells from the binomial series of K / g^alpha
 #     (move by up to 4.7e-14 relative at n = 512; other cells by a few ulps).
-CACHE_SCHEMA = 17
+# 18: tables hold their packed lower triangles without deflate (no cache file
+#     is deflated); every array loads bit for bit as before.
+CACHE_SCHEMA = 18
 
 
 # field type -> (check, what an error message calls it)
@@ -277,13 +279,7 @@ def _table_for(cfg) -> kn.KernelTable:
                    kn.save_table)
 
 
-def _require_sample(cfg):
-    if cfg.outer_paths < 2:
-        raise ValueError(f"the sample needs outer_paths >= 2, got {cfg.outer_paths}")
-
-
 def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
-    _require_sample(cfg)             # refused before the centering estimate
     params = cfg.model_params()
 
     def load(path):
@@ -490,17 +486,10 @@ def _suite_envelopes(cfg, table, ctx):
 
 
 def _suite_derivatives(cfg, table, ctx):
-    if cfg.nested_paths < 1:
-        raise ValueError("derivatives needs nested_paths >= 1")
     return ml.derivative_reports(_nested_run(cfg, table, ctx), table, cfg.model_params())
 
 
 def _suite_w(cfg, table, ctx):
-    # refused before the sample and the nested pass, outer_paths < 2 first
-    _require_sample(cfg)
-    if cfg.nested_paths < dn.W_MIN_SAMPLES:
-        raise ValueError(f"the w suite needs nested_paths >= {dn.W_MIN_SAMPLES}, "
-                         f"got {cfg.nested_paths}")
     X0 = _batch(cfg, table, ctx).centering.value
     nested = _nested_run(cfg, table, ctx)
     return dn.estimate_w_X(nested["lnF"] - X0, nested["phi"], cfg.model_params())["reports"]
@@ -508,16 +497,12 @@ def _suite_w(cfg, table, ctx):
 
 def _suite_dphi(cfg, table, ctx):
     # on the first malliavin.DPHI_PATHS nested paths
-    if cfg.nested_paths < 1:
-        raise ValueError("dphi needs nested_paths >= 1")
     return ml.dphi_bound_check(_nested_paths(cfg, table, ctx), table, cfg.model_params(),
                                cfg.inner_paths, cfg.seed,
                                stride=cfg.subgrid_stride)["reports"]
 
 
 def _suite_clark_ocone(cfg, table, ctx):
-    if cfg.nested_paths < 2:
-        raise ValueError("clark_ocone needs nested_paths >= 2 for its SE")
     params = cfg.model_params()
     paths = _nested_paths(cfg, table, ctx)
     res = ml.clark_ocone_residual(paths, table, params)
@@ -551,19 +536,43 @@ BOUND_IDS = {
 }
 
 
+# the least value of each path count that a suite reads: the sample needs two
+# paths for its variance, estimate_w_X W_MIN_SAMPLES joint samples and the
+# Clark-Ocone residual two paths for its SE
+SUITE_MINIMUMS = {
+    "tail": {"outer_paths": 2},
+    "mgf": {"outer_paths": 2},
+    "envelopes": {"outer_paths": 2},
+    "derivatives": {"nested_paths": 1},
+    "w": {"outer_paths": 2, "nested_paths": dn.W_MIN_SAMPLES},
+    "dphi": {"nested_paths": 1},
+    "clark_ocone": {"nested_paths": 2},
+}
+
+
+def _check_suites(cfg, names):
+    """Raise a ValueError for the first of the suites, in order, whose inputs
+    cfg cannot give, before any table, sample or nested pass is made."""
+    for name in names:
+        for key, least in SUITE_MINIMUMS[name].items():
+            if getattr(cfg, key) < least:
+                raise ValueError(f"{name} needs {key} >= {least}, got {getattr(cfg, key)}")
+
+
 def _run_suites(cfg, args, command, names, only=None, finish=None):
     """Run the named suites (with `only`, those holding that suite or bound
     id, keeping only its reports), then finish(cfg, table, ctx), which writes
     the command's own files and returns its extra JSON fields. Write a
     bound-<id>.csv per report, then _emit the reports. A ValueError is a
-    configuration error."""
-    table = _table_for(cfg)
-    ctx = {"allow_simulate": not args.no_simulate}
+    configuration error; the suites' inputs are checked before any work."""
     try:
         if only:
             names = [s for s in names if s == only or only in BOUND_IDS[s]]
             if not names:
                 raise ValueError(f"--only {only!r} matches no suite or bound id")
+        _check_suites(cfg, names)
+        table = _table_for(cfg)
+        ctx = {"allow_simulate": not args.no_simulate}
         reports = [r for name in names for r in SUITES[name](cfg, table, ctx)
                    if only in (None, name, r.bound_id)]
         extra = finish(cfg, table, ctx) if finish else {}

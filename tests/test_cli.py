@@ -208,7 +208,7 @@ class TestCaches:
         assert "treating it as a miss" in err
         assert "missing or unreadable and simulation disabled" in err
 
-    def test_only_the_table_is_deflated(self, cached_run):
+    def test_no_cache_is_deflated(self, cached_run):
         argv, run = cached_run
         assert main(argv) == EXIT_OK
         methods = {}
@@ -216,7 +216,7 @@ class TestCaches:
             with zipfile.ZipFile(p) as zf:
                 methods[p.name.split("-")[0]] = {i.compress_type for i in zf.infolist()}
         assert methods == {"mal": {zipfile.ZIP_STORED}, "sim": {zipfile.ZIP_STORED},
-                           "table": {zipfile.ZIP_DEFLATED}}
+                           "table": {zipfile.ZIP_STORED}}
 
     def test_bounds_imports_no_thread_pool(self, cached_run):
         # every cache is written on the command's own thread
@@ -386,6 +386,16 @@ class TestKernelVerify:
         assert report["config_hash"]
         assert report["config"]["grid_n"] == 32
         assert all(c["pass"] for c in report["checks"])
+
+    def test_loaded_table_verifies_like_a_built_one(self, tmp_path, monkeypatch):
+        # the second run reads the packed table file that the first wrote
+        argv = ["--out", str(tmp_path), "--grid", "64", "kernel-verify"]
+        assert main(argv) == EXIT_OK
+        built = json.loads((tmp_path / "kernel-verify.json").read_text())["checks"]
+        monkeypatch.setattr(kn, "build_kernel_table", None)
+        assert main(argv) == EXIT_OK
+        loaded = json.loads((tmp_path / "kernel-verify.json").read_text())["checks"]
+        assert loaded == built
 
     def test_json_flag_parses(self, small_config, capsys):
         path, _ = small_config
@@ -590,6 +600,17 @@ class TestBounds:
             == EXIT_CONFIG
         assert "outer_paths >= 2" in capsys.readouterr().err
         assert not list((tmp_path / "run" / "cache").glob("mal-*.npz"))
+
+    def test_all_suites_refused_before_any_work(self, tmp_path, capsys):
+        # w, the fifth suite, cannot run on 3000 nested paths: the four
+        # before it neither run nor write the table, sample or nested cache
+        cfg = tmp_path / "all.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 32, "outer_paths": 20_000, "nested_paths": 3000,
+            "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "bounds"]) == EXIT_CONFIG
+        assert "w needs nested_paths >= 10000" in capsys.readouterr().err
+        assert not list((tmp_path / "run").glob("cache/*.npz"))
 
     def test_too_few_nested_paths_w_refused_before_any_work(self, tmp_path, capsys):
         # estimate_w_X needs 1e4 joint samples: the w suite refuses fewer

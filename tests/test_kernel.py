@@ -548,6 +548,51 @@ class TestSerialization:
         assert loaded.c_H == table64.c_H
         assert loaded.H == table64.H and loaded.T == table64.T
 
+    @pytest.mark.parametrize("H", [0.51, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [8, 256])
+    def test_roundtrip_is_bit_exact(self, tmp_path, H, n):
+        # the file holds only the lower triangles of [1:, 1:]; every other
+        # entry loads as +0.0 and the grid is rebuilt as the build makes it
+        table = kn.build_kernel_table(H, 1.0, n)
+        path = tmp_path / "table.npz"
+        kn.save_table(table, path)
+        loaded = kn.load_table(path)
+        for name in ("grid", "values", "row_weights", "sq_weights"):
+            a, b = getattr(table, name), getattr(loaded, name)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        outside = ~np.tril(np.ones((n + 1, n + 1), dtype=bool))
+        outside[0] = outside[:, 0] = True
+        for name in ("values", "row_weights", "sq_weights"):
+            assert np.all(getattr(loaded, name)[outside] == 0.0)
+        assert loaded.meta == table.meta and loaded.c_H == table.c_H
+
+    @pytest.mark.parametrize("damage", ["short_member", "one_entry_member", "truncated"])
+    def test_damaged_file_is_a_miss(self, tmp_path, capsys, damage):
+        # a packed member of the wrong length (one entry would broadcast) is
+        # a ValueError, which the cache treats like a cut file: it reports the
+        # miss, rebuilds the table and rewrites the file
+        import expfbm.cli as cli
+
+        cfg = cli.ExperimentConfig(grid_n=16, out_dir=str(tmp_path))
+        built = cli._table_for(cfg)
+        (path,) = (tmp_path / "cache").glob("table-*.npz")
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            with np.load(path) as data:
+                arrays = dict(data)
+            arrays["row_weights"] = (arrays["row_weights"][:-1] if damage == "short_member"
+                                     else arrays["row_weights"][:1])
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+            with pytest.raises(ValueError, match="row_weights"):
+                kn.load_table(path)
+        capsys.readouterr()
+        rebuilt = cli._table_for(cfg)
+        assert "treating it as a miss" in capsys.readouterr().err
+        assert np.array_equal(rebuilt.row_weights, built.row_weights)
+        assert np.array_equal(kn.load_table(path).row_weights, built.row_weights)
+
     def test_version_check(self, table64, tmp_path):
         import json as _json
 
