@@ -24,7 +24,6 @@ from .functional import (
     ModelParams,
     analytic_mean_F,
     analytic_second_moment_F,
-    analytic_var_F,
     estimate_mean_lnF,
     functional_F,
 )
@@ -33,7 +32,6 @@ from .paths import (
     FbmPaths,
     conditional_law,
     fbm_from_bm,
-    martingale_M,
     sample_bm_increments,
     sample_fbm_cholesky,
     sample_fbm_volterra,

@@ -26,8 +26,6 @@ import json
 import math
 import os
 import sys
-import zipfile
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +38,7 @@ from . import functional as fn
 from . import kernel as kn
 from . import malliavin as ml
 from . import paths as pth
-from . import rng
+from . import reports, rng
 from .reports import Z, point_report, summarize, write_columns
 
 EXIT_OK = 0
@@ -240,16 +238,6 @@ def _write_atomic(path, write):
             tmp.unlink(missing_ok=True)
 
 
-def _savez(tmp, **arrays):
-    # through a handle: given a path without .npz, numpy would append it
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-# what reading a truncated or otherwise damaged cache file raises
-UNREADABLE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error)
-
-
 def _cached(path, load, build, save, allow_build=True):
     """load(path) if it can be read; else build(), save(value, tmp) it
     atomically in place, and return it.
@@ -260,7 +248,7 @@ def _cached(path, load, build, save, allow_build=True):
     if path.exists():
         try:
             return load(path)
-        except UNREADABLE as exc:
+        except reports.UNREADABLE as exc:
             print(f"warning: cache {path} is unreadable ({type(exc).__name__}: "
                   f"{exc}); treating it as a miss", file=sys.stderr)
     if not allow_build:
@@ -283,12 +271,12 @@ def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
     params = cfg.model_params()
 
     def load(path):
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            meta = json.loads(data["meta"].tobytes())
-            centering = fn.CenteringEstimate(meta["centering_value"], meta["centering_se"],
-                                             meta["centering_paths"], cfg.seed)
-            return dn.SampleBatch(lnF=data["lnF"], params=params,
-                                  centering=centering, meta=meta)
+        data = reports.read_npz(path)
+        meta = data["meta"]
+        centering = fn.CenteringEstimate(meta["centering_value"], meta["centering_se"],
+                                         meta["centering_paths"], cfg.seed)
+        return dn.SampleBatch(lnF=data["lnF"], params=params, centering=centering,
+                              meta=meta)
 
     def build():
         centering = fn.estimate_mean_lnF(params, table, cfg.centering_paths, cfg.seed)
@@ -298,12 +286,9 @@ def _sim_batch(cfg, table, allow_simulate=True) -> dn.SampleBatch:
                            "centering_paths": centering.n_paths})
         return batch
 
-    def save(batch, tmp):
-        meta = json.dumps(batch.meta, sort_keys=True).encode()
-        _savez(tmp, lnF=batch.lnF, meta=np.frombuffer(meta, dtype=np.uint8))
-
-    return _cached(_cache_dir(cfg) / f"sim-{cfg.cache_key(SIM_FIELDS)}.npz",
-                   load, build, save, allow_simulate)
+    return _cached(_cache_dir(cfg) / f"sim-{cfg.cache_key(SIM_FIELDS)}.npz", load, build,
+                   lambda batch, tmp: reports.write_npz(tmp, lnF=batch.lnF, meta=batch.meta),
+                   allow_simulate)
 
 
 def _once(ctx, key, make):
@@ -328,18 +313,14 @@ def _nested_run(cfg, table, ctx):
     """The malliavin.derivative_summary of the nested paths (cached): per
     path ln F and Phi_X, which the w suite reads, and the summaries that the
     derivative reports and malliavin-profile.csv read."""
-    def load(path):
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            return {k: data[k] for k in data.files}
-
     def build():
         return ml.derivative_summary(_nested_paths(cfg, table, ctx), table,
                                      cfg.model_params(), cfg.inner_paths, cfg.seed,
                                      stride=cfg.subgrid_stride)
 
     return _once(ctx, "nested", lambda: _cached(
-        _cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz", load, build,
-        lambda out, tmp: _savez(tmp, **out), ctx["allow_simulate"]))
+        _cache_dir(cfg) / f"mal-{cfg.cache_key(NESTED_FIELDS)}.npz", reports.read_npz,
+        build, lambda out, tmp: reports.write_npz(tmp, **out), ctx["allow_simulate"]))
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +517,14 @@ BOUND_IDS = {
 }
 
 
-# the least value of each path count that a suite reads: the sample needs two
-# paths for its variance, estimate_w_X W_MIN_SAMPLES joint samples and the
+# the least value of each field that a suite reads: the sample needs two
+# paths for its variance, the KDE KDE_MIN_SAMPLES samples and two bootstrap
+# replicates for its SE, estimate_w_X W_MIN_SAMPLES joint samples and the
 # Clark-Ocone residual two paths for its SE
 SUITE_MINIMUMS = {
     "tail": {"outer_paths": 2},
     "mgf": {"outer_paths": 2},
-    "envelopes": {"outer_paths": 2},
+    "envelopes": {"outer_paths": dn.KDE_MIN_SAMPLES, "kde_bootstrap": 2},
     "derivatives": {"nested_paths": 1},
     "w": {"outer_paths": 2, "nested_paths": dn.W_MIN_SAMPLES},
     "dphi": {"nested_paths": 1},

@@ -25,6 +25,7 @@ from .reports import Z, BoundReport, point_report
 MIN_TAIL_COUNT = 50        # local samples below this: inconclusive, not failed
 KDE_GRID = 512             # output nodes of kde_log_domain
 KDE_FINE_BINS = 4096       # histogram bins the KDE convolves
+KDE_MIN_SAMPLES = 10_000   # samples that kde_log_domain needs
 W_MIN_SAMPLES = 10_000     # joint samples (X, Phi_X) that estimate_w_X needs
 
 
@@ -115,8 +116,8 @@ def kde_log_domain(samples, n_boot=100, seed=0) -> DensityEstimate:
     flagged estimate instead of a density.
     """
     x = np.asarray(samples, dtype=float)
-    if len(x) < 10_000:
-        raise ValueError("density estimation needs at least 1e4 samples")
+    if len(x) < KDE_MIN_SAMPLES:
+        raise ValueError(f"density estimation needs at least {KDE_MIN_SAMPLES} samples")
     if n_boot < 2:
         raise ValueError(f"the bootstrap SE needs n_boot (kde_bootstrap) >= 2, got {n_boot}")
     if np.ptp(x) < 1e-12 or np.std(x) < 1e-12:

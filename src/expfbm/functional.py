@@ -33,6 +33,7 @@ import numpy as np
 from . import rng
 from .kernel import QUAD_DEPTH, HurstParams, graded_quad, graded_rule
 from .paths import MAP_BLOCK, FbmPaths, increment_stream, trapezoid_weights
+from .reports import write_columns
 
 # Most threads of run_blocks.
 MAX_WORKERS = 3
@@ -108,15 +109,6 @@ def functional_F(paths: FbmPaths, params: ModelParams) -> np.ndarray:
     return np.exp(LogFunctional(paths, params).lnF)
 
 
-def pathwise_bracket(paths: FbmPaths, params: ModelParams):
-    """(lower, upper) bounds on ln F, the log of the bracket
-    T exp(-|a|T + sigma min B) <= F <= T exp(|a|T + sigma max B)."""
-    T = params.T
-    lo = np.log(T) - abs(params.a) * T + params.sigma * paths.values.min(axis=1)
-    hi = np.log(T) + abs(params.a) * T + params.sigma * paths.values.max(axis=1)
-    return lo, hi
-
-
 def analytic_mean_F(params: ModelParams) -> float:
     """E[F] = int_0^T exp(a s + sigma^2 s^2H / 2) ds to ~1e-15 relative."""
     a, sigma, H, T = params.a, params.sigma, params.H, params.T
@@ -141,11 +133,6 @@ def analytic_second_moment_F(params: ModelParams) -> float:
                + np.multiply.outer(0.5 * sigma ** 2 * t ** h2,
                                    2.0 + 2.0 * u ** h2 - (1.0 - u) ** h2))
     return 2.0 * float((t * wt) @ (g @ wu))
-
-
-def analytic_var_F(params: ModelParams) -> float:
-    m = analytic_mean_F(params)
-    return analytic_second_moment_F(params) - m * m
 
 
 def deterministic_lnF(params: ModelParams) -> float:
@@ -325,13 +312,6 @@ def write_samples_csv(path, lnF, params: ModelParams,
         "centering_paths": centering.n_paths,
     })
     lnF = np.asarray(lnF, dtype=float)
-    columns = [np.exp(lnF), lnF, lnF - centering.value]
-    with open(path, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        # csv.writer's rows: no field here needs quoting, and lines end \r\n
-        fh.write("path_id,F,lnF,X\r\n")
-        for start in range(0, len(columns[0]), rng.BATCH):
-            rows = zip(range(start, start + rng.BATCH),
-                       *(c[start:start + rng.BATCH].tolist() for c in columns))
-            fh.write("".join(f"{p},{f!r},{lf!r},{x!r}\r\n" for p, f, lf, x in rows))
+    write_columns(path, ["path_id", "F", "lnF", "X"],
+                  [np.arange(len(lnF)), np.exp(lnF), lnF, lnF - centering.value],
+                  comments=meta)

@@ -38,13 +38,14 @@ quadrature of the unit-energy condition, cross-checks it.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
+
+from . import reports
 
 TABLE_FORMAT_VERSION = 2
 
@@ -617,7 +618,8 @@ _PACKED = ("values", "row_weights", "sq_weights")
 
 
 def save_table(table: KernelTable, path):
-    """Write table to path as a plain .npz, stored without deflate.
+    """Write table to path as a plain .npz (reports.write_npz), stored
+    without deflate.
 
     Of values, row_weights and sq_weights it holds only the entries that can
     be nonzero, the lower triangle (diagonal included) of [1:, 1:], in the
@@ -630,12 +632,8 @@ def save_table(table: KernelTable, path):
     meta.update({"H": table.H, "T": table.T, "c_H": table.c_H, "n": table.n,
                  "format_version": TABLE_FORMAT_VERSION})
     rows, cols = np.tril_indices(table.n)
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-            **{name: getattr(table, name)[1:, 1:][rows, cols] for name in _PACKED},
-        )
+    reports.write_npz(path, meta=meta, **{name: getattr(table, name)[1:, 1:][rows, cols]
+                                          for name in _PACKED})
 
 
 def load_table(path) -> KernelTable:
@@ -643,26 +641,25 @@ def load_table(path) -> KernelTable:
     each packed triangle goes back into zeros of shape (n + 1, n + 1).
 
     Raises ValueError for another format version or a packed member of the
-    wrong length, and what np.load raises for a damaged file.
+    wrong length, and what reports.read_npz raises for a damaged file.
     """
-    # through a handle: np.load does not close its own when the zip is unreadable
-    with open(path, "rb") as fh, np.load(fh) as data:
-        meta = json.loads(bytes(data["meta"].tobytes()).decode())
-        if meta.get("format_version") != TABLE_FORMAT_VERSION:
-            raise ValueError(f"unsupported table format {meta.get('format_version')}")
-        n = meta["n"]
-        rows, cols = np.tril_indices(n)
-        arrays = {}
-        for name in _PACKED:
-            packed = data[name]
-            if packed.shape != rows.shape:
-                raise ValueError(f"table member {name} has shape {packed.shape}, "
-                                 f"expected {rows.shape} for n = {n}")
-            full = np.zeros((n + 1, n + 1))
-            full[1:, 1:][rows, cols] = packed
-            arrays[name] = full
-        return KernelTable(
-            H=meta["H"], T=meta["T"], c_H=meta["c_H"], grid=_uniform_grid(meta["T"], n),
-            meta={k: v for k, v in meta.items() if k not in ("H", "T", "c_H")},
-            **arrays,
-        )
+    data = reports.read_npz(path)
+    meta = data["meta"]
+    if meta.get("format_version") != TABLE_FORMAT_VERSION:
+        raise ValueError(f"unsupported table format {meta.get('format_version')}")
+    n = meta["n"]
+    rows, cols = np.tril_indices(n)
+    arrays = {}
+    for name in _PACKED:
+        packed = data[name]
+        if packed.shape != rows.shape:
+            raise ValueError(f"table member {name} has shape {packed.shape}, "
+                             f"expected {rows.shape} for n = {n}")
+        full = np.zeros((n + 1, n + 1))
+        full[1:, 1:][rows, cols] = packed
+        arrays[name] = full
+    return KernelTable(
+        H=meta["H"], T=meta["T"], c_H=meta["c_H"], grid=_uniform_grid(meta["T"], n),
+        meta={k: v for k, v in meta.items() if k not in ("H", "T", "c_H")},
+        **arrays,
+    )

@@ -213,10 +213,7 @@ def conditional_means(table: KernelTable, increments, k):
     (..., P, n): one product of the increments before t_k with their
     Volterra columns, per (P, n) slice of a stack. N holds the realized
     value for i <= k and the conditional mean of the future for i > k."""
-    increments = np.atleast_2d(increments)
-    if k == 0:
-        return np.zeros(increments.shape[:-1] + (table.n + 1,))
-    return increments[..., :k] @ table.volterra_matrix[:, :k].T
+    return np.atleast_2d(increments)[..., :k] @ table.volterra_matrix[:, :k].T
 
 
 def inner_fluctuations(table: KernelTable, k, dB):
@@ -283,14 +280,6 @@ def conditional_lognormal_sweep(table: KernelTable, params, increments):
             L += np.matmul(U[k - 1, k + 1:], R[k - 1],
                            out=step[:size].reshape(n - k, P))
         yield k, L.T, np.exp(L, out=buf[:size].reshape(n - k, P)).T
-
-
-def martingale_M(paths: FbmPaths, table: KernelTable, params, r) -> np.ndarray:
-    """M_r = E[F | F_r] for the trapezoid-rule F: conditional_lognormal over the
-    whole row at node r. M_T is the functional value, M_0 = E[F]."""
-    law = conditional_law(paths, table, r)
-    return conditional_lognormal(table, params, law.theta_index, law.means) \
-        @ trapezoid_weights(table.grid)
 
 
 def trapezoid_weights(grid):

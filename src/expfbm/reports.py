@@ -1,11 +1,16 @@
-"""Structured pass/fail records for inequality suites, the range summary
-they are built from, and the one CSV writer of the package (write_columns)."""
+"""Structured pass/fail records for inequality suites and the range summary
+they are built from; and the package's file formats: the one CSV writer
+(write_columns) and the one .npz writer and reader (write_npz, read_npz)."""
 from __future__ import annotations
 
-import csv
+import json
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import rng
 
 # Standard errors by which a Monte Carlo estimate may pass its bound: the one
 # verdict rule of every report built from an estimate and its SE.
@@ -90,16 +95,57 @@ class BoundReport:
                        self.implied_constant])
 
 
-def write_columns(path, header, columns):
-    """A CSV file of the header row, then one row per entry of the columns,
-    each field repr(float); a column that is None gives empty fields."""
+def _fields(column):
+    """repr of each entry as a Python scalar: an int column's ints, any
+    other column's floats."""
+    a = np.asarray(column)
+    return map(repr, (a if a.dtype.kind in "iu" else a.astype(float)).tolist())
+
+
+def write_columns(path, header, columns, comments=None):
+    """A CSV file: a `# key=value` line per comment (sorted by key), the
+    header row, then one row per entry of the columns, each field the repr
+    of a Python int or float; a column that is None gives empty fields.
+
+    Rows end in \\r\\n and are joined and written rng.BATCH at a time: the
+    bytes of csv.writer, since no field needs quoting.
+    """
     rows = len(columns[0])
-    fields = [[""] * rows if c is None else [repr(float(v)) for v in c]
-              for c in columns]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*fields))
+        for key in sorted(comments or {}):
+            fh.write(f"# {key}={comments[key]}\n")
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, rows, rng.BATCH):
+            stop = min(start + rng.BATCH, rows)
+            fields = [[""] * (stop - start) if c is None else _fields(c[start:stop])
+                      for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def write_npz(path, **members):
+    """A plain .npz of the members, in the caller's order, written through a
+    handle (given a path without .npz, numpy would append it). A member
+    `meta` is a dict, stored as the uint8 bytes of its sorted-key JSON."""
+    if "meta" in members:
+        blob = json.dumps(members["meta"], sort_keys=True).encode()
+        members["meta"] = np.frombuffer(blob, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def read_npz(path):
+    """Every member of an .npz that write_npz wrote, in the file's order,
+    with `meta` decoded from its JSON; nothing is unpickled."""
+    # through a handle: np.load does not close its own when the zip is unreadable
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+        members = {k: data[k] for k in data.files}
+    if "meta" in members:
+        members["meta"] = json.loads(members["meta"].tobytes())
+    return members
+
+
+# what reading a truncated or otherwise damaged .npz file raises
+UNREADABLE = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error)
 
 
 _EXCEEDS = {

@@ -12,10 +12,16 @@ files (and a `.json` file that does not parse) as text after dropping the
 lines that carry the config hash, field by comma-separated field, or by their
 bytes when they are not text.
 
-Two floats x, y are equal when |x - y| <= R max(|x|, |y|) (NaN equals NaN);
-the default R = 0 asks for the same value. Everything else must match
-exactly. Prints each difference, then the largest relative difference of
-every file whose floats moved; exits 0 when nothing differs, else 1.
+Two floats x, y are equal when |x - y| <= R max(|x|, |y|, c) (NaN equals
+NaN), where c, the column's floor, is the largest finite |value| of their
+column in either file: a CSV file's field position, an `.npz` member, or in
+JSON the same place in every entry of the innermost list around the float
+(the float itself outside any list). So a value near 0 in a column of larger
+ones, such as X, ln F or a rounding-level residual, may move by R times the
+column's size. The default R = 0 asks for the same value. Everything else
+must match exactly. Prints each difference, then the largest relative
+difference (|x - y| / max(|x|, |y|, c)) of every file whose floats moved;
+exits 0 when nothing differs, else 1.
 """
 from __future__ import annotations
 
@@ -42,14 +48,35 @@ def _strip(value):
     return value
 
 
-def relative_difference(x, y):
-    """|x - y| / max(|x|, |y|), elementwise: 0 where x == y or both are
-    NaN, inf where only one is NaN or where two infinities differ."""
+def relative_difference(x, y, floor=0.0):
+    """|x - y| / max(|x|, |y|, floor), elementwise: 0 where x == y or both
+    are NaN, inf where only one is NaN or where two infinities differ."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+        rel = np.abs(x - y) / np.maximum(np.maximum(np.abs(x), np.abs(y)), floor)
     same = (x == y) | (np.isnan(x) & np.isnan(y))
     return np.where(same, 0.0, np.where(np.isnan(rel), np.inf, rel))
+
+
+def column_floor(*values):
+    """The largest finite |value| of the given floats or arrays, 0 if none."""
+    a = np.abs(np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in values]))
+    a = a[np.isfinite(a)]
+    return float(a.max()) if a.size else 0.0
+
+
+def _json_floats(value, where, column, out):
+    """Append each float of a JSON value to out[its column], the path of
+    the innermost list around it with [*] for the index (where it is in no
+    list, its own path)."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _json_floats(v, f"{where}.{k}", f"{column}.{k}", out)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _json_floats(v, f"{where}[{i}]", f"{where}[*]", out)
+    elif type(value) is float:
+        out.setdefault(column, []).append(value)
 
 
 class Comparison:
@@ -60,27 +87,36 @@ class Comparison:
         self.rtol = rtol
         self.diffs = []
         self.max_rel = 0.0
+        self.floors = {}          # JSON column -> its floor
 
-    def floats(self, x, y, message):
-        """Compare float arrays (or floats) of one shape; record message if
-        they differ beyond rtol."""
-        rel = relative_difference(x, y)
+    def floats(self, x, y, message, floor=0.0):
+        """Compare float arrays (or floats) of one shape against the column
+        floor; record message if they differ beyond rtol."""
+        rel = relative_difference(x, y, floor)
         worst = float(rel.max()) if rel.size else 0.0
         self.max_rel = max(self.max_rel, worst)
         if worst > self.rtol:
             self.diffs.append(message)
 
     def json(self, a, b, where):
+        """Compare two JSON values found at where (a path: "" for a file)."""
+        columns = {}
+        for value in (a, b):
+            _json_floats(value, where, where, columns)
+        self.floors.update((c, column_floor(v)) for c, v in columns.items())
+        self._json(a, b, where, where)
+
+    def _json(self, a, b, where, column):
         if isinstance(a, dict) and isinstance(b, dict):
             self.diffs += [f"{where}.{k}: only in {'A' if k in a else 'B'}"
                            for k in sorted(set(a) ^ set(b))]
             for k in sorted(set(a) & set(b)):
-                self.json(a[k], b[k], f"{where}.{k}")
+                self._json(a[k], b[k], f"{where}.{k}", f"{column}.{k}")
         elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
             for i, (x, y) in enumerate(zip(a, b)):
-                self.json(x, y, f"{where}[{i}]")
+                self._json(x, y, f"{where}[{i}]", f"{where}[*]")
         elif type(a) is float and type(b) is float:
-            self.floats(a, b, f"{where}: {a!r} != {b!r}")
+            self.floats(a, b, f"{where}: {a!r} != {b!r}", self.floors[column])
         elif type(a) is not type(b) or a != b:
             self.diffs.append(f"{where}: {a!r} != {b!r}")
 
@@ -98,7 +134,7 @@ class Comparison:
             elif (x.dtype, x.shape) != (y.dtype, y.shape):
                 self.diffs.append(f"{k}: {x.dtype}{x.shape} != {y.dtype}{y.shape}")
             elif x.dtype.kind == "f":
-                self.floats(x, y, f"{k}: bytes differ")
+                self.floats(x, y, f"{k}: bytes differ", column_floor(x, y))
             else:
                 self.diffs.append(f"{k}: bytes differ")
             exact = False
@@ -109,21 +145,29 @@ class Comparison:
         if len(lines_a) != len(lines_b):
             self.diffs.append(f"{len(lines_a)} lines != {len(lines_b)} lines")
             return
-        for i, (x, y) in enumerate(zip(lines_a, lines_b)):
-            if x != y and not self._fields(x.split(","), y.split(",")):
-                self.diffs.append(f"line {i + 1}: {x!r} != {y!r}")
+        rows_a, rows_b = ([line.split(",") for line in lines] for lines in (lines_a, lines_b))
+        columns = {}
+        for row in rows_a + rows_b:
+            for c, value in enumerate(map(_as_float, row)):
+                if value is not None:
+                    columns.setdefault(c, []).append(value)
+        floors = {c: column_floor(v) for c, v in columns.items()}
+        for i, (x, y) in enumerate(zip(rows_a, rows_b)):
+            if x != y and not self._fields(x, y, floors):
+                self.diffs.append(f"line {i + 1}: {lines_a[i]!r} != {lines_b[i]!r}")
 
-    def _fields(self, xs, ys):
-        """True if two lines' fields are equal, floats within rtol."""
+    def _fields(self, xs, ys, floors):
+        """True if two lines' fields are equal, floats within rtol of their
+        column's floor."""
         if len(xs) != len(ys):
             return False
         equal = True
-        for x, y in zip(xs, ys):
+        for c, (x, y) in enumerate(zip(xs, ys)):
             if x != y:
                 fx, fy = _as_float(x), _as_float(y)
                 if fx is None or fy is None:
                     return False
-                rel = float(relative_difference(fx, fy))
+                rel = float(relative_difference(fx, fy, floors[c]))
                 self.max_rel = max(self.max_rel, rel)
                 equal = equal and rel <= self.rtol
         return equal

@@ -133,7 +133,7 @@ def test_criterion_4_moment_oracles(pathlaw):
     mean_target = fn.analytic_mean_F(params)
     se_mean = F.std(ddof=1) / np.sqrt(len(F))
     z_mean = abs(F.mean() - mean_target) / se_mean
-    var_target = fn.analytic_var_F(params)
+    var_target = fn.analytic_second_moment_F(params) - mean_target * mean_target
     s2 = F.var(ddof=1)
     c = F - F.mean()
     se_var = np.sqrt((np.mean(c ** 4) - s2 ** 2) / len(F))

@@ -16,6 +16,7 @@ from expfbm import functional as fn
 from expfbm import kernel as kn
 from expfbm import malliavin as ml
 from expfbm import paths as pth
+from expfbm import reports
 from expfbm.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, ExperimentConfig, main
 
 
@@ -360,12 +361,14 @@ class TestWriteFailures:
 
     def test_failed_cache_write(self, cached_run, capsys, monkeypatch):
         argv, run = cached_run
+        assert main(argv[:-1] + ["kernel-verify"]) == EXIT_OK     # the table is cached
+        capsys.readouterr()
 
         def disk_full(tmp, **arrays):
             tmp.write_bytes(b"partial")
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cli, "_savez", disk_full)
+        monkeypatch.setattr(reports, "write_npz", disk_full)
         assert main(argv) == cli.EXIT_BUDGET
         err = capsys.readouterr().err
         (line,) = err.splitlines()
@@ -580,13 +583,15 @@ class TestBounds:
                              ids=["tail", "mgf", "envelopes", "w", "density"])
     def test_no_outer_paths_is_config_error(self, tmp_path, capsys, command):
         # outer_paths = 0 leaves no sample: every suite that reads it (w for
-        # its centering constant) exits 2 before it is drawn or cached
+        # its centering constant) exits 2 before it is drawn or cached,
+        # naming its least path count (the KDE's 1e4 for the envelopes)
         cfg = tmp_path / "p0.json"
         cfg.write_text(json.dumps({
             "grid_n": 16, "centering_paths": 1000, "nested_paths": 300,
             "inner_paths": 50, "out_dir": str(tmp_path / "run")}))
         assert main(["--config", str(cfg), "--paths", "0", *command]) == EXIT_CONFIG
-        assert "outer_paths >= 2" in capsys.readouterr().err
+        least = 10_000 if command[-1] in ("envelopes", "density") else 2
+        assert f"outer_paths >= {least}, got 0" in capsys.readouterr().err
         assert not list((tmp_path / "run" / "cache").glob("sim-*"))
 
     def test_no_outer_paths_w_skips_the_nested_pass(self, tmp_path, capsys):
@@ -611,6 +616,21 @@ class TestBounds:
         assert main(["--config", str(cfg), "bounds"]) == EXIT_CONFIG
         assert "w needs nested_paths >= 10000" in capsys.readouterr().err
         assert not list((tmp_path / "run").glob("cache/*.npz"))
+
+    @pytest.mark.parametrize("command, fields", [
+        (["density"], {"outer_paths": 5000}),
+        (["bounds", "--only", "envelopes"], {"outer_paths": 20_000, "kde_bootstrap": 1})],
+        ids=["samples", "bootstrap"])
+    def test_kde_refused_before_any_work(self, tmp_path, capsys, command, fields):
+        # the KDE needs 1e4 samples and two bootstrap replicates: the table
+        # and the sample are neither made nor cached
+        cfg = tmp_path / "kde.json"
+        cfg.write_text(json.dumps(dict(
+            grid_n=16, centering_paths=1000, out_dir=str(tmp_path / "run"), **fields)))
+        assert main(["--config", str(cfg), *command]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "envelopes needs " in err
+        assert not list((tmp_path / "run").rglob("cache/*"))
 
     def test_too_few_nested_paths_w_refused_before_any_work(self, tmp_path, capsys):
         # estimate_w_X needs 1e4 joint samples: the w suite refuses fewer

@@ -68,7 +68,9 @@ class TestFunctionalF:
     def test_positive_and_bracketed(self, table64, params):
         paths = pth.sample_fbm_volterra(table64, 5_000, seed=3)
         F = fn.functional_F(paths, params)
-        lo, hi = fn.pathwise_bracket(paths, params)
+        # the bracket T exp(-|a|T + sigma min B) <= F <= T exp(|a|T + sigma max B)
+        lo = np.log(params.T) - abs(params.a) * params.T + params.sigma * paths.values.min(axis=1)
+        hi = np.log(params.T) + abs(params.a) * params.T + params.sigma * paths.values.max(axis=1)
         assert np.all(F > 0)
         assert np.all(np.log(F) >= lo) and np.all(np.log(F) <= hi)
 
@@ -121,7 +123,8 @@ class TestAnalyticMoments:
     def test_variance_against_mc(self, table64, params):
         paths = pth.sample_fbm_volterra(table64, 30_000, seed=5)
         F = fn.functional_F(paths, params)
-        target = fn.analytic_var_F(params)
+        mean = fn.analytic_mean_F(params)
+        target = fn.analytic_second_moment_F(params) - mean * mean
         sample = F.var(ddof=1)
         c = F - F.mean()
         se = np.sqrt((np.mean(c ** 4) - sample ** 2) / len(F))

@@ -618,7 +618,7 @@ class TestClarkOcone:
         se = res.std(ddof=1) / np.sqrt(len(res))
         assert abs(res.mean()) < 3.0 * se
 
-    def test_mean_is_initial_martingale_value(self, table64):
+    def test_mean_is_initial_martingale_value(self, table64, martingale_M):
         # on the zero path every integrand term is multiplied by dB = 0, so
         # the residual is F - E[F]: the E[F] it subtracts must be M_0
         zero = pth.fbm_from_bm(table64, np.zeros((1, table64.n)))
@@ -627,7 +627,7 @@ class TestClarkOcone:
                 params = make_params(a=a, sigma=sigma)
                 F = fn.functional_F(zero, params)
                 EF = F - ml.clark_ocone_residual(zero, table64, params)
-                M0 = pth.martingale_M(zero, table64, params, 0.0)
+                M0 = martingale_M(zero, table64, params, 0.0)
                 assert abs(EF[0] / M0[0] - 1.0) <= 1e-15, (a, sigma)
 
     def test_padded_rows_stay_out_of_the_sum(self):
@@ -695,7 +695,7 @@ class TestConditionalMeanSweep:
         return {(H, n): kn.build_kernel_table(H, 1.0, n)
                 for H in (0.55, 0.9) for n in (16, 64)}
 
-    def test_sweep_martingale_matches_martingale_M(self, table64):
+    def test_sweep_martingale_matches_martingale_M(self, table64, martingale_M):
         # the M_k of the lower bound (running past sum plus C . tau) is
         # martingale_M at every node, and max M is the max over the nodes
         paths = pth.sample_fbm_volterra(table64, 50, seed=33)
@@ -707,7 +707,7 @@ class TestConditionalMeanSweep:
             for k, _, C in pth.conditional_lognormal_sweep(table64, params,
                                                            paths.increments):
                 M = E[:, : k + 1] @ tau[: k + 1] + C @ tau[k + 1:]
-                M_all.append(pth.martingale_M(paths, table64, params, table64.grid[k]))
+                M_all.append(martingale_M(paths, table64, params, table64.grid[k]))
                 assert np.allclose(M, M_all[-1], rtol=1e-13, atol=0), (a, sigma, k)
             _, terms = ml.phi_lower_bound_terms(paths, table64, params)
             assert np.allclose(terms["maxM"], np.max(M_all, axis=0), rtol=1e-13, atol=0)

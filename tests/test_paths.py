@@ -172,29 +172,29 @@ class TestInnerFluctuations:
 
 
 class TestMartingale:
-    def test_terminal_equals_functional(self, table64, params):
+    def test_terminal_equals_functional(self, table64, params, martingale_M):
         paths = pth.sample_fbm_volterra(table64, 50, seed=13)
-        M = pth.martingale_M(paths, table64, params, 1.0)
+        M = martingale_M(paths, table64, params, 1.0)
         F = functional_F(paths, params)
         assert np.allclose(M, F, rtol=1e-14)
 
-    def test_initial_equals_grid_mean(self, table64, params):
+    def test_initial_equals_grid_mean(self, table64, params, martingale_M):
         paths = pth.sample_fbm_volterra(table64, 2, seed=13)
-        M0 = pth.martingale_M(paths, table64, params, 0.0)
+        M0 = martingale_M(paths, table64, params, 0.0)
         tau = pth.trapezoid_weights(table64.grid)
         oracle = np.sum(tau * np.exp(0.5 * table64.map_variances))
         assert np.all(np.abs(M0 - oracle) < 1e-10)
 
-    def test_martingale_property(self, table64, params):
+    def test_martingale_property(self, table64, params, martingale_M):
         paths = pth.sample_fbm_volterra(table64, 100_000, seed=14)
-        M = pth.martingale_M(paths, table64, params, 0.5)
+        M = martingale_M(paths, table64, params, 0.5)
         tau = pth.trapezoid_weights(table64.grid)
         M0 = np.sum(tau * np.exp(0.5 * table64.map_variances))
         se = M.std(ddof=1) / np.sqrt(len(M))
         assert abs(M.mean() - M0) < 3.0 * se
 
     @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
-    def test_one_step_martingale_exact(self, H):
+    def test_one_step_martingale_exact(self, H, martingale_M):
         # E[M_{k+1} | F_k] = M_k in the discrete model: M_{k+1} depends on
         # F_k and the one increment dB_k ~ N(0, dt), which a 60-node
         # Gauss-Hermite rule integrates to rounding (the integrand is
@@ -211,19 +211,19 @@ class TestMartingale:
             for a in (-1.0, 0.3):
                 for sigma in (0.3, 1.0, 2.0):
                     params = ModelParams(a=a, sigma=sigma, hurst=kn.HurstParams(H, 1.0))
-                    M_next = pth.martingale_M(step, table, params, table.grid[k + 1])
-                    M_now = pth.martingale_M(now, table, params, table.grid[k])
+                    M_next = martingale_M(step, table, params, table.grid[k + 1])
+                    M_now = martingale_M(now, table, params, table.grid[k])
                     avg = M_next.reshape(len(base), len(x)) @ w
                     assert np.allclose(avg, M_now, rtol=1e-12, atol=0), (k, a, sigma)
 
-    def test_max_moment_stability(self, table128, table256, params):
+    def test_max_moment_stability(self, table128, table256, params, martingale_M):
         # E[max_r M_r^p] stable across grid refinement for p in {2, 4}
         ests = {}
         for table in (table128, table256):
             paths = pth.sample_fbm_volterra(table, 10_000, seed=15)
             maxM = np.zeros(paths.n_paths)
             for k in range(0, table.n + 1, max(1, table.n // 64)):
-                M = pth.martingale_M(paths, table, params, table.grid[k])
+                M = martingale_M(paths, table, params, table.grid[k])
                 np.maximum(maxM, M, out=maxM)
             ests[table.n] = [np.mean(maxM ** p) for p in (2, 4)]
         for p_idx in (0, 1):

@@ -41,7 +41,9 @@ def test_log_domain_derivatives(H, T, a, sigma):
     assert np.all(D <= bound * (1.0 + 1e-9))
     assert np.all(D2 >= -1e-12 * np.abs(D2).max())
 
-    lo, hi = fn.pathwise_bracket(paths, params)
+    # the bracket T exp(-|a|T + sigma min B) <= F <= T exp(|a|T + sigma max B)
+    lo = np.log(params.T) - abs(params.a) * params.T + params.sigma * paths.values.min(axis=1)
+    hi = np.log(params.T) + abs(params.a) * params.T + params.sigma * paths.values.max(axis=1)
     slack = 1e-12 * np.maximum(1.0, np.abs(lnF))
     assert np.all(lo - slack <= lnF) and np.all(lnF <= hi + slack)
 

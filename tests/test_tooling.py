@@ -17,7 +17,7 @@ import expfbm.cli as cli
 from expfbm import density as dn
 from expfbm import functional as fn
 from expfbm import malliavin as ml
-from expfbm import rng
+from expfbm import reports, rng
 from expfbm.density import SampleBatch
 from expfbm.malliavin import MalliavinProfile
 
@@ -85,17 +85,17 @@ def test_spans_open_on_the_main_thread(table64, params, monkeypatch):
 
 
 def test_cache_saves_run_on_the_main_thread(tmp_path, monkeypatch):
-    # the sample and nested caches are written in place by the command's own
-    # thread, and a bounds run opens no span off it
+    # the table, sample and nested caches are written in place by the
+    # command's own thread, and a bounds run opens no span off it
     opened = install_thread_tracer(monkeypatch)
     saved = []
-    savez = cli._savez
+    write_npz = reports.write_npz
 
-    def recording_savez(tmp, **arrays):
+    def recording_write_npz(tmp, **members):
         saved.append(threading.get_ident())
-        savez(tmp, **arrays)
+        write_npz(tmp, **members)
 
-    monkeypatch.setattr(cli, "_savez", recording_savez)
+    monkeypatch.setattr(reports, "write_npz", recording_write_npz)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
@@ -104,7 +104,7 @@ def test_cache_saves_run_on_the_main_thread(tmp_path, monkeypatch):
     assert cli.main(["--config", str(cfg_path), "bounds"]) == 0
     assert sorted(p.name[:4] for p in (tmp_path / "cache").iterdir()) == [
         "mal-", "sim-", "tabl"]
-    assert saved == [threading.main_thread().ident] * 2
+    assert saved == [threading.main_thread().ident] * 3
     names = {name for name, _ in opened}
     assert {"cli.main", "kernel.save_table", "malliavin.phi_x_batch"} <= names
     assert {ident for _, ident in opened} == {threading.main_thread().ident}
@@ -253,15 +253,68 @@ def test_compare_outputs_rtol(tmp_path, capsys):
     assert out[-1] == "4 differences"
     assert compare.main(["--rtol", "1e-13", *map(str, runs)]) == 0
     out = capsys.readouterr().out.splitlines()
-    rel = f"{(moved - 0.75) / moved:.2e}"
-    assert out[:3] == [f"{name}: largest relative difference {rel}" for name in
-                       ("bound-tail.csv", "bounds.json", "cache/table-0123.npz")]
+    # relative to the column's floor: 2.0 in the lhs list of bounds.json
+    rel = {name: f"{(moved - 0.75) / floor:.2e}" for name, floor in
+           (("bound-tail.csv", moved), ("bounds.json", 2.0), ("cache/table-0123.npz", moved))}
+    assert out[:3] == [f"{name}: largest relative difference {r}" for name, r in rel.items()]
     assert out[-1] == "equal within rtol 1e-13: 3 files"
 
     (runs[1] / "bounds.json").write_text(json.dumps({"lhs": [0.75, 2.0], "id": "mgf"}))
     for argv in ([], ["--rtol", "1e-13"]):
         assert compare.main([*argv, *map(str, runs)]) == 1
         assert "bounds.json: .id: 'tail' != 'mgf'" in capsys.readouterr().out
+
+
+def test_compare_outputs_column_floor(tmp_path, capsys):
+    # a value near 0 in a column of larger ones (X or ln F in a samples CSV
+    # or a cache, a rounding-level kernel-verify residual among the checks)
+    # that moves by 10 % of itself, 7e-17 of its column, is equal at
+    # --rtol 1e-12; a move of 3e-12 of the column is flagged in every file
+    compare = load_script(Path(__file__).parent / "compare_outputs.py")
+
+    def write(run, near_zero):
+        (run / "cache").mkdir(parents=True)
+        (run / "samples.csv").write_text(f"path_id,X\r\n0,-3.0\r\n1,{near_zero!r}\r\n")
+        (run / "kernel-verify.json").write_text(json.dumps({"checks": [
+            {"id": "energy", "value": 3.0}, {"id": "row_sum", "value": near_zero}]}))
+        np.savez(run / "cache" / "sim-0.npz", lnF=np.array([-3.0, near_zero]))
+
+    for moved, verdicts in ((2.2e-15, (0, 1)), (2e-15 + 1e-11, (1, 1))):
+        runs = [tmp_path / str(moved) / side for side in "ab"]
+        write(runs[0], 2e-15)
+        write(runs[1], moved)
+        for argv, verdict in ((["--rtol", "1e-12"], verdicts[0]), ([], verdicts[1])):
+            assert compare.main([*argv, *map(str, runs)]) == verdict
+            out = capsys.readouterr().out.splitlines()
+            assert out[-1] == ("equal within rtol 1e-12: 3 files" if verdict == 0
+                               else "3 differences")
+
+
+def format_uses(tree):
+    """What a parsed module uses of the file formats: np.savez, np.load, the
+    csv module, or a CSV row's \\r\\n."""
+    uses = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "np" and node.attr.startswith(("savez", "load"))):
+            uses.add(f"np.{node.attr}")
+        elif isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            uses.add("csv")
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            uses.add("csv")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "\r\n" in node.value):
+            uses.add("\\r\\n")
+    return uses
+
+
+def test_file_formats_are_written_in_reports():
+    # every CSV row and every .npz cache is written, and every cache read,
+    # by reports.write_columns, write_npz and read_npz
+    uses = {path.stem: format_uses(ast.parse(path.read_text()))
+            for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module for module, used in uses.items() if used} == {"reports"}
+    assert uses["reports"] == {"np.savez", "np.load", "\\r\\n"}
 
 
 def stream_callers(tree, module):
