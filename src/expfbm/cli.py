@@ -546,12 +546,14 @@ def _run_suites(cfg, args, command, names, only=None, finish=None):
     id, keeping only its reports), then finish(cfg, table, ctx), which writes
     the command's own files and returns its extra JSON fields. Write a
     bound-<id>.csv per report, then _emit the reports. A ValueError is a
-    configuration error; the suites' inputs are checked before any work."""
+    configuration error; an empty selection and the suites' inputs are
+    checked before any work."""
     try:
         if only:
             names = [s for s in names if s == only or only in BOUND_IDS[s]]
-            if not names:
-                raise ValueError(f"--only {only!r} matches no suite or bound id")
+        if not names:
+            raise ValueError(f"--only {only!r} matches no suite or bound id" if only
+                             else "no suite selected")
         _check_suites(cfg, names)
         table = _table_for(cfg)
         ctx = {"allow_simulate": not args.no_simulate}

@@ -234,17 +234,17 @@ def sample_lnF(params: ModelParams, table, n_paths, seed, purpose=rng.OUTER):
 
     The batches of rng.batch_ranges run on run_blocks. A worker draws its
     batch from the batch's stream MAP_BLOCK rows at a time, straight into one
-    (MAP_BLOCK, n) scratch whose tail past a short draw is zeroed, so each
-    block is mapped as paths.map_rows maps it, and reduces it to ln F at once.
+    (MAP_BLOCK, table.width) scratch whose tail past a short draw is zeroed,
+    so each block is mapped as paths.map_rows maps it, and reduces it to ln F
+    at once.
     """
-    n = table.n
     Vt = table.volterra_matrix.T
     lnF = np.empty(n_paths)
 
     def work(b, start, stop):
         draw = increment_stream(table.grid, seed, purpose, b)
-        block = np.empty((MAP_BLOCK, n))
-        out = np.empty((MAP_BLOCK, n + 1))
+        block = np.empty((MAP_BLOCK, table.width))
+        out = np.empty((MAP_BLOCK, table.n + 1))
         for lo in range(start, stop, MAP_BLOCK):
             rows = min(MAP_BLOCK, stop - lo)
             draw(block[:rows])

@@ -356,11 +356,16 @@ class KernelTable:
     row_weights[i, j] int_{t_{j-1}}^{t_j} K(t_i, r) dr for 1 <= j <= i.
     sq_weights[i, j]  int_{t_{j-1}}^{t_j} K(t_i, r)^2 dr for 1 <= j <= i.
 
-    Derived arrays: volterra_matrix (row_weights / dt) maps Brownian
-    increments to fBm values; energies = cumulative sq_weights (continuous
+    Derived arrays: volterra_matrix (row_weights / dt) maps the driving
+    Gaussians to fBm values; energies = cumulative sq_weights (continuous
     energies, ~ t_i^2H); map_variances = sum_j row_weights^2 / dt (variance
     actually produced by the discrete map, slightly below t_i^2H), and
-    conditional_variances(k) the part of it that the cells after t_k draw.
+    conditional_variances(k) the part of it that the future at t_k draws.
+
+    Column layout: column c of volterra_matrix carries one N(0, dt) Gaussian,
+    known from node column_nodes[c] on (cell j's increment: node j + 1). The
+    columns are ordered by that node, so the past at node k is the prefix
+    volterra_matrix[:, :past(k)] and the future the rest. Rows are nodes.
     """
 
     H: float
@@ -380,11 +385,23 @@ class KernelTable:
     def dt(self):
         return self.T / self.n
 
-    @property
+    @functools.cached_property
     def volterra_matrix(self):
-        if "_volterra" not in self.__dict__:
-            self.__dict__["_volterra"] = self.row_weights[:, 1:] / self.dt
-        return self.__dict__["_volterra"]
+        return self.row_weights[:, 1:] / self.dt
+
+    @functools.cached_property
+    def column_nodes(self):
+        """Node from which each column's Gaussian is known (>= 1, sorted)."""
+        return np.arange(1, self.n + 1)
+
+    @property
+    def width(self):
+        """Gaussians per path: the columns of volterra_matrix."""
+        return len(self.column_nodes)
+
+    def past(self, k):
+        """Columns known at node k (k a node or an array of nodes)."""
+        return np.searchsorted(self.column_nodes, k, side="right")
 
     @property
     def energies(self):
@@ -396,16 +413,18 @@ class KernelTable:
         """Variance of the discrete Volterra map at each node."""
         return (self.row_weights ** 2).sum(axis=1) / self.dt
 
+    @functools.cached_property
+    def _future_variances(self):
+        fv = np.zeros((self.width + 1, self.n + 1))
+        fv[:-1] = np.cumsum((self.volterra_matrix.T ** 2 * self.dt)[::-1], axis=0)[::-1]
+        fv.setflags(write=False)
+        return fv
+
     def conditional_variances(self, k):
-        """v_i(k) = Var(B^H_{t_i} | F_{t_k}) = sum_{l >= k} V[i, l]^2 dt, drawn by
-        the cells after t_k: 0 for i <= k, map_variances at k = 0. Row k of
-        one cached reverse cumulative sum (read-only)."""
-        if "_future_var" not in self.__dict__:
-            fv = np.zeros((self.n + 1, self.n + 1))
-            fv[:-1] = np.cumsum((self.volterra_matrix.T ** 2 * self.dt)[::-1], axis=0)[::-1]
-            fv.setflags(write=False)
-            self.__dict__["_future_var"] = fv
-        return self.__dict__["_future_var"][k]
+        """v_i(k) = Var(B^H_{t_i} | F_{t_k}) = sum_{c >= past(k)} V[i, c]^2 dt,
+        drawn by the future columns: 0 for i <= k, map_variances at k = 0.
+        Row past(k) of one cached reverse cumulative sum (read-only)."""
+        return self._future_variances[self.past(k)]
 
     def index_of(self, t):
         """Grid index of time t; raises if t is not a grid node."""

@@ -20,9 +20,10 @@ _nested, runs block-major on the worker threads of functional.run_blocks:
 each task takes a group of consecutive blocks of CHUNK_OUTER paths (the
 last one zero-padded by paths.pad_rows) and walks every subgrid node for
 them. At each node it forms N as one product of each block's past
-increments with the Volterra columns (paths.conditional_means), draws one
-inner set Z per block (paths.increment_stream) and forms every inner sum in
-one GEMM of A with B^T per block, stacked over the group. Per-path estimates and
+Gaussians with their Volterra columns (paths.conditional_means), draws one
+inner set Z of the future columns per block (paths.increment_stream) and
+forms every inner sum in one GEMM of A with B^T per block, stacked over the
+group. Per-path estimates and
 their inner SEs keep their law, but the paths of one block share inner
 noise: the SE of a mean over paths must come from block means
 (block_mean_se). The Gram products of d2x run on run_blocks too.
@@ -31,13 +32,14 @@ The Clark-Ocone residual and the pathwise lower bound on Phi_X walk the whole
 triangle of nodes k <= i. Both run on paths.conditional_lognormal_sweep,
 which yields at every node the conditional lognormal means
 C_i = E[exp(a t_i + sigma B_i) | F_{t_k}] of the rows i > k and carries
-their exponent L by one rank-2 update per node (O(P n) per node, no
+their exponent L by one rank-2 update per column (O(P n) per node, no
 (P, n+1, n) temporary). Both passes sweep blocks of _sweep_paths(n) paths
 (paths.pad_rows) on the worker threads of functional.run_blocks
 (README, Threads), one sweep per block. The lower bound's
 M_k = E[F | F_{t_k}] is the realized past plus C . tau, and its min of the
 conditional means N[p, i, k] = E[B_{t_i} | F_{t_k}] is read off L; E[F] = M_0,
-and the Clark-Ocone integrand of cell k is sigma C . (tau V[:, k]).
+and the Clark-Ocone integrand of column c is sigma C . (tau V[:, c]) at the
+node before c enters the past.
 
 Grid conventions: the pointwise derivative diverges like theta^(1/2-H) as
 theta -> 0, so index 0 of derivative arrays stores the first-cell average
@@ -278,11 +280,12 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
     _group_blocks consecutive blocks of CHUNK_OUTER paths, the last one
     zero-padded (paths.pad_rows), and walks every node of idx for them. At
     node k the conditional means N come from one product of each block's
-    increments before t_k with the Volterra columns (paths.conditional_means),
-    each block draws its future from paths.increment_stream keyed (seed,
-    INNER, stage, k, block), and paths.inner_fluctuations maps the group's
-    draws in one product. Inner path q of outer path p is N_p + Z_q (a
-    fluctuation shared by the block), so its integrand factors as
+    past Gaussians with their Volterra columns (paths.conditional_means),
+    each block draws its future columns, table.width - table.past(k) per
+    row, from paths.increment_stream keyed (seed, INNER, stage, k, block),
+    and paths.inner_fluctuations maps the group's draws in one product.
+    Inner path q of outer path p is N_p + Z_q (a fluctuation shared by the
+    block), so its integrand factors as
     exp(a t_i + sigma N_{p,i}) exp(sigma Z_{q,i}) = A_{p,i} B_{q,i}. Every
     inner sum over i is then sum_i A_{p,i} c_i B_{q,i}: one GEMM per block
     and node over the columns c = [1, K(., t_k), K(., s), K(., t_k) K(., s)],
@@ -305,7 +308,7 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
     K = _kernel_columns(table, idx)
     Ks = _kernel_columns(table, s_idx) if ms else None
 
-    nodes = []                                   # (c, k, ns, tauK, W) per node k < n
+    nodes = []                                   # (c, k, ns, tauK, W, future) per node k < n
     for c, k in enumerate(idx):
         k = int(k)
         if k == n:
@@ -316,7 +319,8 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
         if ns:
             cols += [Ks[:, :ns], kcol * Ks[:, :ns]]
         tauK = tau[:, None] * np.hstack(cols)                            # (n+1, 2 + 2 ns)
-        nodes.append((c, k, ns, tauK, np.ascontiguousarray(tauK[k:].T)))  # W: (2 + 2 ns, n-k+1)
+        nodes.append((c, k, ns, tauK, np.ascontiguousarray(tauK[k:].T),   # W: (2 + 2 ns, n-k+1)
+                      table.width - table.past(k)))
     if not nodes:
         return est, se, est2, se2
     if n_inner < 50 or n_inner % 2:
@@ -327,9 +331,9 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
         nb = -(-rows // CHUNK_OUTER)
         blks = range(start // CHUNK_OUTER, start // CHUNK_OUTER + nb)
         dB = pad_rows(paths.increments, start, stop, nb * CHUNK_OUTER)
-        dB = dB.reshape(nb, CHUNK_OUTER, n)
-        for c, k, ns, tauK, W in nodes:
-            z = np.empty((nb, n_inner // 2, n - k))
+        dB = dB.reshape(nb, CHUNK_OUTER, table.width)
+        for c, k, ns, tauK, W, future in nodes:
+            z = np.empty((nb, n_inner // 2, future))
             for z_b, b in zip(z, blks):
                 increment_stream(grid, seed, rng.INNER, stage, k, b)(z_b)
             logB = inner_fluctuations(table, k, z)
@@ -354,7 +358,7 @@ def _nested(paths: FbmPaths, table: KernelTable, params, idx, n_inner, seed,
                 d2 = sigma ** 2 * (T1 - A_all * Dth[:, None])            # (rows, ns, Q)
                 est2[start:stop, :ns, c], se2[start:stop, :ns, c] = _pair_stats(d2)
 
-    ns_max = max(ns for _, _, ns, _, _ in nodes)
+    ns_max = max(ns for _, _, ns, *_ in nodes)
     run_blocks(group, P, _group_blocks(n, ns_max) * CHUNK_OUTER)
     return est, se, est2, se2
 
@@ -547,21 +551,24 @@ def derivative_reports(summary, table: KernelTable, params):
 def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
     """Residual of the martingale representation on the grid.
 
-    residual = (F - E[F]) - sum_j E[dF/d(dB_j) | F_{j-1}] dB_j
+    residual = (F - E[F]) - sum_c E[dF/d(dB_c) | F_{t_{m(c) - 1}}] dB_c
 
+    over the columns c of the table, m(c) the node from which dB_c is known.
     The integrand is evaluated in closed form (conditional lognormal means
-    with the discrete model's conditional variance) at the left endpoint of
-    each cell, so each term is exactly adapted and the residual has exact
-    zero mean under the discrete model; its variance measures the
-    within-cell chaos left out by the first-order representation and must
-    shrink with grid refinement.
+    with the discrete model's conditional variance) at the node before its
+    column enters the past (for a cell, its left endpoint), so each term is
+    exactly adapted and the residual has exact zero mean under the discrete
+    model; its variance measures the within-cell chaos left out by the
+    first-order representation and must shrink with grid refinement.
 
-    One conditional-lognormal sweep per block: at node j the integrand is
-    G_j = sigma C . (tau V[:, j]) over the rows i > j (V[i, j] = 0 for
-    i <= j), and E[F] = M_0.
+    One conditional-lognormal sweep per block: at node k the integrand of
+    each column c that enters the past at k + 1 is G_c = sigma C .
+    (tau V[:, c]) over the rows i > k (V[i, c] = 0 for i <= k), and
+    E[F] = M_0.
     """
     paths.require_increments()
     n = table.n
+    past = table.past(np.arange(n + 1))
     tau = trapezoid_weights(table.grid)
     tauV = tau[:, None] * table.volterra_matrix
     EF = float(conditional_lognormal(table, params, 0, np.zeros((1, n + 1)))[0] @ tau)
@@ -573,12 +580,13 @@ def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
         dB = pad_rows(paths.increments, start, stop, _sweep_paths(n))
         dBt = np.ascontiguousarray(paths.increments[start:stop].T)
         acc = np.zeros(rows)
-        for j, _, C in conditional_lognormal_sweep(table, params, dB):
-            if j == n:
+        for k, _, C in conditional_lognormal_sweep(table, params, dB):
+            if k == n:
                 break
             # the padded rows are cut before the multiply: their C may be
             # inf, and inf * 0 would be an invalid operation
-            acc += (C @ tauV[j + 1:, j])[:rows] * dBt[j]
+            for c in range(past[k], past[k + 1]):
+                acc += (C @ tauV[k + 1:, c])[:rows] * dBt[c]
         F = np.exp(LogFunctional(paths.subset(slice(start, stop)), params).lnF)
         res[start:stop] = (F - EF) - params.sigma * acc
 

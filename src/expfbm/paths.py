@@ -14,20 +14,22 @@ Every Gaussian of the package is drawn by increment_stream. Two generators:
     No driving increments, so conditional operations reject these paths.
 
 Given F_{t_k}, B^H_{t_i} is Gaussian with mean N_i and the discrete map's
-variance v_i(k) of the cells after t_k (KernelTable.conditional_variances).
-One function per conditional object:
+variance v_i(k) of the future columns (KernelTable.conditional_variances).
+Every split of past from future reads the table's column layout: the past
+at node k is the first table.past(k) columns. One function per conditional
+object:
 
-  * conditional_means: N at one node, one product of the past increments
+  * conditional_means: N at one node, one product of the past Gaussians
     with their Volterra columns (the nested driver's nodes);
   * conditional_lognormal: E[exp(a t_i + sigma B_i) | F_{t_k}] =
     exp(a t_i + sigma N_i + sigma^2 v_i(k) / 2) at one node, so
     M_k = E[F | F_{t_k}] is an exact martingale of the simulated model;
   * conditional_lognormal_sweep: the exponent of the future's lognormal
     means and the means themselves at every node k = 0..n, the exponent
-    carried by a rank-2 update per node (the per-path passes; the lower
+    carried by a rank-2 update per column (the per-path passes; the lower
     bound reads sigma N off the exponent);
   * inner_fluctuations: the conditional law's centred part, the antithetic
-    Volterra map of future increments, for nested resampling.
+    Volterra map of future Gaussians, for nested resampling.
 
 A product may round by its row count, so every product over path rows
 runs on fixed-size blocks, the last one zero-padded: pad_rows cuts a block,
@@ -53,8 +55,8 @@ class FbmPaths:
     """A batch of simulated fBm paths on a shared grid.
 
     values has shape (n_paths, n+1) with values[:, 0] == 0. increments holds
-    the driving Brownian increments (n_paths, n) for Volterra-generated paths
-    and is None for Cholesky paths.
+    the driving Gaussians (n_paths, table.width), one per Volterra column,
+    for Volterra-generated paths and is None for Cholesky paths.
     """
 
     grid: np.ndarray
@@ -89,7 +91,7 @@ class ConditionalLaw:
 
     means[p, i] = E[B^H_{t_i} | F_theta] for path p (equals the realized value
     for i <= theta_index); variances[i] = Var(B^H_{t_i} | F_theta), the
-    discrete map's sum_{l >= theta_index} V[i, l]^2 dt, zero for
+    discrete map's sum of V[i, c]^2 dt over the future columns c, zero for
     i <= theta_index.
     """
 
@@ -101,7 +103,7 @@ class ConditionalLaw:
 
 def increment_stream(grid, seed, *key):
     """The draw of substream rng.stream(seed, *key): a function that fills
-    out (rows, n) with the stream's next rows of i.i.d. N(0, dt) increments
+    out (rows, width) with the stream's next rows of i.i.d. N(0, dt) draws
     and returns it.
 
     Batch b of rng.batch_ranges is keyed (purpose, b), so the increments of
@@ -121,11 +123,12 @@ def increment_stream(grid, seed, *key):
     return draw
 
 
-def sample_bm_increments(grid, seed, n_paths, purpose=rng.OUTER):
-    """i.i.d. N(0, dt) increments, (n_paths, n). Deterministic in (seed, purpose)."""
-    out = np.empty((n_paths, len(grid) - 1))
+def sample_bm_increments(table: KernelTable, seed, n_paths, purpose=rng.OUTER):
+    """i.i.d. N(0, dt) driving Gaussians, (n_paths, table.width).
+    Deterministic in (seed, purpose)."""
+    out = np.empty((n_paths, table.width))
     for b, start, stop in rng.batch_ranges(n_paths):
-        increment_stream(grid, seed, purpose, b)(out[start:stop])
+        increment_stream(table.grid, seed, purpose, b)(out[start:stop])
     return out
 
 
@@ -150,16 +153,16 @@ def map_rows(a, Mt):
 
 
 def fbm_from_bm(table: KernelTable, increments, seed=None):
-    """Apply the discrete Volterra map to driving increments.
+    """Apply the discrete Volterra map to the driving Gaussians.
 
     values[:, i] = sum_{j<=i} w_ij * dB_j / dt with w_ij the cell integrals of
     K(t_i, .), i.e. the increments enter as densities over their cells,
     mapped by map_rows.
     """
     increments = np.atleast_2d(np.asarray(increments, dtype=float))
-    n = increments.shape[1]
-    if n != table.n:
-        raise ValueError(f"increments have {n} cells, grid has {table.n}")
+    width = increments.shape[1]
+    if width != table.width:
+        raise ValueError(f"increments have {width} columns, the table has {table.width}")
     values = map_rows(increments, table.volterra_matrix.T)
     return FbmPaths(grid=table.grid, values=values, increments=increments,
                     seed=seed, method="volterra")
@@ -167,7 +170,7 @@ def fbm_from_bm(table: KernelTable, increments, seed=None):
 
 def sample_fbm_volterra(table: KernelTable, n_paths, seed, purpose=rng.OUTER):
     """Volterra-map paths with stored driving increments."""
-    incr = sample_bm_increments(table.grid, seed, n_paths, purpose=purpose)
+    incr = sample_bm_increments(table, seed, n_paths, purpose=purpose)
     return fbm_from_bm(table, incr, seed=seed)
 
 
@@ -210,23 +213,26 @@ def conditional_law(paths: FbmPaths, table: KernelTable, theta) -> ConditionalLa
 
 def conditional_means(table: KernelTable, increments, k):
     """N[..., p, i] = E[B^H_{t_i} | F_{t_k}], (..., P, n+1) for increments
-    (..., P, n): one product of the increments before t_k with their
-    Volterra columns, per (P, n) slice of a stack. N holds the realized
-    value for i <= k and the conditional mean of the future for i > k."""
-    return np.atleast_2d(increments)[..., :k] @ table.volterra_matrix[:, :k].T
+    (..., P, table.width): one product of the past Gaussians at t_k with
+    their Volterra columns, per (P, width) slice of a stack. N holds the
+    realized value for i <= k and the conditional mean of the future for
+    i > k."""
+    past = table.past(k)
+    return np.atleast_2d(increments)[..., :past] @ table.volterra_matrix[:, :past].T
 
 
 def inner_fluctuations(table: KernelTable, k, dB):
     """Antithetic fluctuations B_{t_i} - E[B_{t_i} | F_{t_k}] at the nodes i = k..n.
 
-    The future driving increments dB (..., Q/2, n - k) are mapped through
-    the shared table in one product, so conditional mean plus fluctuation
-    has exactly the conditional law of the outer discrete model. The
+    The future driving Gaussians dB (..., Q/2, table.width - table.past(k))
+    are mapped through the shared table in one product, so conditional mean
+    plus fluctuation has exactly the conditional law of the outer discrete
+    model. The
     fluctuation does not depend on the past, so one draw set serves every
     outer path. Returns (..., Q, n - k + 1) = [zV, -zV]; rows q and q + Q/2
     are an exact antithetic pair, and column 0 (node k) is zero.
     """
-    zV = dB @ table.volterra_matrix[k:, k:].T      # rows t_k..T, future cells
+    zV = dB @ table.volterra_matrix[k:, table.past(k):].T   # rows t_k..T, future columns
     return np.concatenate([zV, -zV], axis=-2)
 
 
@@ -252,10 +258,11 @@ def conditional_lognormal_sweep(table: KernelTable, params, increments):
     C = conditional_lognormal(table, params, k, N)[:, k + 1:] (P, n - k)
     holds the lognormal means of the future rows i > k, and L = log C their
     exponent L_i = a t_i + sigma N_i + sigma^2 v_i(k) / 2, which the sweep
-    carries from node to node: from k-1 to k it moves by V[i, k-1] sigma
-    dB_{k-1} - sigma^2 dt V[i, k-1]^2 / 2, one rank-2 product of [V[:, k-1],
-    -sigma^2 dt V[:, k-1]^2 / 2] with [sigma dB_{k-1}; 1] into a reused
-    buffer and one add, and then one exp into another. A node costs O(P n),
+    carries from node to node: each column c that enters the past at node k
+    (past(k-1) <= c < past(k); none at node 0) moves it by V[i, c] sigma
+    dB_c - sigma^2 dt V[i, c]^2 / 2, one rank-2 product of [V[:, c],
+    -sigma^2 dt V[:, c]^2 / 2] with [sigma dB_c; 1] into a reused buffer and
+    one add, and then one exp into another. A node costs O(P n),
     and neither N nor the variances are formed; sigma N is L less the node's
     row of _lognormal_shift. L is a running sum, so C rounds differently
     from conditional_lognormal; at sigma = 0 it is exp(a t) exactly. Copy L
@@ -264,10 +271,11 @@ def conditional_lognormal_sweep(table: KernelTable, params, increments):
     """
     increments = np.atleast_2d(increments)
     P, n = increments.shape[0], table.n
+    past = table.past(np.arange(n + 1))
     s2dt = params.sigma ** 2 * table.dt
-    Vt = table.volterra_matrix.T                          # Vt[j] = column j of V
-    U = np.stack([Vt, -0.5 * s2dt * Vt ** 2], axis=-1)   # U[j] = [V[:, j], ...]
-    R = np.empty((n, 2, P))                               # [sigma dB_j; 1]
+    Vt = table.volterra_matrix.T                          # Vt[c] = column c of V
+    U = np.stack([Vt, -0.5 * s2dt * Vt ** 2], axis=-1)   # U[c] = [V[:, c], ...]
+    R = np.empty((table.width, 2, P))                     # [sigma dB_c; 1]
     np.multiply(increments.T, params.sigma, out=R[:, 0])
     R[:, 1] = 1.0
     Lt = np.repeat(_lognormal_shift(table, params, 0)[:, None], P, axis=1)
@@ -276,9 +284,8 @@ def conditional_lognormal_sweep(table: KernelTable, params, increments):
     for k in range(n + 1):
         size = (n - k) * P
         L = Lt[k + 1:]
-        if k:
-            L += np.matmul(U[k - 1, k + 1:], R[k - 1],
-                           out=step[:size].reshape(n - k, P))
+        for c in range(past[k - 1] if k else 0, past[k]):
+            L += np.matmul(U[c, k + 1:], R[c], out=step[:size].reshape(n - k, P))
         yield k, L.T, np.exp(L, out=buf[:size].reshape(n - k, P)).T
 
 

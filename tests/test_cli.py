@@ -617,6 +617,23 @@ class TestBounds:
         assert "w needs nested_paths >= 10000" in capsys.readouterr().err
         assert not list((tmp_path / "run").glob("cache/*.npz"))
 
+    @pytest.mark.parametrize("only, message", [
+        ([], "no suite selected"), (["--only", "nope"], "matches no suite")],
+        ids=["empty", "only"])
+    def test_empty_selection_refused_before_any_work(self, tmp_path, capsys, only,
+                                                     message):
+        # a run that checks nothing must not read as a pass: an empty suite
+        # list, like an --only that matches nothing, writes no table and no
+        # bounds.json
+        cfg = tmp_path / "none.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+            "nested_paths": 300, "suites": [], "out_dir": str(tmp_path / "run")}))
+        assert main(["--config", str(cfg), "bounds", *only]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "run").rglob("cache/*"))
+        assert not (tmp_path / "run" / "bounds.json").exists()
+
     @pytest.mark.parametrize("command, fields", [
         (["density"], {"outer_paths": 5000}),
         (["bounds", "--only", "envelopes"], {"outer_paths": 20_000, "kde_bootstrap": 1})],

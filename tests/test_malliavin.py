@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 
 from expfbm import functional as fn
@@ -12,6 +13,7 @@ from expfbm import paths as pth
 from expfbm import rng
 from expfbm.functional import ModelParams
 from expfbm.kernel import HurstParams
+from expfbm.reports import Z
 
 
 def make_params(a=0.0, sigma=1.0, H=0.7, T=1.0):
@@ -812,7 +814,7 @@ def _nested_rows(table, count, params):
 # name: (n, P, m, the per-path rows of a call on the first count paths)
 PATH_COUNT_CASES = {
     "fbm_from_bm": (256, 300, 10, lambda table, count, params: pth.fbm_from_bm(
-        table, pth.sample_bm_increments(table.grid, 7, count)).values),
+        table, pth.sample_bm_increments(table, 7, count)).values),
     "sample_fbm_cholesky": (64, 300, 10, lambda table, count, params:
                             pth.sample_fbm_cholesky(table.H, table.grid, count, 7).values),
     "dx": (64, 300, 1, lambda table, count, params:
@@ -896,3 +898,102 @@ class TestDphi:
         out = ml.dphi_bound_check(paths, table64, params, 100, seed=10)
         assert out["reports"][0].meta["coverage"] == pytest.approx(0.4)
         assert out["dphi"].shape[0] == 40
+
+
+class TestSmallNoise:
+    """As sigma -> 0 the Gibbs weights tend to w0 = tau e^(a t) / sum tau e^(a t),
+    so D X / sigma and E[D_{t_k} X | F_{t_k}] / sigma tend to w0 . K(., t_k)
+    and D_r D_theta X / sigma^2 to the w0-covariance of the two columns, K as
+    _kernel_columns defines it. The corrections are O(sigma): on the same
+    paths and inner draws, the error at sigma = 1e-4 is a tenth of that at
+    1e-3."""
+
+    A = 0.5
+    SIGMAS = (1e-3, 1e-4)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        table = kn.build_kernel_table(0.7, 1.0, 32)
+        paths = pth.sample_fbm_volterra(table, 256, seed=21)
+        w0 = pth.trapezoid_weights(table.grid) * np.exp(self.A * table.grid)
+        return table, paths, w0 / w0.sum()
+
+    def assert_rate(self, error, limit):
+        """error(sigma) of each of SIGMAS, against the limit array: O(sigma),
+        falling tenfold."""
+        errors = [error(make_params(a=self.A, sigma=s)) for s in self.SIGMAS]
+        scale = np.abs(limit).max()
+        for s, e in zip(self.SIGMAS, errors):
+            assert e <= 2.0 * s * scale, (s, e)
+        assert 9.0 <= errors[0] / errors[1] <= 11.0, errors
+
+    def test_dx(self, model):
+        table, paths, w0 = model
+        idx = np.arange(table.n + 1)
+        limit = w0 @ ml._kernel_columns(table, idx)
+        self.assert_rate(lambda p: np.abs(ml.dx(paths, table, p, idx) / p.sigma
+                                          - limit).max(), limit)
+
+    def test_nested(self, model):
+        table, paths, w0 = model
+        idx = ml.phi_subgrid(table.n, stride=4)
+        limit = w0 @ ml._kernel_columns(table, idx)
+
+        def error(p):
+            est, _, _, _ = ml._nested(paths, table, p, idx, 50, 3, 0)
+            return np.abs(est / p.sigma - limit).max()
+
+        self.assert_rate(error, limit)
+
+    def test_d2x(self, model):
+        table, paths, w0 = model
+        idx = np.array([1, 5, 16, 31])
+        K = ml._kernel_columns(table, idx)
+        mean = w0 @ K
+        limit = (w0[:, None] * K).T @ K - np.outer(mean, mean)
+        self.assert_rate(lambda p: np.abs(ml.d2x(paths, table, p, idx) / p.sigma ** 2
+                                          - limit).max(), limit)
+
+
+def gauss_hermite_conditional_dx(paths, table, params, k, nodes):
+    """E[D_{t_k} X | F_{t_k}] per path by a tensor Gauss-Hermite rule of
+    `nodes` points per future column, the columns that table.past(k) leaves:
+    exact to rounding once the rule has converged, for a future of one or
+    two columns."""
+    future = table.volterra_matrix[:, table.past(k):]
+    x, w = hermegauss(nodes)
+    axes = np.meshgrid(*[x] * future.shape[1], indexing="ij")
+    weights = np.prod(np.meshgrid(*[w / w.sum()] * future.shape[1], indexing="ij"), axis=0)
+    xi = np.stack(axes, axis=-1).reshape(-1, future.shape[1]) * np.sqrt(table.dt)
+    fluct = params.sigma * xi @ future.T                          # (G, n+1)
+    base = (np.log(pth.trapezoid_weights(table.grid)) + params.a * table.grid
+            + params.sigma * pth.conditional_means(table, paths.increments, k))
+    kcol = ml._kernel_columns(table, [k])[:, 0]
+    out = np.empty(paths.n_paths)
+    for start in range(0, paths.n_paths, 32):
+        logits = base[start:start + 32, None, :] + fluct
+        logits -= logits.max(axis=2, keepdims=True)
+        e = np.exp(logits)
+        out[start:start + 32] = params.sigma * ((e @ kcol) / e.sum(axis=2)) @ weights.ravel()
+    return out
+
+
+class TestLastNodeGaussHermite:
+    """At the last two nodes the future has one or two columns, so the
+    conditional derivative is a Gauss-Hermite integral, and _nested must
+    agree with it within Z block-mean SEs (sigma = 1, n = 32, H = 0.7, eight
+    128-path blocks)."""
+
+    def test_nested_against_gauss_hermite(self):
+        table = kn.build_kernel_table(0.7, 1.0, 32)
+        params = make_params(sigma=1.0)
+        paths = pth.sample_fbm_volterra(table, 8 * ml.CHUNK_OUTER, seed=31)
+        idx = [table.n - 2, table.n - 1]
+        est, _, _, _ = ml._nested(paths, table, params, idx, 100, 7, 0)
+        for c, k in enumerate(idx):
+            assert table.width - table.past(k) == table.n - k
+            oracle = gauss_hermite_conditional_dx(paths, table, params, k, 32)
+            coarse = gauss_hermite_conditional_dx(paths, table, params, k, 16)
+            assert np.abs(oracle - coarse).max() <= 1e-12 * np.abs(oracle).max()
+            diff = est[:, c] - oracle
+            assert abs(diff.mean()) <= Z * ml.block_mean_se(diff), k

@@ -11,13 +11,13 @@ from expfbm.functional import ModelParams, functional_F
 
 class TestIncrements:
     def test_deterministic(self, table64):
-        a = pth.sample_bm_increments(table64.grid, 123, 4)
-        b = pth.sample_bm_increments(table64.grid, 123, 4)
+        a = pth.sample_bm_increments(table64, 123, 4)
+        b = pth.sample_bm_increments(table64, 123, 4)
         assert np.array_equal(a, b)
 
     def test_prefix_stable_in_path_count(self, table64, table256):
-        a = pth.sample_bm_increments(table64.grid, 123, 100)
-        b = pth.sample_bm_increments(table64.grid, 123, 10_000)
+        a = pth.sample_bm_increments(table64, 123, 100)
+        b = pth.sample_bm_increments(table64, 123, 10_000)
         assert np.array_equal(a, b[:100])
         # the values too, bit for bit, at a size where a plain GEMM over the
         # prefix rounds differently from one over the full draw
@@ -39,7 +39,7 @@ class TestIncrements:
         assert starts == [0, rng.BATCH]
 
     def test_moments(self, table64):
-        incr = pth.sample_bm_increments(table64.grid, 7, 100_000)
+        incr = pth.sample_bm_increments(table64, 7, 100_000)
         one = incr[:, 3]
         sd = np.sqrt(table64.dt)
         assert abs(one.mean()) < 4.0 * sd / np.sqrt(len(one))
@@ -202,7 +202,7 @@ class TestMartingale:
         table = kn.build_kernel_table(H, 1.0, 64)
         x, w = hermegauss(60)
         w = w / w.sum()
-        base = pth.sample_bm_increments(table.grid, 43, 3)
+        base = pth.sample_bm_increments(table, 43, 3)
         now = pth.fbm_from_bm(table, base)
         for k in (0, 16, 32, 63):
             incr = np.repeat(base, len(x), axis=0)

@@ -7,6 +7,8 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -49,6 +51,20 @@ def test_traced_names_resolve():
             assert callable(obj), f"{module_name}.{qualname}"
             traced.add(f"{module_name}.{qualname}")
     assert set(trace_cli.RATES) <= traced
+
+
+def test_cli_import_loads_every_traced_module():
+    # trace_cli.install reads sys.modules["expfbm.<module>"] right after
+    # `import expfbm.cli`, so that import alone must load every traced module
+    # (test_traced_names_resolve imports each module itself)
+    trace_cli = load_perfbench("trace_cli")
+    code = ("import json, sys; import expfbm.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('expfbm'))))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {f"expfbm.{name}" for name in trace_cli.TRACED} <= loaded
 
 
 def install_thread_tracer(monkeypatch):
