@@ -403,6 +403,12 @@ class KernelTable:
         """Columns known at node k (k a node or an array of nodes)."""
         return np.searchsorted(self.column_nodes, k, side="right")
 
+    @functools.cached_property
+    def entering(self):
+        """entering[k], k = 0..n: the columns that join the past at node k."""
+        past = self.past(np.arange(self.n + 1)).tolist()
+        return [range(c0, c1) for c0, c1 in zip([0] + past, past)]
+
     @property
     def energies(self):
         """Row energies int_0^{t_i} K(t_i, r)^2 dr from per-cell quadrature."""

@@ -568,7 +568,6 @@ def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
     """
     paths.require_increments()
     n = table.n
-    past = table.past(np.arange(n + 1))
     tau = trapezoid_weights(table.grid)
     tauV = tau[:, None] * table.volterra_matrix
     EF = float(conditional_lognormal(table, params, 0, np.zeros((1, n + 1)))[0] @ tau)
@@ -580,12 +579,11 @@ def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
         dB = pad_rows(paths.increments, start, stop, _sweep_paths(n))
         dBt = np.ascontiguousarray(paths.increments[start:stop].T)
         acc = np.zeros(rows)
-        for k, _, C in conditional_lognormal_sweep(table, params, dB):
-            if k == n:
-                break
+        sweep_nodes = conditional_lognormal_sweep(table, params, dB)
+        for (k, _, C), columns in zip(sweep_nodes, table.entering[1:]):
             # the padded rows are cut before the multiply: their C may be
             # inf, and inf * 0 would be an invalid operation
-            for c in range(past[k], past[k + 1]):
+            for c in columns:
                 acc += (C @ tauV[k + 1:, c])[:rows] * dBt[c]
         F = np.exp(LogFunctional(paths.subset(slice(start, stop)), params).lnF)
         res[start:stop] = (F - EF) - params.sigma * acc

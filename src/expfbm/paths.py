@@ -259,7 +259,7 @@ def conditional_lognormal_sweep(table: KernelTable, params, increments):
     holds the lognormal means of the future rows i > k, and L = log C their
     exponent L_i = a t_i + sigma N_i + sigma^2 v_i(k) / 2, which the sweep
     carries from node to node: each column c that enters the past at node k
-    (past(k-1) <= c < past(k); none at node 0) moves it by V[i, c] sigma
+    (table.entering[k]; none at node 0) moves it by V[i, c] sigma
     dB_c - sigma^2 dt V[i, c]^2 / 2, one rank-2 product of [V[:, c],
     -sigma^2 dt V[:, c]^2 / 2] with [sigma dB_c; 1] into a reused buffer and
     one add, and then one exp into another. A node costs O(P n),
@@ -271,7 +271,6 @@ def conditional_lognormal_sweep(table: KernelTable, params, increments):
     """
     increments = np.atleast_2d(increments)
     P, n = increments.shape[0], table.n
-    past = table.past(np.arange(n + 1))
     s2dt = params.sigma ** 2 * table.dt
     Vt = table.volterra_matrix.T                          # Vt[c] = column c of V
     U = np.stack([Vt, -0.5 * s2dt * Vt ** 2], axis=-1)   # U[c] = [V[:, c], ...]
@@ -281,10 +280,10 @@ def conditional_lognormal_sweep(table: KernelTable, params, increments):
     Lt = np.repeat(_lognormal_shift(table, params, 0)[:, None], P, axis=1)
     step = np.empty(n * P)
     buf = np.empty(n * P)
-    for k in range(n + 1):
+    for k, columns in enumerate(table.entering):
         size = (n - k) * P
         L = Lt[k + 1:]
-        for c in range(past[k - 1] if k else 0, past[k]):
+        for c in columns:
             L += np.matmul(U[c, k + 1:], R[c], out=step[:size].reshape(n - k, P))
         yield k, L.T, np.exp(L, out=buf[:size].reshape(n - k, P)).T
 

@@ -60,6 +60,8 @@ def test_cell_layout(layouts):
     assert np.array_equal(table.past(nodes), nodes) and table.width == table.n
     assert split.width == table.n + 1
     assert np.array_equal(split.past(nodes), np.r_[0, nodes[1:] + 1])
+    assert table.entering == [range(0)] + [range(k - 1, k) for k in nodes[1:]]
+    assert split.entering[:3] == [range(0), range(0, 2), range(2, 3)]
 
 
 def test_conditional_variances_and_shift(layouts):
