@@ -260,7 +260,8 @@ def _cached(path, load, build, save, allow_build=True):
 
 
 def _table_for(cfg) -> kn.KernelTable:
-    # the table depends on (H, T, n) only, so every seed shares one file
+    # the table depends on (H, T, n) only, so every seed shares one file; it
+    # is deterministic quadrature, not simulation, so --no-simulate rebuilds it
     return _cached(_cache_dir(cfg) / f"table-{cfg.cache_key(TABLE_FIELDS)}.npz",
                    kn.load_table,
                    lambda: kn.build_kernel_table(cfg.hurst_H, cfg.horizon_T, cfg.grid_n),
@@ -663,7 +664,9 @@ def _build_parser():
     for name in ("bounds", "malliavin", "density"):
         sub.add_parser(name).add_argument(
             "--no-simulate", action="store_true",
-            help="fail instead of regenerating missing caches")
+            help="fail instead of regenerating a missing or unreadable sample or "
+                 "nested cache (the kernel table, deterministic quadrature, is "
+                 "rebuilt)")
     sub.choices["bounds"].add_argument("--only", type=str, default=None,
                                        help="run a single suite or bound id")
     sub.add_parser("report")

@@ -47,7 +47,7 @@ from numpy.polynomial.polynomial import polyval
 
 from . import reports
 
-TABLE_FORMAT_VERSION = 2
+TABLE_FORMAT_VERSION = 3
 
 
 class CalibrationError(RuntimeError):
@@ -354,13 +354,14 @@ class KernelTable:
                       column is identically 0 by convention, the kernel
                       diverges there and is never sampled pointwise).
     row_weights[i, j] int_{t_{j-1}}^{t_j} K(t_i, r) dr for 1 <= j <= i.
-    sq_weights[i, j]  int_{t_{j-1}}^{t_j} K(t_i, r)^2 dr for 1 <= j <= i.
+    energies[i]       int_0^{t_i} K(t_i, r)^2 dr (~ t_i^2H): the row sums of
+                      the cell integrals of K^2 (_cell_integrals), which the
+                      table does not keep.
 
     Derived arrays: volterra_matrix (row_weights / dt) maps the driving
-    Gaussians to fBm values; energies = cumulative sq_weights (continuous
-    energies, ~ t_i^2H); map_variances = sum_j row_weights^2 / dt (variance
-    actually produced by the discrete map, slightly below t_i^2H), and
-    conditional_variances(k) the part of it that the future at t_k draws.
+    Gaussians to fBm values; map_variances = sum_j row_weights^2 / dt
+    (variance actually produced by the discrete map, slightly below t_i^2H),
+    and conditional_variances(k) the part of it that the future at t_k draws.
 
     Column layout: column c of volterra_matrix carries one N(0, dt) Gaussian,
     known from node column_nodes[c] on (cell j's increment: node j + 1). The
@@ -374,7 +375,7 @@ class KernelTable:
     grid: np.ndarray
     values: np.ndarray
     row_weights: np.ndarray
-    sq_weights: np.ndarray
+    energies: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -408,11 +409,6 @@ class KernelTable:
         """entering[k], k = 0..n: the columns that join the past at node k."""
         past = self.past(np.arange(self.n + 1)).tolist()
         return [range(c0, c1) for c0, c1 in zip([0] + past, past)]
-
-    @property
-    def energies(self):
-        """Row energies int_0^{t_i} K(t_i, r)^2 dr from per-cell quadrature."""
-        return self.sq_weights.sum(axis=1)
 
     @property
     def map_variances(self):
@@ -542,11 +538,11 @@ def _uniform_grid(T, n):
     return np.linspace(0.0, T, n + 1)
 
 
-def build_kernel_table(H, T, n):
-    """Build the KernelTable on the uniform grid with n cells.
+def _cell_integrals(H, c_H, T, n):
+    """(values, row_w, row_w2) on the uniform grid with n cells: values and
+    row_w as in KernelTable, and row_w2[i, j] = int_{t_{j-1}}^{t_j} K(t_i, r)^2
+    dr for 1 <= j <= i, whose row sums build_kernel_table keeps.
 
-    c_H comes from its closed form (ch_closed_form); calibrate_ch, the
-    quadrature of the unit-energy condition, cross-checks it in kernel-verify.
     Interior cell integrals use plain Gauss-Legendre with CELL_NODES points
     (the integrand is smooth strictly inside (0, t_i)); the first cell and the
     diagonal cell get their own rules (_first_cell_rule, _diag_cell_weights).
@@ -559,10 +555,6 @@ def build_kernel_table(H, T, n):
     rho^(-2 INCREMENT_NODES) with rho >= 3 + sqrt(8): below 1e-18 relative.
     The increments are positive, so every column of `values` is monotone.
     """
-    if n < 8:
-        raise ValueError("grid size n must be >= 8")
-    params = HurstParams(H, T)
-    c_H = ch_closed_form(H)
     grid = _uniform_grid(T, n)
     dt = T / n
 
@@ -608,10 +600,27 @@ def build_kernel_table(H, T, n):
         Kc = K[1:, :-1]                           # cells strictly inside (0, t_i)
         row_w[i, 2:i] = dt * (Kc @ gw)
         row_w2[i, 2:i] = dt * ((Kc * Kc) @ gw)
+    return values, row_w, row_w2
+
+
+def build_kernel_table(H, T, n):
+    """Build the KernelTable on the uniform grid with n cells.
+
+    c_H comes from its closed form (ch_closed_form); calibrate_ch, the
+    quadrature of the unit-energy condition, cross-checks it in kernel-verify.
+    The cells come from _cell_integrals; of the K^2 cells the table keeps
+    only their row sums, the energies.
+    """
+    if n < 8:
+        raise ValueError("grid size n must be >= 8")
+    params = HurstParams(H, T)
+    c_H = ch_closed_form(H)
+    grid = _uniform_grid(T, n)
+    values, row_w, row_w2 = _cell_integrals(H, c_H, T, n)
 
     marg = np.power(grid, 2.0 * H)
     energies = row_w2.sum(axis=1)
-    map_var = (row_w ** 2).sum(axis=1) / dt
+    map_var = (row_w ** 2).sum(axis=1) / (T / n)
     meta = {
         "format_version": TABLE_FORMAT_VERSION,
         "n": n,
@@ -620,7 +629,7 @@ def build_kernel_table(H, T, n):
         "map_variance_max_abs_err": float(np.max(np.abs(map_var - marg))),
     }
     return KernelTable(H=params.H, T=params.T, c_H=float(c_H), grid=grid,
-                       values=values, row_weights=row_w, sq_weights=row_w2,
+                       values=values, row_weights=row_w, energies=energies,
                        meta=meta)
 
 
@@ -638,34 +647,39 @@ def kernel_time_integral(table: KernelTable, theta):
 # serialization
 # ---------------------------------------------------------------------------
 
-# the arrays a table file holds, each as the lower triangle of [1:, 1:]
-_PACKED = ("values", "row_weights", "sq_weights")
+# the arrays a table file holds as the lower triangle of [1:, 1:]
+_PACKED = ("values", "row_weights")
 
 
 def save_table(table: KernelTable, path):
     """Write table to path as a plain .npz (reports.write_npz), stored
     without deflate.
 
-    Of values, row_weights and sq_weights it holds only the entries that can
-    be nonzero, the lower triangle (diagonal included) of [1:, 1:], in the
-    order of np.tril_indices(n); the grid, _uniform_grid(T, n), is not stored.
-    A JSON `meta` member holds table.meta with H, T, c_H, n and the format
-    version. Deflate would shrink the packed entries by only 8 % and take
-    about 20 times as long as this write (1.5 ms at n = 256, 791 KB).
+    Of values and row_weights it holds only the entries that can be nonzero,
+    the lower triangle (diagonal included) of [1:, 1:], in the order of
+    np.tril_indices(n); then the n + 1 energies whole. The grid,
+    _uniform_grid(T, n), is not stored, nor the K^2 cells whose row sums the
+    energies are. A JSON `meta` member holds table.meta with H, T, c_H, n and
+    the format version. Deflate would shrink the members by only 8 % and
+    take about 20 times as long as this write (1.3-2.0 ms at n = 256,
+    530 KB).
     """
     meta = dict(table.meta)
     meta.update({"H": table.H, "T": table.T, "c_H": table.c_H, "n": table.n,
                  "format_version": TABLE_FORMAT_VERSION})
     rows, cols = np.tril_indices(table.n)
-    reports.write_npz(path, meta=meta, **{name: getattr(table, name)[1:, 1:][rows, cols]
-                                          for name in _PACKED})
+    reports.write_npz(path, meta=meta,
+                      **{name: getattr(table, name)[1:, 1:][rows, cols] for name in _PACKED},
+                      energies=table.energies)
 
 
 def load_table(path) -> KernelTable:
     """Read a table that save_table wrote, equal to the saved one bit for bit:
-    each packed triangle goes back into zeros of shape (n + 1, n + 1).
+    each packed triangle goes back into zeros of shape (n + 1, n + 1), and the
+    energies are read as stored.
 
-    Raises ValueError for another format version or a packed member of the
+    Raises ValueError for another format version (a format-2 file, which
+    held the K^2 cells in place of the energies, included) or a member of the
     wrong length, and what reports.read_npz raises for a damaged file.
     """
     data = reports.read_npz(path)
@@ -674,14 +688,15 @@ def load_table(path) -> KernelTable:
         raise ValueError(f"unsupported table format {meta.get('format_version')}")
     n = meta["n"]
     rows, cols = np.tril_indices(n)
-    arrays = {}
+    shapes = {**dict.fromkeys(_PACKED, rows.shape), "energies": (n + 1,)}
+    for name, shape in shapes.items():
+        if data[name].shape != shape:
+            raise ValueError(f"table member {name} has shape {data[name].shape}, "
+                             f"expected {shape} for n = {n}")
+    arrays = {"energies": data["energies"]}
     for name in _PACKED:
-        packed = data[name]
-        if packed.shape != rows.shape:
-            raise ValueError(f"table member {name} has shape {packed.shape}, "
-                             f"expected {rows.shape} for n = {n}")
         full = np.zeros((n + 1, n + 1))
-        full[1:, 1:][rows, cols] = packed
+        full[1:, 1:][rows, cols] = data[name]
         arrays[name] = full
     return KernelTable(
         H=meta["H"], T=meta["T"], c_H=meta["c_H"], grid=_uniform_grid(meta["T"], n),

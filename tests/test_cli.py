@@ -209,6 +209,30 @@ class TestCaches:
         assert "treating it as a miss" in err
         assert "missing or unreadable and simulation disabled" in err
 
+    @pytest.mark.parametrize("damage", ["deleted", "truncated"])
+    def test_no_simulate_rebuilds_the_table(self, cached_run, capsys, damage):
+        # the table is deterministic quadrature, not simulation, so
+        # --no-simulate rebuilds a missing or unreadable one (and still
+        # refuses to rebuild the sample and nested caches, above)
+        argv, run = cached_run
+        assert main(argv) == EXIT_OK
+        clean = self.outputs(run)
+        (path,) = (run / "cache").glob("table-*.npz")
+        built = kn.load_table(path)
+        if damage == "deleted":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes()[:1000])
+        capsys.readouterr()
+        assert main(argv + ["--no-simulate"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert ("treating it as a miss" in err) == (damage == "truncated")
+        assert "simulation disabled" not in err
+        rebuilt = kn.load_table(path)
+        for name in ("values", "row_weights", "energies"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(built, name))
+        assert self.outputs(run) == clean
+
     def test_no_cache_is_deflated(self, cached_run):
         argv, run = cached_run
         assert main(argv) == EXIT_OK
@@ -434,6 +458,10 @@ class TestKernelVerify:
         weights = table64.row_weights.copy()
         weights[rows, rows] = 0.0
         assert "row_sum_closed_form" in self.failed(table64, row_weights=weights)
+
+    def test_scaled_energies_fail_energy_table(self, table64):
+        assert "energy_table_max_abs" in self.failed(table64,
+                                                     energies=1.01 * table64.energies)
 
     def test_scaled_weights_fail_covariance(self, table256):
         # the map's variance outgrows t^2H by 2e-4 relative; the fixed 5e-3

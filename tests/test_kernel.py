@@ -1,10 +1,12 @@
 import functools
+import json
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
 from expfbm import kernel as kn
+from expfbm import reports
 
 
 def inner_integral_oracle(H, t, s):
@@ -24,9 +26,9 @@ def inner_integral_oracle(H, t, s):
 
 
 def reference_build_kernel_table(H, T, n, c_H, cell_nodes=8):
-    """(values, row_weights, sq_weights) of the per-cell build: K evaluated
-    afresh, by the panel rule of the inner integral, at every (row, node)
-    pair. Reference for the running sum of kn.build_kernel_table."""
+    """(values, row_weights, K^2 cell integrals) of the per-cell build: K
+    evaluated afresh, by the panel rule of the inner integral, at every
+    (row, node) pair. Reference for the running sum of kn._cell_integrals."""
     grid = np.linspace(0.0, T, n + 1)
     dt = T / n
     values = np.zeros((n + 1, n + 1))
@@ -96,9 +98,14 @@ def reference_time_integral_square_aggregate(H, c_H, T, epsrel=1e-10):
 
 
 def assert_matches_reference(table):
+    # the table keeps the build's values and row weights and, of its K^2
+    # cells, only their row sums
+    cells = kn._cell_integrals(table.H, table.c_H, table.T, table.n)
+    assert np.array_equal(table.values, cells[0])
+    assert np.array_equal(table.row_weights, cells[1])
+    assert np.array_equal(table.energies, cells[2].sum(axis=1))
     ref = reference_build_kernel_table(table.H, table.T, table.n, table.c_H)
-    for name, want in zip(("values", "row_weights", "sq_weights"), ref):
-        got = getattr(table, name)
+    for name, got, want in zip(("values", "row_weights", "K^2 cells"), cells, ref):
         assert np.array_equal(got == 0.0, want == 0.0), name
         nz = want != 0.0
         assert np.max(np.abs(got[nz] / want[nz] - 1.0)) < 1e-13, name
@@ -497,7 +504,7 @@ class TestKernelTable:
 
     def test_weights_nonnegative_and_monotone_columns(self, table256):
         assert table256.row_weights.min() >= 0.0
-        assert table256.sq_weights.min() >= 0.0
+        assert kn._cell_integrals(0.7, table256.c_H, 1.0, 256)[2].min() >= 0.0
         vals = table256.values
         for j in (1, 64, 128, 200):
             col = vals[j:, j]
@@ -537,6 +544,18 @@ class TestKernelTable:
             table64.index_of(0.5 + 1e-4)
 
 
+def write_format_2_table(table, path):
+    """Write table as table format 2 did: the packed lower triangles of
+    values, row_weights and the K^2 cells (sq_weights), and no energies."""
+    cells = kn._cell_integrals(table.H, table.c_H, table.T, table.n)
+    rows, cols = np.tril_indices(table.n)
+    meta = dict(table.meta, H=table.H, T=table.T, c_H=table.c_H, n=table.n,
+                format_version=2)
+    reports.write_npz(path, meta=meta, **{
+        name: a[1:, 1:][rows, cols]
+        for name, a in zip(("values", "row_weights", "sq_weights"), cells)})
+
+
 class TestSerialization:
     def test_roundtrip(self, table64, tmp_path):
         path = tmp_path / "table.npz"
@@ -544,31 +563,35 @@ class TestSerialization:
         loaded = kn.load_table(path)
         assert np.array_equal(loaded.values, table64.values)
         assert np.array_equal(loaded.row_weights, table64.row_weights)
-        assert np.array_equal(loaded.sq_weights, table64.sq_weights)
+        assert np.array_equal(loaded.energies, table64.energies)
         assert loaded.c_H == table64.c_H
         assert loaded.H == table64.H and loaded.T == table64.T
 
     @pytest.mark.parametrize("H", [0.51, 0.9, 0.99])
     @pytest.mark.parametrize("n", [8, 256])
     def test_roundtrip_is_bit_exact(self, tmp_path, H, n):
-        # the file holds only the lower triangles of [1:, 1:]; every other
-        # entry loads as +0.0 and the grid is rebuilt as the build makes it
+        # the file holds only the lower triangles of [1:, 1:] and the
+        # energies; every other entry loads as +0.0 and the grid is rebuilt
+        # as the build makes it
         table = kn.build_kernel_table(H, 1.0, n)
         path = tmp_path / "table.npz"
         kn.save_table(table, path)
+        with np.load(path) as data:
+            assert data.files == ["meta", "values", "row_weights", "energies"]
         loaded = kn.load_table(path)
-        for name in ("grid", "values", "row_weights", "sq_weights"):
+        for name in ("grid", "values", "row_weights", "energies"):
             a, b = getattr(table, name), getattr(loaded, name)
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
         outside = ~np.tril(np.ones((n + 1, n + 1), dtype=bool))
         outside[0] = outside[:, 0] = True
-        for name in ("values", "row_weights", "sq_weights"):
+        for name in ("values", "row_weights"):
             assert np.all(getattr(loaded, name)[outside] == 0.0)
         assert loaded.meta == table.meta and loaded.c_H == table.c_H
 
-    @pytest.mark.parametrize("damage", ["short_member", "one_entry_member", "truncated"])
+    @pytest.mark.parametrize("damage", ["short_member", "one_entry_member",
+                                        "short_energies", "truncated"])
     def test_damaged_file_is_a_miss(self, tmp_path, capsys, damage):
-        # a packed member of the wrong length (one entry would broadcast) is
+        # a member of the wrong length (one packed entry would broadcast) is
         # a ValueError, which the cache treats like a cut file: it reports the
         # miss, rebuilds the table and rewrites the file
         from expfbm import cli
@@ -581,11 +604,12 @@ class TestSerialization:
         else:
             with np.load(path) as data:
                 arrays = dict(data)
-            arrays["row_weights"] = (arrays["row_weights"][:-1] if damage == "short_member"
-                                     else arrays["row_weights"][:1])
+            name = "energies" if damage == "short_energies" else "row_weights"
+            arrays[name] = (arrays[name][:1] if damage == "one_entry_member"
+                            else arrays[name][:-1])
             with open(path, "wb") as fh:
                 np.savez(fh, **arrays)
-            with pytest.raises(ValueError, match="row_weights"):
+            with pytest.raises(ValueError, match=name):
                 kn.load_table(path)
         capsys.readouterr()
         rebuilt = cli._table_for(cfg)
@@ -608,3 +632,36 @@ class TestSerialization:
         np.savez(path, meta=blob, **arrays)
         with pytest.raises(ValueError):
             kn.load_table(path)
+
+    def test_format_2_file_is_a_miss(self, tmp_path, capsys):
+        # the cache schema, and so every cache key, is the one that format 2
+        # was written under: kernel-verify reports the format-2 table as a
+        # miss and rewrites it in format 3, and bounds then reads the sample
+        # and nested caches (--no-simulate would refuse to rebuild them)
+        from expfbm import cli
+
+        run = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+            "nested_paths": 300, "inner_paths": 50, "seed": 5,
+            "suites": ["tail", "derivatives"], "out_dir": str(run)}))
+        assert cli.main(["--config", str(cfg), "bounds"]) == cli.EXIT_OK
+        clean = {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()}
+        (path,) = (run / "cache").glob("table-*.npz")
+        others = {p: p.read_bytes() for p in (run / "cache").iterdir() if p != path}
+        assert sorted(p.name[:4] for p in others) == ["mal-", "sim-"]
+        write_format_2_table(kn.load_table(path), path)
+        with pytest.raises(ValueError, match="unsupported table format 2"):
+            kn.load_table(path)
+        capsys.readouterr()
+        assert cli.main(["--config", str(cfg), "kernel-verify"]) == cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert "unsupported table format 2" in err and "treating it as a miss" in err
+        with np.load(path) as data:
+            assert data.files == ["meta", "values", "row_weights", "energies"]
+        assert kn.load_table(path).meta["format_version"] == kn.TABLE_FORMAT_VERSION == 3
+        assert cli.main(["--config", str(cfg), "bounds", "--no-simulate"]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert {p: p.read_bytes() for p in others} == others
+        assert {name: (run / name).read_bytes() for name in clean} == clean
