@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +40,7 @@ from . import kernel as kn
 from . import malliavin as ml
 from . import paths as pth
 from . import reports, rng
-from .reports import Z, point_report, summarize, write_columns
+from .reports import summarize, write_columns
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -312,7 +313,7 @@ def _nested_paths(cfg, table, ctx):
 
 def _nested_run(cfg, table, ctx):
     """The malliavin.derivative_summary of the nested paths (cached): per
-    path ln F and Phi_X, which the w suite reads, and the summaries that the
+    path ln F and Phi_X, which estimate_w_X reads, and the summaries that the
     derivative reports and malliavin-profile.csv read."""
     def build():
         return ml.derivative_summary(_nested_paths(cfg, table, ctx), table,
@@ -331,11 +332,14 @@ def _nested_run(cfg, table, ctx):
 # Twice the largest relative row-sum error of a table over H in
 # [1/2 + 1e-6, 1 - 1e-6], n in [8, 512] and T in [0.5, 2] (2.5e-14).
 ROW_SUM_TOL = 5e-14
-# the quadratures of int_0^t K(t, r)^2 dr = t^2H (relative), of the table's
-# energies against t^2H (absolute) and of the time integral (relative)
+# the quadratures of int_0^t K(t, r)^2 dr = t^2H (relative) and of the time
+# integral (relative)
 ENERGY_TOL = 1e-6
-TABLE_ENERGY_TOL = 5e-3
 TIME_INTEGRAL_TOL = 1e-4
+# Twice the largest absolute error of a table's energies against t^2H over
+# the same H, n and T (2.6e-5, at H = 1 - 1e-5, n = 8, T = 2; below 1.5e-13
+# for H <= 0.9995).
+TABLE_ENERGY_TOL = 5.2e-5
 
 
 def kernel_checks(cfg: ExperimentConfig, table=None):
@@ -485,99 +489,8 @@ def _suite_dphi(cfg, table, ctx):
 
 
 def _suite_clark_ocone(cfg, table, ctx):
-    params = cfg.model_params()
-    paths = _nested_paths(cfg, table, ctx)
-    res = ml.clark_ocone_residual(paths, table, params)
-    se = res.std(ddof=1) / np.sqrt(len(res))
-    return [point_report(
-        "clark_ocone", f"mean martingale-representation residual = 0 within {Z:g} SE",
-        [0.0], [float(res.mean())], [0.0], [float(se)], len(res), "both",
-        meta={"residual_var": float(res.var(ddof=1))})]
-
-
-SUITES = {
-    "tail": _suite_tail,
-    "mgf": _suite_mgf,
-    "envelopes": _suite_envelopes,
-    "derivatives": _suite_derivatives,
-    "w": _suite_w,
-    "dphi": _suite_dphi,
-    "clark_ocone": _suite_clark_ocone,
-}
-
-BOUND_IDS = {
-    "tail": ["gaussian_left_tail"],
-    "mgf": ["mgf_domination"],
-    "envelopes": ["left_envelope", "right_envelope", "right_tail_slope",
-                  "gaussian_left_envelope_F"],
-    "derivatives": ["dx_range", "cond_dx_range", "phi_upper", "phi_lower",
-                    "d2x_range"],
-    "w": ["w_lower", "w_reconstruction"],
-    "dphi": ["dphi_upper", "dphi_integral_upper"],
-    "clark_ocone": ["clark_ocone"],
-}
-
-
-# the least value of each field that a suite reads: the sample needs two
-# paths for its variance, the KDE KDE_MIN_SAMPLES samples and two bootstrap
-# replicates for its SE, estimate_w_X W_MIN_SAMPLES joint samples and the
-# Clark-Ocone residual two paths for its SE
-SUITE_MINIMUMS = {
-    "tail": {"outer_paths": 2},
-    "mgf": {"outer_paths": 2},
-    "envelopes": {"outer_paths": dn.KDE_MIN_SAMPLES, "kde_bootstrap": 2},
-    "derivatives": {"nested_paths": 1},
-    "w": {"outer_paths": 2, "nested_paths": dn.W_MIN_SAMPLES},
-    "dphi": {"nested_paths": 1},
-    "clark_ocone": {"nested_paths": 2},
-}
-
-
-def _check_suites(cfg, names):
-    """Raise a ValueError for the first of the suites, in order, whose inputs
-    cfg cannot give, before any table, sample or nested pass is made."""
-    for name in names:
-        for key, least in SUITE_MINIMUMS[name].items():
-            if getattr(cfg, key) < least:
-                raise ValueError(f"{name} needs {key} >= {least}, got {getattr(cfg, key)}")
-
-
-def _run_suites(cfg, args, command, names, only=None, finish=None):
-    """Run the named suites (with `only`, those holding that suite or bound
-    id, keeping only its reports), then finish(cfg, table, ctx), which writes
-    the command's own files and returns its extra JSON fields. Write a
-    bound-<id>.csv per report, then _emit the reports. A ValueError is a
-    configuration error; an empty selection and the suites' inputs are
-    checked before any work."""
-    try:
-        if only:
-            names = [s for s in names if s == only or only in BOUND_IDS[s]]
-        if not names:
-            raise ValueError(f"--only {only!r} matches no suite or bound id" if only
-                             else "no suite selected")
-        _check_suites(cfg, names)
-        table = _table_for(cfg)
-        ctx = {"allow_simulate": not args.no_simulate}
-        reports = [r for name in names for r in SUITES[name](cfg, table, ctx)
-                   if only in (None, name, r.bound_id)]
-        extra = finish(cfg, table, ctx) if finish else {}
-    except ValueError as exc:
-        print(f"configuration error in {command}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    for r in reports:
-        path = Path(cfg.out_dir) / f"bound-{r.bound_id}.csv"
-        with _writing(path):
-            r.write_csv(path)
-    dicts = [r.to_dict() for r in reports]
-    return _emit(cfg, args, command,
-                 dict(extra, reports=dicts,
-                      summary={r.bound_id: r.description for r in reports}),
-                 summarize(dicts), failed=any(not r.passed for r in reports))
-
-
-def cmd_bounds(cfg, args):
-    return _run_suites(cfg, args, "bounds", cfg.suites, only=args.only)
+    return [ml.clark_ocone_report(_nested_paths(cfg, table, ctx), table,
+                                  cfg.model_params())]
 
 
 def _malliavin_profile(cfg, table, ctx):
@@ -595,11 +508,6 @@ def _malliavin_profile(cfg, table, ctx):
     return {}
 
 
-def cmd_malliavin(cfg, args):
-    return _run_suites(cfg, args, "malliavin", ["derivatives"],
-                       finish=_malliavin_profile)
-
-
 def _density_fields(cfg, table, ctx):
     """density.csv, and the KDE of rho_X and its image rho_F for the JSON."""
     dens = _density(cfg, table, ctx)
@@ -611,9 +519,91 @@ def _density_fields(cfg, table, ctx):
     return {"density": dens.to_dict(), "density_F": densF.to_dict()}
 
 
-def cmd_density(cfg, args):
-    return _run_suites(cfg, args, "density", ["envelopes", "tail", "mgf"],
-                       finish=_density_fields)
+@dataclass(frozen=True)
+class Suite:
+    """One bound suite: run(cfg, table, ctx) returns its reports, whose ids
+    are bound_ids in that order; minimums holds the least value of each
+    config field it reads."""
+
+    run: Callable
+    bound_ids: tuple
+    minimums: dict
+
+
+# The suite table. The minimums: the sample needs two paths for its
+# variance, the KDE KDE_MIN_SAMPLES samples and two bootstrap replicates for
+# its SE, estimate_w_X W_MIN_SAMPLES joint samples and the Clark-Ocone
+# residual two paths for its SE.
+SUITES = {
+    "tail": Suite(_suite_tail, ("gaussian_left_tail",), {"outer_paths": 2}),
+    "mgf": Suite(_suite_mgf, ("mgf_domination",), {"outer_paths": 2}),
+    "envelopes": Suite(_suite_envelopes,
+                       ("left_envelope", "right_envelope", "right_tail_slope",
+                        "gaussian_left_envelope_F"),
+                       {"outer_paths": dn.KDE_MIN_SAMPLES, "kde_bootstrap": 2}),
+    "derivatives": Suite(_suite_derivatives,
+                         ("dx_range", "cond_dx_range", "phi_upper", "phi_lower",
+                          "d2x_range"),
+                         {"nested_paths": 1}),
+    "w": Suite(_suite_w, ("w_lower", "w_reconstruction"),
+               {"outer_paths": 2, "nested_paths": dn.W_MIN_SAMPLES}),
+    "dphi": Suite(_suite_dphi, ("dphi_upper", "dphi_integral_upper"), {"nested_paths": 1}),
+    "clark_ocone": Suite(_suite_clark_ocone, ("clark_ocone",), {"nested_paths": 2}),
+}
+
+# One row per suite command: the suites it runs, in order, and its finish
+# hook, which writes the command's own files and returns its extra JSON
+# fields.
+SUITE_COMMANDS = {
+    "bounds": (lambda cfg: cfg.suites, None),
+    "malliavin": (lambda cfg: ("derivatives",), _malliavin_profile),
+    "density": (lambda cfg: ("envelopes", "tail", "mgf"), _density_fields),
+}
+
+
+def _check_suites(cfg, names):
+    """Raise a ValueError for the first of the suites, in order, whose inputs
+    cfg cannot give, before any table, sample or nested pass is made."""
+    for name in names:
+        for key, least in SUITES[name].minimums.items():
+            if getattr(cfg, key) < least:
+                raise ValueError(f"{name} needs {key} >= {least}, got {getattr(cfg, key)}")
+
+
+def _run_suites(cfg, args):
+    """Run the suites of the command's row (with bounds' --only, those
+    holding that suite or bound id, keeping only its reports), then its
+    finish hook. Write a bound-<id>.csv per report, then _emit the reports.
+    A ValueError is a configuration error; an empty selection and the
+    suites' inputs are checked before any work."""
+    command = args.command
+    select, finish = SUITE_COMMANDS[command]
+    only = getattr(args, "only", None)
+    try:
+        names = [s for s in select(cfg)
+                 if only in (None, s) or only in SUITES[s].bound_ids]
+        if not names:
+            raise ValueError("no suite selected" if only is None
+                             else f"--only {only!r} matches no suite or bound id")
+        _check_suites(cfg, names)
+        table = _table_for(cfg)
+        ctx = {"allow_simulate": not args.no_simulate}
+        reports = [r for name in names for r in SUITES[name].run(cfg, table, ctx)
+                   if only in (None, name, r.bound_id)]
+        extra = finish(cfg, table, ctx) if finish else {}
+    except ValueError as exc:
+        print(f"configuration error in {command}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+    for r in reports:
+        path = Path(cfg.out_dir) / f"bound-{r.bound_id}.csv"
+        with _writing(path):
+            r.write_csv(path)
+    dicts = [r.to_dict() for r in reports]
+    return _emit(cfg, args, command,
+                 dict(extra, reports=dicts,
+                      summary={r.bound_id: r.description for r in reports}),
+                 summarize(dicts), failed=any(not r.passed for r in reports))
 
 
 def cmd_report(cfg, args):
@@ -661,7 +651,7 @@ def _build_parser():
 
     sub.add_parser("kernel-verify")
     sub.add_parser("simulate")
-    for name in ("bounds", "malliavin", "density"):
+    for name in SUITE_COMMANDS:
         sub.add_parser(name).add_argument(
             "--no-simulate", action="store_true",
             help="fail instead of regenerating a missing or unreadable sample or "
@@ -691,14 +681,9 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    handlers = {
-        "kernel-verify": cmd_kernel_verify,
-        "simulate": cmd_simulate,
-        "bounds": cmd_bounds,
-        "malliavin": cmd_malliavin,
-        "density": cmd_density,
-        "report": cmd_report,
-    }
+    handlers = dict.fromkeys(SUITE_COMMANDS, _run_suites)
+    handlers.update({"kernel-verify": cmd_kernel_verify, "simulate": cmd_simulate,
+                     "report": cmd_report})
     try:
         return handlers[args.command](cfg, args)
     except OutputError as exc:

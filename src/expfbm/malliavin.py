@@ -51,7 +51,8 @@ the integrand instead of truncating it.
 
 The checks sit beside their estimators: derivative_reports builds the
 derivative reports from a derivative_summary (what the CLI's nested cache
-holds); dphi_bound_check reports on the first DPHI_PATHS paths."""
+holds); dphi_bound_check reports on the first DPHI_PATHS paths;
+clark_ocone_report tests the mean of clark_ocone_residual."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ from .kernel import KernelTable
 from .paths import (FbmPaths, _lognormal_shift, conditional_lognormal,
                     conditional_lognormal_sweep, conditional_means, increment_stream,
                     inner_fluctuations, map_rows, pad_rows, trapezoid_weights)
-from .reports import Z, range_report, range_summary, summary_report
+from .reports import Z, point_report, range_report, range_summary, summary_report
 
 CHUNK_OUTER = 128          # outer paths per nested-MC block (fixed: part of the
                            # determinism contract, stream keys include the block)
@@ -590,6 +591,16 @@ def clark_ocone_residual(paths: FbmPaths, table: KernelTable, params):
 
     run_blocks(sweep, paths.n_paths, _sweep_paths(n))
     return res
+
+
+def clark_ocone_report(paths: FbmPaths, table: KernelTable, params):
+    """The clark_ocone bound: the residual's mean is 0 within Z SE."""
+    res = clark_ocone_residual(paths, table, params)
+    se = res.std(ddof=1) / np.sqrt(len(res))
+    return point_report(
+        "clark_ocone", f"mean martingale-representation residual = 0 within {Z:g} SE",
+        [0.0], [float(res.mean())], [0.0], [float(se)], len(res), "both",
+        meta={"residual_var": float(res.var(ddof=1))})
 
 
 # ---------------------------------------------------------------------------

@@ -201,13 +201,42 @@ def test_bound_ids_match_benchmark(tmp_path, monkeypatch, capsys):
         payload = json.loads((tmp_path / f"{command}.json").read_text())
         assert [r["bound_id"] for r in payload["reports"]] == run.BOUND_IDS[command]
 
-    # --only matches on cli.BOUND_IDS: each suite must return exactly its ids
+    # --only matches on each suite record's bound ids: each suite must
+    # return exactly those, in that order
     cfg = cli.ExperimentConfig(**fields)
     table = cli._table_for(cfg)
     ctx = {"allow_simulate": False}          # reads the caches written above
-    assert set(cli.BOUND_IDS) == set(cli.SUITES)
-    for name, suite in cli.SUITES.items():
-        assert [r.bound_id for r in suite(cfg, table, ctx)] == cli.BOUND_IDS[name]
+    for suite in cli.SUITES.values():
+        assert [r.bound_id for r in suite.run(cfg, table, ctx)] == list(suite.bound_ids)
+
+
+def test_make_outputs_runs_the_benchmark_commands(tmp_path, capsys, monkeypatch):
+    # the plan is perfbench's set-up and steps per workload, then the
+    # all-suite config; two runs of one config from this tree compare equal
+    monkeypatch.setattr(sys, "path", list(sys.path))    # run.py prepends its dir
+    make = load_script(Path(__file__).parent / "make_outputs.py")
+    run = make.load_run()
+    configs = make.plan(run, 7)
+    assert list(configs) == [*run.WORKLOADS, make.ALL_SUITES]
+    seeds = run.derive_seeds(7, 2)
+    assert configs["sweep-n256"] == (
+        dict(run.WORKLOADS["sweep-n256"].config, seed=seeds[0]),
+        [["kernel-verify"], ["--seed", str(seeds[0]), "bounds"],
+         ["--seed", str(seeds[1]), "bounds"]])
+    assert "suites" not in configs[make.ALL_SUITES][0]       # every suite
+
+    small = {"grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
+             "suites": ["tail"], "seed": 3}
+    for name in ("a", "b"):
+        assert make.run_config(run, PACKAGE.parents[1], tmp_path / name, small,
+                               [["kernel-verify"], ["bounds"]]) == [0, 0]
+    commands = json.loads((tmp_path / "a" / "commands.json").read_text())
+    assert [c["argv"] for c in commands] == [["kernel-verify"], ["bounds"]]
+    assert commands[1]["stdout"][0].startswith("PASS gaussian_left_tail")
+    compare = load_script(Path(__file__).parent / "compare_outputs.py")
+    capsys.readouterr()
+    assert compare.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == "identical: 7 files\n"
 
 
 def test_compare_outputs_flags_a_changed_float(tmp_path, capsys):
