@@ -683,19 +683,20 @@ class TestBounds:
         assert "w needs nested_paths >= 10000" in capsys.readouterr().err
         assert not list((tmp_path / "run").glob("cache/*.npz"))
 
-    @pytest.mark.parametrize("only, message", [
-        ([], "no suite selected"), (["--only", "nope"], "matches no suite"),
-        (["--only", ""], "matches no suite")],
+    @pytest.mark.parametrize("suites, only, message", [
+        ([], [], "no suite selected"), (["tail"], ["--only", "nope"], "matches no suite"),
+        (["tail"], ["--only", ""], "matches no suite")],
         ids=["empty", "only", "only-empty"])
-    def test_empty_selection_refused_before_any_work(self, tmp_path, capsys, only,
-                                                     message):
+    def test_empty_selection_refused_before_any_work(self, tmp_path, capsys, suites,
+                                                     only, message):
         # a run that checks nothing must not read as a pass: an empty suite
-        # list, like an --only that matches nothing, writes no table and no
+        # list, like an --only that matches nothing (an empty one, which
+        # once ran every suite and kept no report), writes no table and no
         # bounds.json
         cfg = tmp_path / "none.json"
         cfg.write_text(json.dumps({
             "grid_n": 16, "outer_paths": 2000, "centering_paths": 1000,
-            "nested_paths": 300, "suites": [], "out_dir": str(tmp_path / "run")}))
+            "nested_paths": 300, "suites": suites, "out_dir": str(tmp_path / "run")}))
         assert main(["--config", str(cfg), "bounds", *only]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not list((tmp_path / "run").rglob("cache/*"))
